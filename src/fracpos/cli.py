@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -26,12 +25,6 @@ from . import mesh as meshmod
 from .errors import FracposError, InvalidParameter, NumericalError, UsageError
 
 _FAMILY_ALIASES = {"nondelaunay-b": "crossed", "nondelaunay-e": "sliver"}
-_GENERATORS = {
-    "uniform": meshmod.gen_uniform_square,
-    "crossed": meshmod.gen_crossed_rectangles,
-    "sliver": meshmod.gen_sliver_square,
-    "equilateral": meshmod.gen_equilateral_rhombus,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +82,6 @@ def _outdir(args):
     return out
 
 
-def _thread_count(args):
-    n = _pick(
-        getattr(args, "threads", None),
-        _cfg(args, "run.threads", int),
-        int(os.environ.get("FRACPOS_THREADS", "4")),
-    )
-    if n < 1:
-        raise UsageError("thread count must be positive")
-    return n
-
-
 def _write_csv(path, columns, rows, parts, trailer=()):
     lines = [_header_line(parts), ",".join(columns)]
     for row in rows:
@@ -131,7 +113,7 @@ def _add_mesh_flags(p):
     g = p.add_argument_group("mesh selection")
     g.add_argument(
         "--family",
-        choices=sorted(_GENERATORS) + sorted(_FAMILY_ALIASES),
+        choices=sorted(meshmod.FAMILIES) + sorted(_FAMILY_ALIASES),
         help="generated family (nondelaunay-b = crossed, nondelaunay-e = sliver)",
     )
     g.add_argument("--M", type=int, help="subdivisions per side")
@@ -193,12 +175,12 @@ def _resolve_mesh(args):
     m = _pick(args.M, _cfg(args, "mesh.m", int), None)
     if m is None:
         raise UsageError("--family needs --M")
+    kw = {}
     if family == "sliver":
-        eps = _pick(args.eps, _cfg(args, "mesh.eps", float), 1e-3)
-        return _GENERATORS[family](m, eps=eps)
-    if args.eps is not None:
+        kw["eps"] = _pick(args.eps, _cfg(args, "mesh.eps", float), 1e-3)
+    elif args.eps is not None:
         raise UsageError("--eps only applies to the sliver family")
-    return _GENERATORS[family](m)
+    return meshmod.FAMILIES[family](m, **kw)
 
 
 def _resolve_operator(args):
@@ -574,7 +556,7 @@ _TABLES = {
 def _table_mesh(spec, level):
     if "bundled" in spec:
         return meshmod.bundled_mesh("%s_%s" % (spec["bundled"], level))
-    return _GENERATORS[spec["family"]](level)
+    return meshmod.FAMILIES[spec["family"]](level)
 
 
 def _table_cell(system, op, scan):
@@ -614,23 +596,16 @@ def _reproduce_table(args):
         parsed.append(value)
     scan = _resolve_scan(args)
     out = _outdir(args)
-    systems = {}
-    jobs = []
+    rows = []
     for level in parsed:
         mesh = _table_mesh(spec, level)
-        for method in spec["methods"]:
-            systems[(level, method)] = fem.build_fem_system(mesh, method)
-            for op_name in spec["ops"]:
-                jobs.append((level, method, op_name, mesh))
-
-    def run(job):
-        level, method, op_name, mesh = job
-        sd, fd = _table_cell(systems[(level, method)], _OPS[op_name](), scan)
         h0 = repr(mesh.h0) if mesh.h0 is not None else ""
-        return (method, h0, repr(meshmod.mesh_size(mesh)), op_name, sd, fd)
-
-    with ThreadPoolExecutor(max_workers=_thread_count(args)) as pool:
-        rows = list(pool.map(run, jobs))
+        h = repr(meshmod.mesh_size(mesh))
+        for method in spec["methods"]:
+            system = fem.build_fem_system(mesh, method)
+            for op_name in spec["ops"]:
+                sd, fd = _table_cell(system, _OPS[op_name](), scan)
+                rows.append((method, h0, h, op_name, sd, fd))
     parts = {
         "cmd": "table%d" % args.table,
         "levels": " ".join(str(x) for x in parsed),
@@ -677,18 +652,10 @@ def _reproduce_figure(args):
         op = _OPS["single-0.5"]()
         heat = kernel.FracOperator.single_term(1.0)
         columns = ["t", "heat_lm", "single-0.5_lm", "fully_single-0.5_lm"]
-        fully = np.array(
-            [
-                fullydiscrete.first_step_matrix(
-                    system, kernel.char_fn(op, 1.0 / tau)
-                ).min()
-                for tau in grid
-            ]
-        )
         curves = [
             semidiscrete.min_entry_curve(system, heat, grid)[:, 1],
             semidiscrete.min_entry_curve(system, op, grid)[:, 1],
-            fully,
+            fullydiscrete.fd_positivity_threshold(system, op, scan=scan).curve[:, 1],
         ]
     rows = np.column_stack([grid] + curves)
     path = os.path.join(out, "figure%d.csv" % args.figure)
@@ -800,7 +767,6 @@ def build_parser():
     p.add_argument("--levels", nargs="+", help="refinement levels (table only)")
     p.add_argument("--h0", type=float, help="spacing for figures (default 0.1)")
     p.add_argument("--long-run", action="store_true", help="allow the finest level")
-    p.add_argument("--threads", type=int, help="cell pool size (or FRACPOS_THREADS)")
     _add_scan_flags(p)
     _add_run_flags(p, methods=False)
     p.set_defaults(func=cmd_reproduce)

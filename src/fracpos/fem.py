@@ -171,16 +171,7 @@ class FemSystem:
 def build_fem_system(mesh, method):
     """Assemble interior matrices for a method and factor the pencil."""
     mass = assemble_mass(mesh, method)
-    stiffness = assemble_stiffness(mesh)
-    eigen = linalg.gen_sym_eigen(stiffness, mass)
-    return FemSystem(
-        method=method,
-        mass=mass,
-        stiffness=stiffness,
-        eigen=eigen,
-        interior_count=mass.shape[0],
-        mesh=mesh,
-    )
+    return system_from_matrices(mass, assemble_stiffness(mesh), method, mesh)
 
 
 def system_from_matrices(mass, stiffness, method="sg", mesh=None):

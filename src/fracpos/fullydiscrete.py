@@ -4,10 +4,16 @@ One step solves (omega_0 M + S) U^n = M (sum_{j<n} omega_j V -
 sum_{0<j<n} omega_{n-j} U^j); the matrix factorization is shared across
 steps of the same run.  The one-step operator
 
-    E_{1,tau} = omega_0 (omega_0 M + S)^{-1} M
+    E_{1,tau} = omega_0 (omega_0 M + S)^{-1} M = omega_0 (omega_0 + H)^{-1}
 
 decides nonnegativity of the whole scheme: once it is nonnegative for some
 step size (and H^{-1} >= 0), every longer step inherits the property.
+
+Every dense operator here is a function of H = M^{-1} S evaluated through
+the eigensystem of (S, M), like E(t) in semidiscrete: E_{1,tau} from
+omega_0 / (omega_0 + lambda), E_{n,tau} from the scalar recursion
+r_{n,tau}(lambda).  step_solution solves the steps with a Cholesky factor
+instead; it serves as the independent oracle for the spectral route.
 """
 
 import math
@@ -18,7 +24,7 @@ import scipy.linalg
 
 from . import fem, kernel, mesh as meshmod
 from .errors import InvalidParameter, NoConvergence
-from .semidiscrete import ScanSpec, SolutionMatrix, ThresholdReport, detect_threshold
+from .semidiscrete import SolutionMatrix, scan_threshold
 
 __all__ = [
     "SteppingState",
@@ -102,13 +108,11 @@ def fd_solution_matrix(system, op, tau, n):
 
 
 def first_step_matrix(system, omega0):
-    """E_{1,tau} expressed through omega_0 = P(1/tau)."""
+    """E_{1,tau} = omega_0 (omega_0 + H)^{-1}, with omega_0 = P(1/tau)."""
     if omega0 < 0.0:
         raise InvalidParameter("omega0 must be nonnegative")
-    a = omega0 * system.mass + system.stiffness
-    return omega0 * scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(a, lower=True), system.mass
-    )
+    lams = system.eigen.eigenvalues
+    return system.eigen.matrix_function(omega0 / (omega0 + lams))
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,7 @@ def first_step_positivity_omega(system, tol=1e-13, omega_cap=None):
     """Bisect the largest omega_0 keeping the first step nonnegative."""
 
     def nonneg(omega0):
-        a = omega0 * system.mass + system.stiffness
-        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, lower=True), system.mass)
+        x = system.eigen.matrix_function(1.0 / (omega0 + system.eigen.eigenvalues))
         return x.min() >= -tol * max(1.0, np.abs(x).max())
 
     certified, stated = _pair_bounds(system)
@@ -191,41 +194,15 @@ def first_step_positivity_omega(system, tol=1e-13, omega_cap=None):
 def fd_positivity_threshold(system, op, scan=None, tol=None):
     """Step size beyond which E_{1,tau} is entrywise nonnegative.
 
-    Scans tau on a log grid (at least six decades) and refines the last
-    sign change of the smallest entry of E_{1,tau} by bisection.
+    Scans tau with semidiscrete.scan_threshold: a log grid of at least six
+    decades, the last sign change of the smallest entry of E_{1,tau}
+    refined by bisection.
     """
-    scan = scan if scan is not None else ScanSpec()
-    if scan.decades < 6.0 - 1e-9:
-        raise InvalidParameter("scan must cover at least six decades")
-    if tol is None:
-        tol = 1e-12 * system.size
 
     def min_entry(tau):
         return first_step_matrix(system, kernel.char_fn(op, 1.0 / tau)).min()
 
-    grid = scan.grid()
-    curve = np.empty((grid.shape[0], 2))
-    for k, tau in enumerate(grid):
-        curve[k, 0] = tau
-        curve[k, 1] = min_entry(tau)
-    status, value, bracket = detect_threshold(grid, curve[:, 1], min_entry, tol)
-    return ThresholdReport(
-        status=status,
-        value=value,
-        bracket=bracket,
-        tolerance=tol,
-        curve=curve,
-        method=system.method,
-        operator=op.label,
-    )
-
-
-_FAMILIES = {
-    "uniform": meshmod.gen_uniform_square,
-    "crossed": meshmod.gen_crossed_rectangles,
-    "sliver": meshmod.gen_sliver_square,
-    "equilateral": meshmod.gen_equilateral_rhombus,
-}
+    return scan_threshold(system, op, min_entry, scan, tol)
 
 
 @dataclass(frozen=True)
@@ -242,9 +219,9 @@ def weight_scale_law(family, alpha, levels, method="sg", scan=None):
     For the single-term operator of exponent alpha the first-step
     threshold scales like h^{2/alpha}.
     """
-    if family not in _FAMILIES:
+    if family not in meshmod.FAMILIES:
         raise InvalidParameter(
-            "unknown family %r (have %s)" % (family, sorted(_FAMILIES))
+            "unknown family %r (have %s)" % (family, sorted(meshmod.FAMILIES))
         )
     if len(levels) < 2:
         raise InvalidParameter("need at least two refinement levels")
@@ -252,7 +229,7 @@ def weight_scale_law(family, alpha, levels, method="sg", scan=None):
     hs = []
     taus = []
     for m in levels:
-        msh = _FAMILIES[family](m)
+        msh = meshmod.FAMILIES[family](m)
         system = fem.build_fem_system(msh, method)
         rep = fd_positivity_threshold(system, op, scan=scan)
         if not rep.found:
@@ -291,13 +268,16 @@ def max_norm_contractivity_check(system, op, taus, n_max=100, slack=1e-10):
     """Max-norm of E_{n,tau} over n = 0..n_max for each step size.
 
     For the lumped mass method with a diagonally dominant stiffness matrix
-    the norms must never exceed 1 (up to slack).
+    the norms must never exceed 1 (up to slack).  E_{n,tau} is built one
+    step count at a time from the scalar recursion; E_{0,tau} = I.
     """
     out = []
-    eye = np.eye(system.size)
     for tau in taus:
-        state = step_solution(system, op, tau, n_max, eye)
-        norms = np.abs(state.history).sum(axis=2).max(axis=1)
+        rows = kernel._r_rows(op, system.eigen.eigenvalues, tau, n_max)
+        norms = np.empty(n_max + 1)
+        norms[0] = 1.0
+        for m in range(1, n_max + 1):
+            norms[m] = np.abs(system.eigen.matrix_function(rows[m])).sum(axis=1).max()
         max_norm = float(norms.max())
         out.append(
             ContractivityReport(

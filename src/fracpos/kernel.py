@@ -367,8 +367,8 @@ def cq_weights(op, tau, n):
     return col @ rows
 
 
-def r_scalar_many(op, lams, tau, n):
-    """Discrete relaxation kernel r_{n,tau}(lambda) for an array of lambda.
+def _r_rows(op, lams, tau, n):
+    """Rows r_{m,tau}(lambda) for m = 0..n, shape (n + 1, len(lams)).
 
     Backward Euler time stepping of the scalar mode equation with exact
     initial value 1; the history convolution is the full-memory sum.
@@ -387,7 +387,12 @@ def r_scalar_many(op, lams, tau, n):
         if m > 1:
             rhs -= w[m - 1:0:-1] @ u[1:m]
         u[m] = rhs / (w[0] + lams)
-    return u[n]
+    return u
+
+
+def r_scalar_many(op, lams, tau, n):
+    """Discrete relaxation kernel r_{n,tau}(lambda) for an array of lambda."""
+    return _r_rows(op, lams, tau, n)[n]
 
 
 def r_scalar(op, lam, tau, n):

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NoConvergence, NotPositiveDefinite, Singular
+from .errors import NoConvergence, NotPositiveDefinite
 
 __all__ = [
     "EigenSystem",
     "cholesky",
     "sym_eigen",
     "gen_sym_eigen",
-    "inverse",
     "solve_spd",
 ]
 
@@ -117,16 +116,6 @@ def gen_sym_eigen(s, m):
     back = scipy.linalg.solve_triangular(ell, vecs, lower=True, trans="T")
     forward = (ell @ vecs).T
     return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)
-
-
-def inverse(a):
-    """Inverse via LU with partial pivoting; raises Singular on tiny pivots."""
-    a = _check_square(a)
-    scale = max(np.abs(a).max(), 1e-300)
-    lu, piv = scipy.linalg.lu_factor(a)
-    if np.abs(np.diag(lu)).min() <= 1e-14 * scale:
-        raise Singular("pivot below 1e-14 of matrix scale")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]))
 
 
 def solve_spd(a, b):

@@ -33,6 +33,7 @@ __all__ = [
     "gen_crossed_rectangles",
     "gen_sliver_square",
     "gen_equilateral_rhombus",
+    "FAMILIES",
     "load_triangle_format",
     "save_triangle_format",
     "bundled_mesh",
@@ -272,6 +273,15 @@ def gen_equilateral_rhombus(m):
     return _finalize(
         nodes, tris, boundary, family="equilateral(M=%d)" % m, h0=h0
     )
+
+
+# generated families by name; each takes the level m (sliver also eps=)
+FAMILIES = {
+    "uniform": gen_uniform_square,
+    "crossed": gen_crossed_rectangles,
+    "sliver": gen_sliver_square,
+    "equilateral": gen_equilateral_rhombus,
+}
 
 
 # ---------------------------------------------------------------------------

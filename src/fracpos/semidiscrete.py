@@ -4,6 +4,8 @@ E(t) applies the relaxation kernel mode by mode through the generalized
 eigensystem of (S, M): E(t) = back @ diag(u_{lambda_i}(t)) @ forward.  The
 smallest entry of E(t) decides nonnegativity; its last sign change along a
 logarithmic time grid, refined by bisection, is the reported threshold.
+scan_threshold runs that scan for any per-point smallest entry; the fully
+discrete scheme scans E_{1,tau} over step sizes with it.
 """
 
 import math
@@ -21,6 +23,7 @@ __all__ = [
     "solution_matrix",
     "min_entry_curve",
     "positivity_threshold",
+    "scan_threshold",
     "detect_threshold",
     "small_time_expansion_check",
     "h_inverse_positive",
@@ -78,17 +81,19 @@ def solution_matrix(system, op, t, contour=None):
     return SolutionMatrix(matrix=mat, time=t, method=system.method, operator=op.label)
 
 
-def min_entry_curve(system, op, grid, matrix_fn=None):
-    """Smallest entry of the solution matrix along a time grid, as (t, min)."""
-    fn = matrix_fn if matrix_fn is not None else (
-        lambda t: solution_matrix(system, op, t).matrix
-    )
+def _curve(grid, min_entry):
+    """(x, min_entry(x)) for each grid point, as an array of shape (len, 2)."""
     grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.shape[0], 2))
-    for k, t in enumerate(grid):
-        out[k, 0] = t
-        out[k, 1] = fn(t).min()
-    return out
+    return np.column_stack((grid, [min_entry(x) for x in grid]))
+
+
+def _solution_min(system, op):
+    return lambda t: solution_matrix(system, op, t).matrix.min()
+
+
+def min_entry_curve(system, op, grid):
+    """Smallest entry of the solution matrix along a time grid, as (t, min)."""
+    return _curve(grid, _solution_min(system, op))
 
 
 @dataclass(eq=False)
@@ -140,24 +145,20 @@ def detect_threshold(grid, mins, value_fn, tol, rel_width=1e-3):
     return "found", math.sqrt(lo * hi), (lo, hi)
 
 
-def positivity_threshold(system, op, scan=None, tol=None):
-    """Time beyond which E(t) stays entrywise nonnegative.
+def scan_threshold(system, op, min_entry, scan=None, tol=None):
+    """Threshold of a per-point smallest entry min_entry(x) over a log scan.
 
     The scan must cover at least six decades.  Negativity below
-    tol = 1e-12 * N is attributed to roundoff.
+    tol = 1e-12 * N is attributed to roundoff.  The curve holds
+    min_entry at every grid point; the last sign change is bisected.
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
         raise InvalidParameter("scan must cover at least six decades")
     if tol is None:
         tol = 1e-12 * system.size
-    curve = min_entry_curve(system, op, scan.grid())
-    status, value, bracket = detect_threshold(
-        curve[:, 0],
-        curve[:, 1],
-        lambda t: solution_matrix(system, op, t).matrix.min(),
-        tol,
-    )
+    curve = _curve(scan.grid(), min_entry)
+    status, value, bracket = detect_threshold(curve[:, 0], curve[:, 1], min_entry, tol)
     return ThresholdReport(
         status=status,
         value=value,
@@ -167,6 +168,11 @@ def positivity_threshold(system, op, scan=None, tol=None):
         method=system.method,
         operator=op.label,
     )
+
+
+def positivity_threshold(system, op, scan=None, tol=None):
+    """Time beyond which E(t) stays entrywise nonnegative (see scan_threshold)."""
+    return scan_threshold(system, op, _solution_min(system, op), scan, tol)
 
 
 def small_time_expansion_check(system, op, t):

@@ -71,14 +71,8 @@ def get_system():
     def build_mesh(family, **kw):
         key = (family, tuple(sorted(kw.items())))
         if key not in meshes:
-            if family == "uniform":
-                meshes[key] = mesh.gen_uniform_square(kw["m"])
-            elif family == "crossed":
-                meshes[key] = mesh.gen_crossed_rectangles(kw["m"])
-            elif family == "sliver":
-                meshes[key] = mesh.gen_sliver_square(kw["m"], kw.get("eps", 1e-3))
-            elif family == "equilateral":
-                meshes[key] = mesh.gen_equilateral_rhombus(kw["m"])
+            if family in mesh.FAMILIES:
+                meshes[key] = mesh.FAMILIES[family](**kw)
             else:
                 meshes[key] = mesh.bundled_mesh(family)
         return meshes[key]

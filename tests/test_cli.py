@@ -255,6 +255,13 @@ def test_reproduce_validation(capsys):
     assert "needs --long-run" in err
 
 
+def test_reproduce_has_no_threads_flag():
+    # tables run their cells in one loop; the removed pool size is an argparse error
+    with pytest.raises(SystemExit) as exc:
+        run_cli("reproduce", "--table", "2", "--threads", "2")
+    assert exc.value.code == 2
+
+
 def test_reproduce_figure3_smoke(tmp_path, capsys):
     rc = run_cli(
         "reproduce", "--figure", "3", "--h0", "0.25",

@@ -1,9 +1,11 @@
 """Backward Euler stepping, first-step bounds, scale laws, contractivity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracpos import fem, fullydiscrete, kernel, semidiscrete
 from fracpos.errors import InvalidParameter, NoConvergence
@@ -92,16 +94,22 @@ def test_step_solution_rejections(get_system):
 
 
 def test_first_step_matrix_identities(get_system):
-    sys = get_system("uniform", "sg", m=4)
-    tau = 0.3
-    omega0 = kernel.char_fn(SINGLE, 1.0 / tau)
-    direct = fullydiscrete.first_step_matrix(sys, omega0)
-    modal = fullydiscrete.fd_solution_matrix(sys, SINGLE, tau, 1).matrix
-    np.testing.assert_allclose(direct, modal, atol=1e-11)
-    spectral = sys.eigen.matrix_function(
-        omega0 / (omega0 + sys.eigen.eigenvalues)
+    # the spectral E_{1,tau} against a Cholesky solve of the pencil
+    cases = (
+        ("uniform", "sg", {"m": 4}),
+        ("crossed", "lm", {"m": 3}),
+        ("sliver", "fve", {"m": 10}),
     )
-    np.testing.assert_allclose(direct, spectral, atol=1e-11)
+    for family, method, kw in cases:
+        sys = get_system(family, method, **kw)
+        for tau in (1e-6, 0.3, 100.0):
+            omega0 = kernel.char_fn(SINGLE, 1.0 / tau)
+            got = fullydiscrete.first_step_matrix(sys, omega0)
+            factor = scipy.linalg.cho_factor(omega0 * sys.mass + sys.stiffness)
+            want = omega0 * scipy.linalg.cho_solve(factor, sys.mass)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            modal = fullydiscrete.fd_solution_matrix(sys, SINGLE, tau, 1).matrix
+            np.testing.assert_allclose(got, modal, rtol=0.0, atol=1e-12)
     with pytest.raises(InvalidParameter):
         fullydiscrete.first_step_matrix(sys, -1.0)
 
@@ -259,6 +267,38 @@ def test_contractivity_on_uniform_lm(get_system):
         assert r.max_norm <= 1.0 + 1e-10
         assert r.norms[0] == pytest.approx(1.0, abs=1e-14)
         assert r.norms.shape == (41,)
+
+
+def test_contractivity_norms_match_stepping(get_system):
+    # the spectral norms against Cholesky stepping of the identity
+    counter = fem.system_from_matrices(
+        np.eye(2), np.array([[2.0, -3.0], [-3.0, 6.0]])
+    )
+    for sys, n in ((get_system("uniform", "lm", m=6), 30), (counter, 10)):
+        for op in (SINGLE, DIST):
+            taus = (1e-4, 1e-2, 1.0)
+            reports = fullydiscrete.max_norm_contractivity_check(sys, op, taus, n_max=n)
+            for tau, rep in zip(taus, reports):
+                state = fullydiscrete.step_solution(sys, op, tau, n, np.eye(sys.size))
+                stepped = np.abs(state.history).sum(axis=2).max(axis=1)
+                assert rep.norms[0] == 1.0
+                np.testing.assert_allclose(rep.norms, stepped, rtol=0.0, atol=1e-12)
+
+
+def test_contractivity_memory_is_one_matrix_at_a_time(get_system):
+    # uniform M=20 lm has N = 361; a stored (n+1) x N x N history would be
+    # about 105 MB, one N x N matrix is about 1 MB
+    sys = get_system("uniform", "lm", m=20)
+    tracemalloc.start()
+    try:
+        reports = fullydiscrete.max_norm_contractivity_check(
+            sys, SINGLE, (1e-2,), n_max=100
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reports[0].contractive
+    assert peak < 16 * 2**20
 
 
 def test_contractivity_counterexample_without_dominance():

@@ -1,10 +1,10 @@
-"""Dense symmetric linear algebra: factorizations, eigensystems, inverses."""
+"""Dense symmetric linear algebra: factorizations, eigensystems, solves."""
 
 import numpy as np
 import pytest
 
 from fracpos import linalg
-from fracpos.errors import NotPositiveDefinite, Singular
+from fracpos.errors import NotPositiveDefinite
 
 
 def test_gen_sym_eigen_diagonal_pair():
@@ -89,26 +89,6 @@ def test_gen_sym_eigen_rejects_indefinite_stiffness():
 def test_gen_sym_eigen_rejects_shape_mismatch():
     with pytest.raises(NotPositiveDefinite):
         linalg.gen_sym_eigen(np.eye(3), np.eye(2))
-
-
-def test_inverse_upper_triangular():
-    a = np.array([[1.0, 1.0], [0.0, 1.0]])
-    np.testing.assert_allclose(
-        linalg.inverse(a), np.array([[1.0, -1.0], [0.0, 1.0]]), atol=1e-14
-    )
-
-
-@pytest.mark.parametrize("n", [2, 8, 30])
-def test_inverse_roundtrip(n):
-    rng = np.random.default_rng(100 + n)
-    a = rng.standard_normal((n, n)) + n * np.eye(n)
-    np.testing.assert_allclose(a @ linalg.inverse(a), np.eye(n), atol=1e-9 * n)
-
-
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_inverse_rejects_singular():
-    with pytest.raises(Singular):
-        linalg.inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_solve_spd_matches_inverse():
