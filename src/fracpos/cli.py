@@ -14,7 +14,6 @@ import argparse
 import configparser
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import __version__, fem, fullydiscrete, kernel, semidiscrete
 from . import mesh as meshmod
-from .errors import FracposError, InvalidParameter, NumericalError, UsageError
+from .errors import FracposError, NumericalError, UsageError
 
 _FAMILY_ALIASES = {"nondelaunay-b": "crossed", "nondelaunay-e": "sliver"}
 
@@ -176,10 +175,11 @@ def _resolve_mesh(args):
     if m is None:
         raise UsageError("--family needs --M")
     kw = {}
+    eps = _pick(args.eps, _cfg(args, "mesh.eps", float), None)
     if family == "sliver":
-        kw["eps"] = _pick(args.eps, _cfg(args, "mesh.eps", float), 1e-3)
-    elif args.eps is not None:
-        raise UsageError("--eps only applies to the sliver family")
+        kw["eps"] = 1e-3 if eps is None else eps
+    elif eps is not None:
+        raise UsageError("--eps (mesh.eps) only applies to the sliver family")
     return meshmod.FAMILIES[family](m, **kw)
 
 

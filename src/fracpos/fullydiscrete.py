@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import fem, kernel, mesh as meshmod
 from .errors import InvalidParameter, NoConvergence
@@ -67,6 +66,8 @@ class SteppingState:
 
 def step_solution(system, op, tau, n, v):
     """Run n backward Euler steps from initial data v (vector or matrix)."""
+    import scipy.linalg
+
     if n < 1:
         raise InvalidParameter("need at least one step")
     v = np.asarray(v, dtype=float)
@@ -170,18 +171,24 @@ def first_step_positivity_omega(system, tol=1e-13, omega_cap=None):
         return x.min() >= -tol * max(1.0, np.abs(x).max())
 
     certified, stated = _pair_bounds(system)
+    lams = system.eigen.eigenvalues
     if omega_cap is None:
-        omega_cap = 1e16 * system.eigen.eigenvalues[-1]
+        omega_cap = 1e16 * lams[-1]
     if not nonneg(0.0):
         return FirstStepBound(None, certified, stated)
-    lo = 0.0
-    hi = 1.0
-    while nonneg(hi):
-        hi *= 10.0
-        if hi > omega_cap:
-            return FirstStepBound(math.inf, certified, stated)
-        lo = hi / 10.0
-    lo = max(lo, 1e-3)
+    # decade search up or down from the smallest eigenvalue, so the bracket
+    # scales with the spectrum; below 1e-16 * lambda_1 the first step equals
+    # H^{-1} to roundoff, which nonneg(0) already accepted
+    if nonneg(lams[0]):
+        lo, hi = lams[0], 10.0 * lams[0]
+        while nonneg(hi):
+            lo, hi = hi, 10.0 * hi
+            if hi > omega_cap:
+                return FirstStepBound(math.inf, certified, stated)
+    else:
+        lo, hi = 0.1 * lams[0], lams[0]
+        while not nonneg(lo) and lo > 1e-16 * lams[0]:
+            lo, hi = 0.1 * lo, lo
     while hi / lo > 1.002:
         mid = math.sqrt(lo * hi)
         if nonneg(mid):

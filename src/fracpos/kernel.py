@@ -22,11 +22,10 @@ monotone branch-cut representation
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     BranchCut,
@@ -266,6 +265,8 @@ def _ml_series(alpha, y):
 
 
 def _ml_branch_cut(alpha, y):
+    import scipy.integrate
+
     c = math.cos(math.pi * alpha)
     s = math.sin(math.pi * alpha)
     pref = y * s / (alpha * math.pi)

@@ -7,12 +7,14 @@ are exact inverses of each other up to roundoff:
 
     back_transform    = L^{-T} W        (columns are M-orthonormal eigenvectors)
     forward_transform = W^T L^T         (its inverse, no matrix inversion needed)
+
+The reduction runs on numpy's LAPACK alone (cholesky, solve, eigh), so the
+threshold commands never import scipy; only solve_spd does, when called.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, NotPositiveDefinite
 
@@ -75,8 +77,8 @@ def cholesky(a):
     a = _check_square(a)
     _check_symmetric(a)
     try:
-        return scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
 
 
@@ -107,18 +109,20 @@ def gen_sym_eigen(s, m):
     _check_symmetric(s)
     ell = cholesky(m)
     # C = L^{-1} S L^{-T}, symmetrized to kill roundoff skew
-    c = scipy.linalg.solve_triangular(ell, s, lower=True)
-    c = scipy.linalg.solve_triangular(ell, c.T, lower=True)
+    c = np.linalg.solve(ell, s)
+    c = np.linalg.solve(ell, c.T)
     c = 0.5 * (c + c.T)
     w, vecs = sym_eigen(c)
     if w[0] <= 0.0:
         raise NotPositiveDefinite("smallest eigenvalue %.3e is not positive" % w[0])
-    back = scipy.linalg.solve_triangular(ell, vecs, lower=True, trans="T")
+    back = np.linalg.solve(ell.T, vecs)
     forward = (ell @ vecs).T
     return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)
 
 
 def solve_spd(a, b):
     """Solve A X = B for SPD A via Cholesky."""
+    import scipy.linalg
+
     factor = scipy.linalg.cho_factor(_check_square(a), lower=True)
     return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=float))

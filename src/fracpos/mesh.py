@@ -19,7 +19,7 @@ Mesh families built here:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -9,7 +9,7 @@ discrete scheme scans E_{1,tau} over step sizes with it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

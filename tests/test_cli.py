@@ -150,6 +150,13 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert run_cli("semi", "curve", "--config", str(tmp_path / "absent.ini")) == 2
 
 
+def test_config_eps_rejected_for_non_sliver(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[mesh]\nfamily = uniform\nm = 4\neps = 0.1\n")
+    assert run_cli("mesh", "info", "--config", str(cfg)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_outdir_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FRACPOS_OUTDIR", str(tmp_path / "env"))
     assert run_cli("mesh", "gen", "--family", "equilateral", "--M", "3") == 0
@@ -293,3 +300,22 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert "j,omega_j" in proc.stdout
     assert proc.stdout.splitlines()[2] == "0,%r" % 2.0 ** 0.5  # (1/tau)^{1/2}
+
+
+def test_threshold_commands_do_not_import_scipy(tmp_path):
+    # scipy serves only the stepping oracle, semi certify and the
+    # Mittag-Leffler quadrature; thresholds and contractivity run on numpy
+    script = (
+        "import sys\n"
+        "from fracpos import cli\n"
+        "mesh = ['--family', 'uniform', '--M', '4', '--outdir', sys.argv[1]]\n"
+        "for cmd in (['semi', 'threshold'], ['fully', 'threshold']):\n"
+        "    assert cli.main(cmd + mesh + ['--methods', 'sg']) == 0\n"
+        "assert cli.main(['fully', 'contractivity'] + mesh + ['--methods', 'lm']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -142,6 +142,17 @@ def test_first_step_bound_uniform_forms_split(get_system):
     assert mat.min() < 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e3])
+def test_first_step_bound_scales_with_stiffness(get_system, scale):
+    # omega_0 (omega_0 M + S)^{-1} M depends on omega_0 / S only, so scaling
+    # S scales the bisected bound; no absolute clamp may cap the search
+    sys = get_system("uniform", "sg", m=6)
+    base = fullydiscrete.first_step_positivity_omega(sys).omega_bisect
+    scaled = fem.system_from_matrices(sys.mass, scale * sys.stiffness)
+    bound = fullydiscrete.first_step_positivity_omega(scaled)
+    assert bound.omega_bisect == pytest.approx(scale * base, rel=5e-3)
+
+
 def test_first_step_bound_lm_unbounded(get_system):
     bound = fullydiscrete.first_step_positivity_omega(
         get_system("uniform", "lm", m=4)

@@ -54,6 +54,16 @@ def test_transforms_are_mutual_inverses_and_reproduce_h():
     np.testing.assert_allclose(h, np.linalg.solve(m, s), rtol=0, atol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "family,method,kw",
+    [("disk_medium", "sg", {}), ("crossed", "fve", {"m": 10})],
+)
+def test_eigen_transform_defect_on_meshes(get_system, family, method, kw):
+    eig = get_system(family, method, **kw).eigen
+    defect = eig.forward_transform @ eig.back_transform - np.eye(eig.size)
+    assert np.abs(defect).max() <= 1e-13
+
+
 @pytest.mark.parametrize("n", [2, 5, 17, 50])
 def test_cholesky_roundtrip(n):
     rng = np.random.default_rng(n)
