@@ -161,9 +161,15 @@ def _resolve_mesh(args):
     bundled = _pick(args.bundled, _cfg(args, "mesh.bundled"), None)
     node = _pick(args.node, _cfg(args, "mesh.node"), None)
     ele = _pick(args.ele, _cfg(args, "mesh.ele"), None)
+    m = _pick(args.M, _cfg(args, "mesh.m", int), None)
+    eps = _pick(args.eps, _cfg(args, "mesh.eps", float), None)
     sources = sum(x is not None for x in (family, bundled, node))
     if sources != 1:
         raise UsageError("pick exactly one of --family, --bundled, --node/--ele")
+    if family is None:
+        for flag, value in (("--M (mesh.m)", m), ("--eps (mesh.eps)", eps)):
+            if value is not None:
+                raise UsageError("%s only applies to --family" % flag)
     if node is not None or ele is not None:
         if node is None or ele is None:
             raise UsageError("--node and --ele go together")
@@ -171,11 +177,9 @@ def _resolve_mesh(args):
     if bundled is not None:
         return meshmod.bundled_mesh(bundled)
     family = _FAMILY_ALIASES.get(family, family)
-    m = _pick(args.M, _cfg(args, "mesh.m", int), None)
     if m is None:
         raise UsageError("--family needs --M")
     kw = {}
-    eps = _pick(args.eps, _cfg(args, "mesh.eps", float), None)
     if family == "sliver":
         kw["eps"] = 1e-3 if eps is None else eps
     elif eps is not None:

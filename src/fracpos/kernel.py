@@ -55,6 +55,10 @@ MU_FUNCTIONS = {
     "one": lambda a: np.ones_like(np.asarray(a, dtype=float)),
 }
 
+# complex entries of one chunk of u_lambda_many's quotient table and of
+# the distributed symbol's power table
+CHUNK_ENTRIES = 2 ** 14
+
 
 @dataclass(frozen=True)
 class FracOperator:
@@ -168,18 +172,30 @@ def _char_fn_vec(op, z):
             acc += b * np.exp(a * logz)
         return acc
     x, wq = _leggauss01(op.quad_order)
-    mu = op.mu_values(x)
-    # (Q, K) table of z^{a_q}
-    powers = np.exp(np.multiply.outer(x, logz))
-    return np.tensordot(wq * mu, powers, axes=1)
+    coef = wq * op.mu_values(x)
+    # (Q, rows, K) table of z^{a_q}, a few rows of points at a time
+    rows = logz.reshape(-1, logz.shape[-1])
+    out = np.empty(rows.shape, dtype=complex)
+    per_chunk = max(1, CHUNK_ENTRIES // (x.shape[0] * rows.shape[1]))
+    for start in range(0, rows.shape[0], per_chunk):
+        part = slice(start, start + per_chunk)
+        out[part] = np.tensordot(coef, np.exp(np.multiply.outer(x, rows[part])), axes=1)
+    return out.reshape(z.shape)
 
 
 def char_fn(op, z):
     """Symbol P(z); real positive arguments give a float back.
 
-    Raises BranchCut on the negative real axis (including 0) where the
-    principal fractional powers are not analytic.
+    An array of real positive arguments gives a float array back (for a
+    distributed operator its entries may differ from the scalar calls in
+    the last bit).  Raises BranchCut on the negative real axis (including
+    0) where the principal fractional powers are not analytic.
     """
+    if np.ndim(z):
+        z = np.asarray(z, dtype=float)
+        if not np.all(z > 0.0):
+            raise BranchCut("symbol evaluated on the branch cut")
+        return _char_fn_vec(op, z).real
     zc = complex(z)
     if zc.imag == 0.0:
         if zc.real <= 0.0:
@@ -209,6 +225,7 @@ class ContourSpec:
             raise InvalidParameter("angle must lie in (0, pi/2)")
 
     def nodes(self, t):
+        """Nodes z and trapezoid weights for time t; a column of times gives rows."""
         half = self.node_count // 2
         step = self.step if self.step is not None else 1.0818 / half
         scale = self.scale if self.scale is not None else 4.4921 * half / t
@@ -221,23 +238,42 @@ class ContourSpec:
 
 
 def u_lambda_many(op, lams, t, contour=None):
-    """Relaxation kernel u_lambda(t) for a whole array of lambda at once."""
+    """Relaxation kernel u_lambda(t) for a whole array of lambda at once.
+
+    A scalar t gives one value per lambda.  A 1-D array of times gives one
+    row per time, each equal bit for bit to the scalar call at that time;
+    the (times x lambda x nodes) quotient table is formed about
+    CHUNK_ENTRIES entries at a time.
+    """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if np.any(lams <= 0.0):
         raise InvalidParameter("lambda must be positive")
-    if t == 0.0:
-        return np.ones_like(lams)
-    if not t > 0.0:
-        raise DomainError("t must be positive, got %r" % (t,))
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise InvalidParameter("times must be a scalar or a 1-D array")
+    flat = times.reshape(-1)
+    bad = ~(flat >= 0.0)
+    if bad.any():
+        raise DomainError("t must be positive, got %r" % (float(flat[bad][0]),))
+    rows = np.ones((flat.shape[0], lams.shape[0]))
     spec = contour if contour is not None else ContourSpec()
-    z, w = spec.nodes(t)
+    live = np.nonzero(flat)[0]
+    ts = flat[live, None]
+    z, w = spec.nodes(ts)
+    z = np.broadcast_to(z, (ts.shape[0], spec.node_count)).copy()
     p = _char_fn_vec(op, z)
-    base = np.exp(z * t) * w * p / z
-    total = (base[None, :] / (p[None, :] + lams[:, None])).sum(axis=1) / (2j * math.pi)
-    resid = np.abs(total.imag).max()
-    if resid > 1e-6:
-        raise ContourFailure("conjugate symmetry residual %.3e" % resid)
-    return total.real
+    base = np.exp(z * ts) * w * p / z
+    per_chunk = max(1, CHUNK_ENTRIES // (lams.shape[0] * spec.node_count))
+    for start in range(0, ts.shape[0], per_chunk):
+        part = slice(start, start + per_chunk)
+        quot = p[part, None, :] + lams[None, :, None]
+        np.divide(base[part, None, :], quot, out=quot)
+        total = quot.sum(axis=2) / (2j * math.pi)
+        resid = np.abs(total.imag).max()
+        if resid > 1e-6:
+            raise ContourFailure("conjugate symmetry residual %.3e" % resid)
+        rows[live[part]] = total.real
+    return rows if times.ndim else rows[0]
 
 
 def u_lambda(op, lam, t, contour=None):

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+# float64 entries of one block of EigenSystem.min_entries' wide product
+BLOCK_ENTRIES = 2 ** 15
+
+
 def _check_square(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -66,6 +70,26 @@ class EigenSystem:
         """Assemble back @ diag(coeffs) @ forward for given per-mode values."""
         coeffs = np.asarray(coeffs, dtype=float)
         return self.back_transform @ (coeffs[:, None] * self.forward_transform)
+
+    def min_entries(self, rows):
+        """Smallest entry of back @ diag(c) @ forward for each row c of rows.
+
+        Rows go BLOCK_ENTRIES // N^2 at a time (at least one) through one
+        wide product back @ [diag(c_1) forward | diag(c_2) forward | ...],
+        so a scan costs a few large GEMMs instead of one small GEMM per
+        point.  A block of one row is exactly matrix_function's product.
+        """
+        rows = np.asarray(rows, dtype=float)
+        n = self.size
+        per_block = max(1, BLOCK_ENTRIES // (n * n))
+        out = np.empty(rows.shape[0])
+        for start in range(0, rows.shape[0], per_block):
+            block = rows[start:start + per_block]
+            # (N, k, N): entry [i, j, :] is c_j[i] * forward[i, :]
+            scaled = block.T[:, :, None] * self.forward_transform[:, None, :]
+            wide = self.back_transform @ scaled.reshape(n, -1)
+            out[start:start + block.shape[0]] = wide.reshape(n, -1, n).min(axis=(0, 2))
+        return out
 
 
 def cholesky(a):

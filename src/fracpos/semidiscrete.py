@@ -4,8 +4,10 @@ E(t) applies the relaxation kernel mode by mode through the generalized
 eigensystem of (S, M): E(t) = back @ diag(u_{lambda_i}(t)) @ forward.  The
 smallest entry of E(t) decides nonnegativity; its last sign change along a
 logarithmic time grid, refined by bisection, is the reported threshold.
-scan_threshold runs that scan for any per-point smallest entry; the fully
-discrete scheme scans E_{1,tau} over step sizes with it.
+scan_threshold runs that scan for any vectorised smallest entry: the whole
+grid is evaluated in one pass (one kernel call, then a few wide products
+through EigenSystem.min_entries), and bisection goes point by point.  The
+fully discrete scheme scans E_{1,tau} over step sizes with it.
 """
 
 import math
@@ -81,19 +83,30 @@ def solution_matrix(system, op, t, contour=None):
     return SolutionMatrix(matrix=mat, time=t, method=system.method, operator=op.label)
 
 
-def _curve(grid, min_entry):
-    """(x, min_entry(x)) for each grid point, as an array of shape (len, 2)."""
-    grid = np.asarray(grid, dtype=float)
-    return np.column_stack((grid, [min_entry(x) for x in grid]))
+def _solution_mins(system, op):
+    """Vectorised smallest entry of E(t): one kernel call for all the times.
 
+    Times at or below 1e-14 give the identity's smallest entry, like
+    solution_matrix.
+    """
+    eigen = system.eigen
 
-def _solution_min(system, op):
-    return lambda t: solution_matrix(system, op, t).matrix.min()
+    def min_entries(ts):
+        ts = np.asarray(ts, dtype=float)
+        mins = np.full(ts.shape, 1.0 if eigen.size == 1 else 0.0)
+        live = ts > 1e-14
+        if live.any():
+            rows = kernel.u_lambda_many(op, eigen.eigenvalues, ts[live])
+            mins[live] = eigen.min_entries(rows)
+        return mins
+
+    return min_entries
 
 
 def min_entry_curve(system, op, grid):
     """Smallest entry of the solution matrix along a time grid, as (t, min)."""
-    return _curve(grid, _solution_min(system, op))
+    grid = np.asarray(grid, dtype=float)
+    return np.column_stack((grid, _solution_mins(system, op)(grid)))
 
 
 @dataclass(eq=False)
@@ -145,26 +158,30 @@ def detect_threshold(grid, mins, value_fn, tol, rel_width=1e-3):
     return "found", math.sqrt(lo * hi), (lo, hi)
 
 
-def scan_threshold(system, op, min_entry, scan=None, tol=None):
-    """Threshold of a per-point smallest entry min_entry(x) over a log scan.
+def scan_threshold(system, op, min_entries, scan=None, tol=None):
+    """Threshold of a vectorised smallest entry min_entries(xs) over a log scan.
 
     The scan must cover at least six decades.  Negativity below
     tol = 1e-12 * N is attributed to roundoff.  The curve holds
-    min_entry at every grid point; the last sign change is bisected.
+    min_entries over the whole grid, evaluated in one call; the last
+    sign change is bisected one point at a time.
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
         raise InvalidParameter("scan must cover at least six decades")
     if tol is None:
         tol = 1e-12 * system.size
-    curve = _curve(scan.grid(), min_entry)
-    status, value, bracket = detect_threshold(curve[:, 0], curve[:, 1], min_entry, tol)
+    grid = scan.grid()
+    mins = min_entries(grid)
+    status, value, bracket = detect_threshold(
+        grid, mins, lambda x: min_entries(np.array([x]))[0], tol
+    )
     return ThresholdReport(
         status=status,
         value=value,
         bracket=bracket,
         tolerance=tol,
-        curve=curve,
+        curve=np.column_stack((grid, mins)),
         method=system.method,
         operator=op.label,
     )
@@ -172,7 +189,7 @@ def scan_threshold(system, op, min_entry, scan=None, tol=None):
 
 def positivity_threshold(system, op, scan=None, tol=None):
     """Time beyond which E(t) stays entrywise nonnegative (see scan_threshold)."""
-    return scan_threshold(system, op, _solution_min(system, op), scan, tol)
+    return scan_threshold(system, op, _solution_mins(system, op), scan, tol)
 
 
 def small_time_expansion_check(system, op, t):

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver (in-process via main)."""
 
+import os
 import subprocess
 import sys
 
@@ -53,6 +54,26 @@ def test_mesh_source_validation(capsys):
     assert run_cli("mesh", "info", "--family", "uniform", "--M", "4", "--eps", "0.1") == 2
     assert run_cli("mesh", "info", "--node", "nope.node", "--ele", "nope.ele") == 2
     assert capsys.readouterr().err.count("error:") == 5
+
+
+@pytest.mark.parametrize("extra", [("--eps", "0.1"), ("--M", "5")])
+def test_mesh_flags_rejected_for_file_sources(extra, capsys):
+    files = os.path.join(os.path.dirname(mesh.__file__), "meshes", "disk_coarse")
+    node_ele = ("--node", files + ".node", "--ele", files + ".ele")
+    assert run_cli("mesh", "info", "--bundled", "disk_coarse") == 0
+    assert run_cli("mesh", "info", *node_ele) == 0
+    capsys.readouterr()
+    assert run_cli("mesh", "info", "--bundled", "disk_coarse", *extra) == 2
+    assert run_cli("mesh", "info", *node_ele, *extra) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("key", ["eps = 0.1", "m = 5"])
+def test_config_mesh_keys_rejected_for_bundled(key, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[mesh]\nbundled = disk_coarse\n%s\n" % key)
+    assert run_cli("mesh", "info", "--config", str(cfg)) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_argparse_error():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracpos import fem, fullydiscrete, kernel, semidiscrete
+from fracpos import fem, fullydiscrete, kernel, linalg, semidiscrete
 from fracpos.errors import InvalidParameter, NoConvergence
 from fracpos.kernel import FracOperator
 
@@ -205,6 +205,41 @@ def test_fd_threshold_rejects_short_scan(get_system):
             SINGLE,
             scan=semidiscrete.ScanSpec(start=1e-4, stop=1e-2),
         )
+
+
+@pytest.mark.parametrize(
+    "family, method, kw",
+    [("uniform", "sg", {"m": 10}), ("lshape_coarse", "fve", {}), ("disk_medium", "sg", {})],
+    ids=lambda x: str(x),
+)
+def test_fd_batched_curve_matches_first_step_matrices(get_system, family, method, kw):
+    sys = get_system(family, method, **kw)
+    rep = fullydiscrete.fd_positivity_threshold(
+        sys, SINGLE, scan=semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=5)
+    )
+    each = [
+        fullydiscrete.first_step_matrix(sys, kernel.char_fn(SINGLE, 1.0 / tau)).min()
+        for tau in rep.curve[:, 0]
+    ]
+    if sys.size * sys.size > linalg.BLOCK_ENTRIES // 2:
+        np.testing.assert_array_equal(rep.curve[:, 1], each)
+    else:
+        np.testing.assert_allclose(rep.curve[:, 1], each, rtol=0.0, atol=1e-15)
+
+
+def test_threshold_scans_memory_stays_bounded(get_system):
+    # disk_medium sg has N = 583; one N x N matrix is about 2.7 MB, so the
+    # wide products and the kernel chunks must stay a few matrices in size
+    sys = get_system("disk_medium", "sg")
+    tracemalloc.start()
+    try:
+        semi = semidiscrete.positivity_threshold(sys, SINGLE)
+        fully = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert semi.found and fully.found
+    assert peak < 12 * 2**20
 
 
 def test_lemma_propagation_first_step_to_all_steps(get_system):

@@ -180,6 +180,44 @@ def test_u_lambda_many_matches_scalar():
     np.testing.assert_allclose(many, each, rtol=1e-13)
 
 
+def _per_time_reference(op, lams, t):
+    """The kernel formula at one time, written out without any batching."""
+    z, w = kernel.ContourSpec().nodes(t)
+    p = kernel._char_fn_vec(op, z)
+    base = np.exp(z * t) * w * p / z
+    total = (base[None, :] / (p[None, :] + lams[:, None])).sum(axis=1) / (2j * math.pi)
+    return total.real
+
+
+@pytest.mark.parametrize("op", (SINGLE, MULTI, DIST), ids=lambda o: o.label)
+def test_u_lambda_many_time_array_is_bitwise_per_time(get_system, op):
+    lams = get_system("uniform", "sg", m=10).eigen.eigenvalues
+    grid = np.concatenate(([0.0], np.geomspace(1e-8, 1e2, 251), [0.37]))
+    rows = kernel.u_lambda_many(op, lams, grid)
+    assert rows.shape == (grid.size, lams.size)
+    each = np.array([kernel.u_lambda_many(op, lams, t) for t in grid])
+    np.testing.assert_array_equal(rows, each)
+    np.testing.assert_array_equal(rows[0], np.ones(lams.size))
+    for k in (1, 120, 252):
+        np.testing.assert_array_equal(rows[k], _per_time_reference(op, lams, grid[k]))
+    with pytest.raises(DomainError):
+        kernel.u_lambda_many(op, lams, np.array([1.0, -1e-3]))
+
+
+def test_char_fn_array_matches_scalar_calls():
+    z = np.geomspace(1e-6, 1e8, 57)
+    for op in ALL_OPS:
+        each = [kernel.char_fn(op, x) for x in z]
+        if op.kind == "discrete":
+            np.testing.assert_array_equal(kernel.char_fn(op, z), each)
+        else:
+            # the quadrature sum is one BLAS product, whose rounding may
+            # depend on how many arguments it holds
+            np.testing.assert_allclose(kernel.char_fn(op, z), each, rtol=1e-15)
+        with pytest.raises(BranchCut):
+            kernel.char_fn(op, np.array([1.0, 0.0]))
+
+
 def test_u_lambda_rejections():
     with pytest.raises(InvalidParameter):
         kernel.u_lambda(SINGLE, -1.0, 1.0)

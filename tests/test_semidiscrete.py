@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracpos import fem, kernel, mesh, semidiscrete
+from fracpos import fem, kernel, linalg, mesh, semidiscrete
 from fracpos.errors import InvalidParameter
 from fracpos.kernel import FracOperator
 from fracpos.semidiscrete import ScanSpec
@@ -143,6 +143,62 @@ def test_positivity_threshold_all_nonnegative_for_lm(get_system):
     assert rep.status == "all-nonnegative"
     assert rep.value is None
     assert rep.describe() == "all-nonnegative"
+
+
+BATCH_SYSTEMS = [
+    ("uniform", "sg", {"m": 10}),  # N = 81: several rows per product
+    ("lshape_coarse", "fve", {}),  # N = 28
+    ("disk_medium", "sg", {}),  # N = 583: one row per product
+]
+
+
+@pytest.mark.parametrize("family, method, kw", BATCH_SYSTEMS, ids=lambda x: str(x))
+def test_batched_curve_matches_per_point_matrices(get_system, family, method, kw):
+    sys = get_system(family, method, **kw)
+    grid = np.geomspace(1e-8, 1e2, 26)
+    curve = semidiscrete.min_entry_curve(sys, SINGLE, grid)
+    each = [semidiscrete.solution_matrix(sys, SINGLE, t).matrix.min() for t in grid]
+    if sys.size * sys.size > linalg.BLOCK_ENTRIES // 2:
+        np.testing.assert_array_equal(curve[:, 1], each)
+    else:
+        np.testing.assert_allclose(curve[:, 1], each, rtol=0.0, atol=1e-15)
+
+
+def test_batched_curve_identity_rows_on_scalar_system(get_system):
+    sys = get_system("uniform", "lm", m=2)
+    assert sys.size == 1
+    grid = np.array([1e-17, 1e-15, 1e-14, 2e-14, 1e-12, 1e-9, 1e-3])
+    curve = semidiscrete.min_entry_curve(sys, SINGLE, grid)
+    each = [semidiscrete.solution_matrix(sys, SINGLE, t).matrix.min() for t in grid]
+    np.testing.assert_allclose(curve[:, 1], each, rtol=0.0, atol=1e-15)
+    tiny = grid <= 1e-14
+    assert tiny.sum() == 3
+    np.testing.assert_array_equal(curve[tiny, 1], 1.0)
+
+
+def test_scan_makes_one_kernel_call_plus_one_per_bisection(get_system, monkeypatch):
+    sys = get_system("uniform", "sg", m=10)
+    counts = {"kernel": 0, "bisect": 0}
+    u_lambda_many = kernel.u_lambda_many
+    detect_threshold = semidiscrete.detect_threshold
+
+    def counting_kernel(*args, **kwargs):
+        counts["kernel"] += 1
+        return u_lambda_many(*args, **kwargs)
+
+    def counting_detect(grid, mins, value_fn, tol):
+        def step(x):
+            counts["bisect"] += 1
+            return value_fn(x)
+
+        return detect_threshold(grid, mins, step, tol)
+
+    monkeypatch.setattr(kernel, "u_lambda_many", counting_kernel)
+    monkeypatch.setattr(semidiscrete, "detect_threshold", counting_detect)
+    rep = semidiscrete.positivity_threshold(sys, SINGLE)
+    assert rep.found
+    assert counts["bisect"] >= 1
+    assert counts["kernel"] <= 1 + counts["bisect"]
 
 
 def test_scan_spec_validation():
