@@ -203,16 +203,17 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
 
     Scans tau with semidiscrete.scan_threshold: a log grid of at least six
     decades, the last sign change of the smallest entry of E_{1,tau}
-    refined by bisection.  omega_0 = P(1/tau) comes from one char_fn call
-    per evaluation, for the whole grid at once.
+    refined by bisection.  The coefficient rows omega_0 / (omega_0 +
+    lambda), with omega_0 = P(1/tau), take one char_fn call per grid or
+    bisection step.
     """
     lams = system.eigen.eigenvalues
 
-    def min_entries(taus):
-        omega0 = kernel.char_fn(op, 1.0 / np.asarray(taus, dtype=float))[:, None]
-        return system.eigen.min_entries(omega0 / (omega0 + lams))
+    def coeffs(taus):
+        omega0 = kernel.char_fn(op, 1.0 / taus)[:, None]
+        return omega0 / (omega0 + lams)
 
-    return scan_threshold(system, op, min_entries, scan, tol)
+    return scan_threshold(system, op, coeffs, scan, tol)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,8 @@ class EigenSystem:
         wide product back @ [diag(c_1) forward | diag(c_2) forward | ...],
         so a scan costs a few large GEMMs instead of one small GEMM per
         point.  A block of one row is exactly matrix_function's product.
+        A row of ones gives the identity's smallest entry exactly (0, or 1
+        when N = 1), since c = 1 makes the matrix function I.
         """
         rows = np.asarray(rows, dtype=float)
         n = self.size
@@ -89,6 +91,7 @@ class EigenSystem:
             scaled = block.T[:, :, None] * self.forward_transform[:, None, :]
             wide = self.back_transform @ scaled.reshape(n, -1)
             out[start:start + block.shape[0]] = wide.reshape(n, -1, n).min(axis=(0, 2))
+        out[(rows == 1.0).all(axis=1)] = 1.0 if n == 1 else 0.0
         return out
 
 

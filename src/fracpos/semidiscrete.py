@@ -4,14 +4,17 @@ E(t) applies the relaxation kernel mode by mode through the generalized
 eigensystem of (S, M): E(t) = back @ diag(u_{lambda_i}(t)) @ forward.  The
 smallest entry of E(t) decides nonnegativity; its last sign change along a
 logarithmic time grid, refined by bisection, is the reported threshold.
-scan_threshold runs that scan for any vectorised smallest entry: the whole
-grid is evaluated in one pass (one kernel call, then a few wide products
-through EigenSystem.min_entries), and bisection goes point by point.  The
-fully discrete scheme scans E_{1,tau} over step sizes with it.
+scan_threshold runs that scan for any per-mode coefficient rows c(x): the
+whole grid's rows come from one call, and EigenSystem.min_entries reduces
+them one decade at a time from the top of the grid, stopping at the decade
+that holds the last negative point; bisection goes point by point.  The
+rest of the curve is reduced only when a caller reads it.  The fully
+discrete scheme scans E_{1,tau} over step sizes with it.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,8 +45,8 @@ class ScanSpec:
     per_decade: int = 25
 
     def __post_init__(self):
-        if not 0.0 < self.start < self.stop:
-            raise InvalidParameter("scan needs 0 < start < stop")
+        if not (0.0 < self.start < self.stop and math.isfinite(self.stop)):
+            raise InvalidParameter("scan needs 0 < start < stop < inf")
         if self.per_decade < 1:
             raise InvalidParameter("per_decade must be at least 1")
 
@@ -83,30 +86,25 @@ def solution_matrix(system, op, t, contour=None):
     return SolutionMatrix(matrix=mat, time=t, method=system.method, operator=op.label)
 
 
-def _solution_mins(system, op):
-    """Vectorised smallest entry of E(t): one kernel call for all the times.
+def _kernel_rows(system, op, ts):
+    """Per-mode coefficients u_lambda(t) of E(t), one row per time.
 
-    Times at or below 1e-14 give the identity's smallest entry, like
-    solution_matrix.
+    Times at or below 1e-14 give a row of ones (the identity), like
+    solution_matrix; the kernel is called once for the other times.
     """
-    eigen = system.eigen
-
-    def min_entries(ts):
-        ts = np.asarray(ts, dtype=float)
-        mins = np.full(ts.shape, 1.0 if eigen.size == 1 else 0.0)
-        live = ts > 1e-14
-        if live.any():
-            rows = kernel.u_lambda_many(op, eigen.eigenvalues, ts[live])
-            mins[live] = eigen.min_entries(rows)
-        return mins
-
-    return min_entries
+    rows = np.ones((ts.size, system.eigen.size))
+    live = ts > 1e-14
+    if live.any():
+        rows[live] = kernel.u_lambda_many(op, system.eigen.eigenvalues, ts[live])
+    return rows
 
 
 def min_entry_curve(system, op, grid):
     """Smallest entry of the solution matrix along a time grid, as (t, min)."""
     grid = np.asarray(grid, dtype=float)
-    return np.column_stack((grid, _solution_mins(system, op)(grid)))
+    return np.column_stack(
+        (grid, system.eigen.min_entries(_kernel_rows(system, op, grid)))
+    )
 
 
 @dataclass(eq=False)
@@ -115,16 +113,24 @@ class ThresholdReport:
 
     status is one of "found" (value and bracket set), "all-nonnegative"
     (the smallest entry never drops below -tolerance), or "none-found"
-    (still negative at the end of the scan).
+    (still negative at the end of the scan).  curve holds (x, smallest
+    entry) over the whole scan grid; the scan reduces only the rows that
+    decide the status, and the first read of curve reduces the rest
+    through fill_curve().
     """
 
     status: str
     value: float
     bracket: tuple
     tolerance: float
-    curve: np.ndarray
+    fill_curve: object = field(repr=False)
     method: str = ""
     operator: str = ""
+
+    @functools.cached_property
+    def curve(self):
+        curve, self.fill_curve = self.fill_curve(), None
+        return curve
 
     @property
     def found(self):
@@ -158,30 +164,48 @@ def detect_threshold(grid, mins, value_fn, tol, rel_width=1e-3):
     return "found", math.sqrt(lo * hi), (lo, hi)
 
 
-def scan_threshold(system, op, min_entries, scan=None, tol=None):
-    """Threshold of a vectorised smallest entry min_entries(xs) over a log scan.
+def scan_threshold(system, op, coeffs, scan=None, tol=None):
+    """Threshold of back @ diag(c(x)) @ forward over a log scan of x.
 
+    coeffs(xs) returns one row of per-mode coefficients c(x) per point.
     The scan must cover at least six decades.  Negativity below
-    tol = 1e-12 * N is attributed to roundoff.  The curve holds
-    min_entries over the whole grid, evaluated in one call; the last
-    sign change is bisected one point at a time.
+    tol = 1e-12 * N is attributed to roundoff.  The whole grid's rows come
+    from one coeffs call; their smallest entries are reduced one decade
+    (per_decade rows) at a time from the largest x down, stopping after
+    the first decade with a point below -tol: only the last sign change
+    matters, and it is bisected one point at a time.  "none-found" thus
+    needs the top decade only, "all-nonnegative" the whole grid.  The
+    report's curve reduces the remaining rows when it is first read.
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
         raise InvalidParameter("scan must cover at least six decades")
     if tol is None:
         tol = 1e-12 * system.size
+    elif not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParameter("tol must be finite and nonnegative, got %r" % tol)
+    min_entries = system.eigen.min_entries
     grid = scan.grid()
-    mins = min_entries(grid)
+    rows = coeffs(grid)
+    start = grid.size
+    mins = np.empty(0)
+    while start > 0 and not (mins < -tol).any():
+        stop, start = start, max(0, start - scan.per_decade)
+        mins = np.concatenate((min_entries(rows[start:stop]), mins))
     status, value, bracket = detect_threshold(
-        grid, mins, lambda x: min_entries(np.array([x]))[0], tol
+        grid[start:], mins, lambda x: min_entries(coeffs(np.array([x])))[0], tol
     )
+
+    def fill_curve():
+        head = min_entries(rows[:start])
+        return np.column_stack((grid, np.concatenate((head, mins))))
+
     return ThresholdReport(
         status=status,
         value=value,
         bracket=bracket,
         tolerance=tol,
-        curve=np.column_stack((grid, mins)),
+        fill_curve=fill_curve,
         method=system.method,
         operator=op.label,
     )
@@ -189,7 +213,9 @@ def scan_threshold(system, op, min_entries, scan=None, tol=None):
 
 def positivity_threshold(system, op, scan=None, tol=None):
     """Time beyond which E(t) stays entrywise nonnegative (see scan_threshold)."""
-    return scan_threshold(system, op, _solution_mins(system, op), scan, tol)
+    return scan_threshold(
+        system, op, functools.partial(_kernel_rows, system, op), scan, tol
+    )
 
 
 def small_time_expansion_check(system, op, t):

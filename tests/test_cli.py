@@ -229,6 +229,25 @@ def test_fully_threshold_crossed_lm(tmp_path, capsys):
     assert '"status": "found"' in (tmp_path / "fully_threshold_lm.csv").read_text()
 
 
+@pytest.mark.parametrize("cmd", ["semi", "fully"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--scan-stop", "inf")],
+)
+def test_threshold_rejects_bad_tolerance_or_scan_end(
+    cmd, flag, value, tmp_path, capsys
+):
+    # a nan tolerance compares false everywhere (a silent all-nonnegative),
+    # a negative one makes zeros negative; an infinite scan has no grid
+    rc = run_cli(
+        cmd, "threshold", "--family", "uniform", "--M", "6", "--methods", "sg",
+        flag, value, "--outdir", str(tmp_path),
+    )
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fully_converge(tmp_path, capsys):
     rc = run_cli(
         "fully", "converge", "--family", "uniform", "--M", "2", "--methods", "lm",
@@ -333,6 +352,7 @@ def test_threshold_commands_do_not_import_scipy(tmp_path):
         "for cmd in (['semi', 'threshold'], ['fully', 'threshold']):\n"
         "    assert cli.main(cmd + mesh + ['--methods', 'sg']) == 0\n"
         "assert cli.main(['fully', 'contractivity'] + mesh + ['--methods', 'lm']) == 0\n"
+        "assert cli.main(['reproduce', '--table', '3', '--outdir', sys.argv[1]]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(

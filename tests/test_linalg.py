@@ -64,6 +64,17 @@ def test_eigen_transform_defect_on_meshes(get_system, family, method, kw):
     assert np.abs(defect).max() <= 1e-13
 
 
+def test_min_entries_of_identity_rows_is_exact(get_system):
+    for m, want in ((2, 1.0), (6, 0.0)):
+        sys = get_system("uniform", "sg", m=m)
+        rows = np.ones((3, sys.size))
+        rows[1, 0] = 0.5
+        mins = sys.eigen.min_entries(rows)
+        assert mins[0] == want and mins[2] == want
+        want_mid = sys.eigen.matrix_function(rows[1]).min()
+        assert mins[1] == pytest.approx(want_mid, rel=0.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("n", [2, 5, 17, 50])
 def test_cholesky_roundtrip(n):
     rng = np.random.default_rng(n)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from fracpos import fem, kernel, linalg, mesh, semidiscrete
+from fracpos import fem, fullydiscrete, kernel, linalg, mesh, semidiscrete
 from fracpos.errors import InvalidParameter
 from fracpos.kernel import FracOperator
 from fracpos.semidiscrete import ScanSpec
 
 SINGLE = FracOperator.single_term(0.5)
+MULTI = FracOperator.multi_term((0.5, 0.2))
+DIST = FracOperator.distributed("exp")
 
 
 def test_solution_matrix_at_zero_is_identity(get_system):
@@ -201,6 +203,123 @@ def test_scan_makes_one_kernel_call_plus_one_per_bisection(get_system, monkeypat
     assert counts["kernel"] <= 1 + counts["bisect"]
 
 
+def _full_grid_threshold(sys, op, scheme, scan, tol):
+    """Reference verdict and curve: every grid point reduced, then detect_threshold."""
+    lams = sys.eigen.eigenvalues
+    if scheme == "semi":
+
+        def rows(xs):
+            return kernel.u_lambda_many(op, lams, xs)
+
+    else:
+
+        def rows(xs):
+            omega0 = kernel.char_fn(op, 1.0 / xs)[:, None]
+            return omega0 / (omega0 + lams)
+
+    grid = scan.grid()
+    mins = sys.eigen.min_entries(rows(grid))
+    verdict = semidiscrete.detect_threshold(
+        grid, mins, lambda x: sys.eigen.min_entries(rows(np.array([x])))[0], tol
+    )
+    return verdict, np.column_stack((grid, mins))
+
+
+THRESHOLD_FNS = {
+    "semi": semidiscrete.positivity_threshold,
+    "fully": fullydiscrete.fd_positivity_threshold,
+}
+EQUIVALENCE_CASES = [
+    (family, method, m, op, scheme)
+    for family, method, m in (
+        ("uniform", "sg", 10),
+        ("uniform", "lm", 10),
+        ("uniform", "fve", 10),
+        ("crossed", "lm", 5),
+        ("sliver", "sg", 10),
+    )
+    for op in (SINGLE, MULTI, DIST)
+    for scheme in THRESHOLD_FNS
+]
+
+
+@pytest.mark.parametrize(
+    "family, method, m, op, scheme",
+    EQUIVALENCE_CASES,
+    ids=[
+        "%s%d-%s-%s-%s" % (family, m, method, op.label, scheme)
+        for family, method, m, op, scheme in EQUIVALENCE_CASES
+    ],
+)
+def test_top_down_scan_matches_full_grid_scan(
+    get_system, family, method, m, op, scheme
+):
+    sys = get_system(family, method, m=m)
+    scan = ScanSpec()
+    tol = 1e-12 * sys.size
+    rep = THRESHOLD_FNS[scheme](sys, op, scan=scan)
+    (status, value, bracket), curve = _full_grid_threshold(sys, op, scheme, scan, tol)
+    assert (rep.status, rep.value, rep.bracket) == (status, value, bracket)
+    assert rep.tolerance == tol
+    np.testing.assert_array_equal(rep.curve[:, 0], curve[:, 0])
+    np.testing.assert_allclose(rep.curve[:, 1], curve[:, 1], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "scheme, method, scan, status",
+    [
+        ("semi", "lm", ScanSpec(), "all-nonnegative"),
+        ("fully", "lm", ScanSpec(), "all-nonnegative"),
+        ("semi", "sg", ScanSpec(1e-10, 1e-4), "none-found"),
+        # the step-size threshold is 2.8e-5, so its scan ends lower
+        ("fully", "sg", ScanSpec(1e-12, 1e-6), "none-found"),
+    ],
+)
+def test_top_down_scan_matches_full_grid_without_threshold(
+    get_system, scheme, method, scan, status
+):
+    sys = get_system("uniform", method, m=10)
+    tol = 1e-12 * sys.size
+    rep = THRESHOLD_FNS[scheme](sys, SINGLE, scan=scan, tol=tol)
+    verdict, curve = _full_grid_threshold(sys, SINGLE, scheme, scan, tol)
+    assert verdict == (status, None, None)
+    assert (rep.status, rep.value, rep.bracket) == verdict
+    np.testing.assert_allclose(rep.curve, curve, rtol=0.0, atol=1e-15)
+
+
+def test_scan_reduces_only_the_deciding_rows_until_curve_is_read(
+    get_system, monkeypatch
+):
+    sys = get_system("uniform", "sg", m=10)
+    counts = {"rows": 0, "bisect": 0}
+    min_entries = linalg.EigenSystem.min_entries
+    detect_threshold = semidiscrete.detect_threshold
+
+    def counting_min_entries(self, rows):
+        counts["rows"] += len(rows)
+        return min_entries(self, rows)
+
+    def counting_detect(grid, mins, value_fn, tol):
+        def step(x):
+            counts["bisect"] += 1
+            return value_fn(x)
+
+        return detect_threshold(grid, mins, step, tol)
+
+    monkeypatch.setattr(linalg.EigenSystem, "min_entries", counting_min_entries)
+    monkeypatch.setattr(semidiscrete, "detect_threshold", counting_detect)
+    rep = semidiscrete.positivity_threshold(sys, SINGLE)
+    grid_rows = ScanSpec().grid().size
+    assert grid_rows == 251
+    assert rep.found
+    assert counts["bisect"] >= 1
+    assert counts["rows"] - counts["bisect"] < grid_rows
+    first = rep.curve
+    assert rep.curve is first
+    assert first.shape == (grid_rows, 2)
+    assert counts["rows"] == grid_rows + counts["bisect"]
+
+
 def test_scan_spec_validation():
     with pytest.raises(InvalidParameter):
         ScanSpec(start=1e-2, stop=1e-3)
@@ -208,6 +327,8 @@ def test_scan_spec_validation():
         ScanSpec(start=0.0, stop=1.0)
     with pytest.raises(InvalidParameter):
         ScanSpec(per_decade=0)
+    with pytest.raises(InvalidParameter):
+        ScanSpec(stop=math.inf)
     grid = ScanSpec(start=1e-4, stop=1e2, per_decade=10).grid()
     assert grid.shape == (61,)
     assert grid[0] == pytest.approx(1e-4)
