@@ -204,8 +204,8 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
     Scans tau with semidiscrete.scan_threshold: a log grid of at least six
     decades, the last sign change of the smallest entry of E_{1,tau}
     refined by bisection.  The coefficient rows omega_0 / (omega_0 +
-    lambda), with omega_0 = P(1/tau), take one char_fn call per grid or
-    bisection step.
+    lambda), with omega_0 = P(1/tau), take one char_fn call per decade
+    scanned or bisection step.
     """
     lams = system.eigen.eigenvalues
 

@@ -173,8 +173,9 @@ def _char_fn_vec(op, z):
         return acc
     x, wq = _leggauss01(op.quad_order)
     coef = wq * op.mu_values(x)
-    # (Q, rows, K) table of z^{a_q}, a few rows of points at a time
-    rows = logz.reshape(-1, logz.shape[-1])
+    # (Q, rows, K) table of z^{a_q}, a few rows of points at a time; an
+    # empty array gives no rows
+    rows = logz.reshape(-1, max(1, logz.shape[-1]))
     out = np.empty(rows.shape, dtype=complex)
     per_chunk = max(1, CHUNK_ENTRIES // (x.shape[0] * rows.shape[1]))
     for start in range(0, rows.shape[0], per_chunk):
@@ -246,15 +247,17 @@ def u_lambda_many(op, lams, t, contour=None):
     CHUNK_ENTRIES entries at a time.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams <= 0.0):
-        raise InvalidParameter("lambda must be positive")
+    if not np.all((lams > 0.0) & (lams < math.inf)):
+        raise InvalidParameter("lambda must be finite and positive")
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise InvalidParameter("times must be a scalar or a 1-D array")
     flat = times.reshape(-1)
-    bad = ~(flat >= 0.0)
+    bad = ~((flat >= 0.0) & (flat < math.inf))
     if bad.any():
-        raise DomainError("t must be positive, got %r" % (float(flat[bad][0]),))
+        raise DomainError(
+            "t must be finite and nonnegative, got %r" % (float(flat[bad][0]),)
+        )
     rows = np.ones((flat.shape[0], lams.shape[0]))
     spec = contour if contour is not None else ContourSpec()
     live = np.nonzero(flat)[0]
@@ -270,7 +273,7 @@ def u_lambda_many(op, lams, t, contour=None):
         np.divide(base[part, None, :], quot, out=quot)
         total = quot.sum(axis=2) / (2j * math.pi)
         resid = np.abs(total.imag).max()
-        if resid > 1e-6:
+        if not resid <= 1e-6:
             raise ContourFailure("conjugate symmetry residual %.3e" % resid)
         rows[live[part]] = total.real
     return rows if times.ndim else rows[0]

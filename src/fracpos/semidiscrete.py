@@ -4,12 +4,12 @@ E(t) applies the relaxation kernel mode by mode through the generalized
 eigensystem of (S, M): E(t) = back @ diag(u_{lambda_i}(t)) @ forward.  The
 smallest entry of E(t) decides nonnegativity; its last sign change along a
 logarithmic time grid, refined by bisection, is the reported threshold.
-scan_threshold runs that scan for any per-mode coefficient rows c(x): the
-whole grid's rows come from one call, and EigenSystem.min_entries reduces
-them one decade at a time from the top of the grid, stopping at the decade
-that holds the last negative point; bisection goes point by point.  The
-rest of the curve is reduced only when a caller reads it.  The fully
-discrete scheme scans E_{1,tau} over step sizes with it.
+scan_threshold runs that scan for any per-mode coefficient rows c(x): one
+decade at a time from the top of the grid, it computes the decade's rows
+in one call and EigenSystem.min_entries reduces them, stopping at the
+decade that holds the last negative point; bisection goes point by point.
+The rest of the curve is computed and reduced only when a caller reads
+it.  The fully discrete scheme scans E_{1,tau} over step sizes with it.
 """
 
 import functools
@@ -114,9 +114,9 @@ class ThresholdReport:
     status is one of "found" (value and bracket set), "all-nonnegative"
     (the smallest entry never drops below -tolerance), or "none-found"
     (still negative at the end of the scan).  curve holds (x, smallest
-    entry) over the whole scan grid; the scan reduces only the rows that
-    decide the status, and the first read of curve reduces the rest
-    through fill_curve().
+    entry) over the whole scan grid; the scan computes and reduces only
+    the rows that decide the status, and the first read of curve does the
+    rest through fill_curve().
     """
 
     status: str
@@ -169,13 +169,14 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None):
 
     coeffs(xs) returns one row of per-mode coefficients c(x) per point.
     The scan must cover at least six decades.  Negativity below
-    tol = 1e-12 * N is attributed to roundoff.  The whole grid's rows come
-    from one coeffs call; their smallest entries are reduced one decade
-    (per_decade rows) at a time from the largest x down, stopping after
-    the first decade with a point below -tol: only the last sign change
-    matters, and it is bisected one point at a time.  "none-found" thus
-    needs the top decade only, "all-nonnegative" the whole grid.  The
-    report's curve reduces the remaining rows when it is first read.
+    tol = 1e-12 * N is attributed to roundoff.  The grid goes one decade
+    (per_decade points) at a time from the largest x down: one coeffs call
+    gives the decade's rows and min_entries their smallest entries,
+    stopping after the first decade with a point below -tol.  Only the
+    last sign change matters, and it is bisected one point at a time.
+    "none-found" thus needs the top decade only, "all-nonnegative" the
+    whole grid.  The report's curve computes and reduces the remaining
+    rows when it is first read.
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
@@ -186,18 +187,17 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None):
         raise InvalidParameter("tol must be finite and nonnegative, got %r" % tol)
     min_entries = system.eigen.min_entries
     grid = scan.grid()
-    rows = coeffs(grid)
     start = grid.size
     mins = np.empty(0)
     while start > 0 and not (mins < -tol).any():
         stop, start = start, max(0, start - scan.per_decade)
-        mins = np.concatenate((min_entries(rows[start:stop]), mins))
+        mins = np.concatenate((min_entries(coeffs(grid[start:stop])), mins))
     status, value, bracket = detect_threshold(
         grid[start:], mins, lambda x: min_entries(coeffs(np.array([x])))[0], tol
     )
 
     def fill_curve():
-        head = min_entries(rows[:start])
+        head = min_entries(coeffs(grid[:start]))
         return np.column_stack((grid, np.concatenate((head, mins))))
 
     return ThresholdReport(

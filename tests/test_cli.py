@@ -8,6 +8,7 @@ import pytest
 
 from fracpos import cli, kernel, mesh
 from fracpos.errors import NoConvergence
+from fracpos.semidiscrete import ScanSpec
 
 
 def run_cli(*argv):
@@ -108,6 +109,15 @@ def test_kernel_ulambda_rejects_bad_operator(capsys):
     assert run_cli("kernel", "ulambda", "--lambda", "-1", "--t", "1") == 2
     assert run_cli("kernel", "ulambda", "--mu", "exp", "--alpha", "0.5", "--lambda", "1", "--t", "1") == 2
     assert capsys.readouterr().err.count("error:") == 3
+
+
+@pytest.mark.parametrize("lam, t", [("2", "inf"), ("nan", "1")])
+def test_kernel_ulambda_rejects_non_finite_input(lam, t, capsys):
+    rc = run_cli("kernel", "ulambda", "--alpha", "0.5", "--lambda", lam, "--t", t)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert "error:" in err
 
 
 def test_kernel_weights_rows(capsys):
@@ -227,6 +237,21 @@ def test_fully_threshold_crossed_lm(tmp_path, capsys):
     assert rc == 0
     assert "lm single(0.5): " in capsys.readouterr().out
     assert '"status": "found"' in (tmp_path / "fully_threshold_lm.csv").read_text()
+
+
+def test_fully_threshold_all_nonnegative_distributed_writes_curve(tmp_path, capsys):
+    # an all-nonnegative scan computes the whole curve inside the scan, so
+    # reading it asks for the rows of an empty head
+    rc = run_cli(
+        "fully", "threshold", "--family", "uniform", "--M", "10", "--methods", "lm",
+        "--mu", "exp", "--outdir", str(tmp_path),
+    )
+    assert rc == 0
+    assert "all-nonnegative" in capsys.readouterr().out
+    lines = (tmp_path / "fully_threshold_lm.csv").read_text().splitlines()
+    rows = [line for line in lines if line and line[0].isdigit()]
+    assert len(rows) == ScanSpec().grid().size
+    assert '"status": "all-nonnegative"' in lines[-1]
 
 
 @pytest.mark.parametrize("cmd", ["semi", "fully"])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fracpos import kernel
-from fracpos.errors import BranchCut, DomainError, InvalidParameter
+from fracpos.errors import BranchCut, ContourFailure, DomainError, InvalidParameter
 from fracpos.kernel import FracOperator
 
 ML_REFERENCE = {
@@ -219,10 +219,26 @@ def test_char_fn_array_matches_scalar_calls():
 
 
 def test_u_lambda_rejections():
-    with pytest.raises(InvalidParameter):
-        kernel.u_lambda(SINGLE, -1.0, 1.0)
-    with pytest.raises(DomainError):
-        kernel.u_lambda(SINGLE, 1.0, -2.0)
+    for lam in (-1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameter):
+            kernel.u_lambda(SINGLE, lam, 1.0)
+    for t in (-2.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            kernel.u_lambda(SINGLE, 1.0, t)
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.label)
+def test_char_fn_empty_array(op):
+    out = kernel.char_fn(op, np.empty(0))
+    assert out.shape == (0,)
+    assert out.dtype == float
+
+
+def test_contour_gate_fails_on_nan_residual():
+    # a hyperbola scaled far too wide for t = 10 overflows e^{zt}; the
+    # imaginary residual is nan, which must fail the gate, not pass it
+    with np.errstate(all="ignore"), pytest.raises(ContourFailure, match="nan"):
+        kernel.u_lambda_many(SINGLE, [2.0], 10.0, contour=kernel.ContourSpec(scale=1e3))
 
 
 # asymptotic scale functions

@@ -178,15 +178,30 @@ def test_batched_curve_identity_rows_on_scalar_system(get_system):
     np.testing.assert_array_equal(curve[tiny, 1], 1.0)
 
 
-def test_scan_makes_one_kernel_call_plus_one_per_bisection(get_system, monkeypatch):
+# the kernel call that computes a scheme's coefficient rows
+KERNEL_CALLS = {"semi": "u_lambda_many", "fully": "char_fn"}
+
+
+@pytest.mark.parametrize("scheme", ["semi", "fully"])
+def test_scan_computes_rows_only_for_the_decades_it_reduces(
+    get_system, monkeypatch, scheme
+):
     sys = get_system("uniform", "sg", m=10)
-    counts = {"kernel": 0, "bisect": 0}
-    u_lambda_many = kernel.u_lambda_many
+    counts = {"calls": 0, "rows": 0, "reduced": 0, "bisect": 0}
+    name = KERNEL_CALLS[scheme]
+    kernel_fn = getattr(kernel, name)
+    min_entries = linalg.EigenSystem.min_entries
     detect_threshold = semidiscrete.detect_threshold
 
     def counting_kernel(*args, **kwargs):
-        counts["kernel"] += 1
-        return u_lambda_many(*args, **kwargs)
+        out = kernel_fn(*args, **kwargs)
+        counts["calls"] += 1
+        counts["rows"] += len(out)
+        return out
+
+    def counting_min_entries(self, rows):
+        counts["reduced"] += len(rows)
+        return min_entries(self, rows)
 
     def counting_detect(grid, mins, value_fn, tol):
         def step(x):
@@ -195,12 +210,21 @@ def test_scan_makes_one_kernel_call_plus_one_per_bisection(get_system, monkeypat
 
         return detect_threshold(grid, mins, step, tol)
 
-    monkeypatch.setattr(kernel, "u_lambda_many", counting_kernel)
+    monkeypatch.setattr(kernel, name, counting_kernel)
+    monkeypatch.setattr(linalg.EigenSystem, "min_entries", counting_min_entries)
     monkeypatch.setattr(semidiscrete, "detect_threshold", counting_detect)
-    rep = semidiscrete.positivity_threshold(sys, SINGLE)
+    rep = THRESHOLD_FNS[scheme](sys, SINGLE)
+    scan = ScanSpec()
     assert rep.found
     assert counts["bisect"] >= 1
-    assert counts["kernel"] <= 1 + counts["bisect"]
+    # every row computed is reduced, and the grid goes one call per decade
+    # (a per-point loop makes about 160 calls here)
+    grid_rows = counts["reduced"] - counts["bisect"]
+    assert grid_rows < scan.grid().size
+    assert counts["rows"] == counts["reduced"]
+    assert counts["calls"] <= math.ceil(grid_rows / scan.per_decade) + counts["bisect"]
+    assert rep.curve is rep.curve
+    assert counts["rows"] == scan.grid().size + counts["bisect"]
 
 
 def _full_grid_threshold(sys, op, scheme, scan, tol):
