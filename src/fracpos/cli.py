@@ -4,6 +4,11 @@ Subcommands: mesh {gen, info}, kernel {ulambda, weights, mittag},
 semi {curve, threshold, certify}, fully {threshold, converge,
 contractivity}, reproduce (--table 1..5 | --figure 2|3).
 
+Every option is one row of _OPTIONS: its flag, its INI key, its default
+and its bounds.  Each command lists the rows it takes (_COMMANDS); a
+value comes from the flag, else from the --config file, else from the
+row's default, and a file value gets the same checks as a flag.
+
 All CSV output starts with a comment line carrying the tool version and a
 hash of the resolved configuration, so identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 numerical failure,
@@ -27,39 +32,139 @@ _FAMILY_ALIASES = {"nondelaunay-b": "crossed", "nondelaunay-e": "sliver"}
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# options
+
+# Dense-memory cap: no array a command builds has more than _DENSE_SIDE^2
+# float64 entries (512 MiB).  An N x N matrix has N <= _DENSE_SIDE, and a
+# scan grid, a step history or a weight row has at most _DENSE_SIDE rows
+# of N entries.  The bounds below follow from it.
+_DENSE_EXP = 13
+_DENSE_SIDE = 2 ** _DENSE_EXP
+# crossed(M), the densest family, has fewer than 4 M^2 unknowns
+_M_MAX = int((_DENSE_SIDE / 4) ** 0.5)
+
+
+class _Opt:
+    """One option: flag, INI key (section.key), default, inclusive bounds
+    (lo, hi) and the remaining argparse settings (type, nargs, choices, help)."""
+
+    def __init__(self, flag, key=None, default=None, bounds=None, **kw):
+        self.flag, self.key, self.default, self.bounds, self.kw = flag, key, default, bounds, kw
+        self.dest = kw.get("dest", flag[2:].replace("-", "_"))
+
+
+_FAMILY_CHOICES = sorted(meshmod.FAMILIES) + sorted(_FAMILY_ALIASES)
+_MU_NAMES = ",".join(sorted(kernel.MU_FUNCTIONS))
+
+_OPTIONS = {
+    "family": _Opt("--family", "mesh.family", choices=_FAMILY_CHOICES,
+                   help="generated family (nondelaunay-b = crossed, nondelaunay-e = sliver)"),
+    "M": _Opt("--M", "mesh.m", bounds=(0, _M_MAX), type=int, help="subdivisions per side"),
+    "eps": _Opt("--eps", "mesh.eps", type=float, help="flattening of the sliver pair"),
+    "bundled": _Opt("--bundled", "mesh.bundled", help="name of a packaged mesh"),
+    "node": _Opt("--node", "mesh.node", help=".node file path"),
+    "ele": _Opt("--ele", "mesh.ele", help=".ele file path"),
+    "alpha": _Opt("--alpha", "operator.alpha", type=float, nargs="+",
+                  help="fractional exponents, strictly decreasing (default 0.5)"),
+    "weights": _Opt("--weights", "operator.weights", type=float, nargs="+",
+                    help="term weights (default all 1)"),
+    "mu": _Opt("--mu", "operator.mu", help="distributed-order weight name (%s)" % _MU_NAMES),
+    "quad_order": _Opt("--quad-order", "operator.quad_order", 64, (0, _DENSE_SIDE), type=int,
+                       help="quadrature order for --mu (default 64)"),
+    "scan_start": _Opt("--scan-start", "scan.start", 1e-8, type=float,
+                       help="left end of the log scan (default 1e-8)"),
+    "scan_stop": _Opt("--scan-stop", "scan.stop", 1e2, type=float,
+                      help="right end of the log scan (default 1e2)"),
+    "per_decade": _Opt("--per-decade", "scan.per_decade", 25, (0, _DENSE_SIDE), type=int,
+                       help="grid points per decade (default 25)"),
+    "config": _Opt("--config", help="INI file with [mesh]/[operator]/[scan]/[run] sections"),
+    "outdir": _Opt("--outdir", "run.outdir", help="output directory (or FRACPOS_OUTDIR)"),
+    "methods": _Opt("--methods", "run.methods", fem.METHODS, nargs="+", choices=fem.METHODS,
+                    help="spatial methods (default: all three)"),
+    "tol": _Opt("--tol", type=float, help="negativity tolerance (default 1e-12*N)"),
+    "dump_matrices": _Opt("--dump-matrices", default=False, action="store_true",
+                          help="write dense mass/stiffness CSVs"),
+    "lam": _Opt("--lambda", dest="lam", type=float, required=True),
+    "t": _Opt("--t", type=float, nargs="+", required=True),
+    "tau": _Opt("--tau", type=float, required=True),
+    "n": _Opt("--n", bounds=(0, _DENSE_SIDE - 1), type=int, required=True),
+    "x": _Opt("--x", type=float, nargs="+", required=True),
+    "t_final": _Opt("--t", default=0.1, type=float, help="final time (default 0.1)"),
+    "n_exp": _Opt("--n-exp", default=(4, 10), bounds=(0, _DENSE_EXP - 1), type=int, nargs=2,
+                  metavar=("LO", "HI"), help="step counts 2^LO..2^HI (default 4 10)"),
+    "taus": _Opt("--tau", default=(1e-4, 1e-2, 1.0), type=float, nargs="+"),
+    "n_max": _Opt("--n-max", default=100, bounds=(0, _DENSE_SIDE - 1), type=int),
+    "table": _Opt("--table", type=int, help="table number 1..5"),
+    "figure": _Opt("--figure", type=int, help="figure number 2 or 3"),
+    "levels": _Opt("--levels", nargs="+", help="refinement levels (table only)"),
+    "h0": _Opt("--h0", bounds=(1.0 / _M_MAX, 0.5), type=float,
+               help="spacing for figures (default 0.1)"),
+    "long_run": _Opt("--long-run", default=False, action="store_true",
+                     help="allow the finest level"),
+}
+
+# help groups by INI section
+_GROUPS = {"mesh": "mesh selection", "operator": "time operator", "scan": "scan grid"}
+
+
+def _check(opt, value, where):
+    """Hold a flag or INI value to its option's choices and bounds."""
+    choices = opt.kw.get("choices")
+    for v in value if isinstance(value, list) else [value]:
+        if choices is not None and v not in choices:
+            raise UsageError("%s: %r is not one of %s" % (where, v, ", ".join(choices)))
+        if opt.bounds is not None and not opt.bounds[0] <= v <= opt.bounds[1]:
+            raise UsageError("%s: %r is outside [%g, %g]" % ((where, v) + opt.bounds))
 
 
 def _load_config(path):
+    """Read an INI file into {section.key: value}, each value parsed as its flag."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError("cannot read config file %r" % (path,))
+    try:
+        if not parser.read(path):
+            raise UsageError("cannot read config file %r" % (path,))
+        # [DEFAULT] first: its keys would otherwise show up in every section
+        entries = [
+            ("%s.%s" % (section, name), text)
+            for section in [parser.default_section] + parser.sections()
+            for name, text in parser.items(section)
+        ]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise UsageError("config file %s: %s" % (path, exc)) from exc
+    by_key = {opt.key: opt for opt in _OPTIONS.values() if opt.key}
     values = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            values["%s.%s" % (section, key)] = value
+    for key, text in entries:
+        opt = by_key.get(key)
+        if opt is None:
+            raise UsageError("config key %s: not one of %s" % (key, ", ".join(sorted(by_key))))
+        words = text.split() if opt.kw.get("nargs") else [text]
+        try:
+            value = [opt.kw.get("type", str)(word) for word in words if word]
+        except ValueError:
+            raise UsageError("config key %s: cannot read %r" % (key, text)) from None
+        if not value:
+            raise UsageError("config key %s: no value" % key)
+        _check(opt, value, "config key " + key)
+        values[key] = value if opt.kw.get("nargs") else value[0]
     return values
 
 
-def _cfg(args, key, cast=str):
-    value = getattr(args, "_config", {}).get(key)
-    if value is None:
-        return None
-    if cast is bool:
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    try:
-        return cast(value)
-    except ValueError:
-        raise UsageError("config key %s: cannot read %r" % (key, value))
+def _settle(args):
+    """Set each option of the command from its flag, else its INI key, else its default."""
+    config = _load_config(args.config) if args.config else {}
+    for opt in (_OPTIONS[name] for name in args.options):
+        value = getattr(args, opt.dest)
+        if value is not None:
+            _check(opt, value, opt.flag)
+        elif opt.key in config:
+            value = config[opt.key]
+        else:
+            value = opt.default
+        setattr(args, opt.dest, value)
 
 
-def _pick(cli_value, config_value, default):
-    if cli_value is not None:
-        return cli_value
-    if config_value is not None:
-        return config_value
-    return default
+# ---------------------------------------------------------------------------
+# output plumbing
 
 
 def _config_hash(parts):
@@ -72,11 +177,7 @@ def _header_line(parts):
 
 
 def _outdir(args):
-    out = _pick(
-        getattr(args, "outdir", None),
-        _cfg(args, "run.outdir"),
-        os.environ.get("FRACPOS_OUTDIR", "."),
-    )
+    out = args.outdir if args.outdir is not None else os.environ.get("FRACPOS_OUTDIR", ".")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -105,125 +206,52 @@ def _fmt_threshold(report):
 
 
 # ---------------------------------------------------------------------------
-# shared argument groups and resolvers
-
-
-def _add_mesh_flags(p):
-    g = p.add_argument_group("mesh selection")
-    g.add_argument(
-        "--family",
-        choices=sorted(meshmod.FAMILIES) + sorted(_FAMILY_ALIASES),
-        help="generated family (nondelaunay-b = crossed, nondelaunay-e = sliver)",
-    )
-    g.add_argument("--M", type=int, help="subdivisions per side")
-    g.add_argument("--eps", type=float, help="flattening of the sliver pair")
-    g.add_argument("--bundled", help="name of a packaged mesh")
-    g.add_argument("--node", help=".node file path")
-    g.add_argument("--ele", help=".ele file path")
-
-
-def _add_operator_flags(p):
-    g = p.add_argument_group("time operator")
-    g.add_argument(
-        "--alpha",
-        type=float,
-        nargs="+",
-        help="fractional exponents, strictly decreasing (default 0.5)",
-    )
-    g.add_argument("--weights", type=float, nargs="+", help="term weights (default all 1)")
-    g.add_argument(
-        "--mu", help="distributed-order weight name (%s)" % ",".join(sorted(kernel.MU_FUNCTIONS))
-    )
-    g.add_argument("--quad-order", type=int, help="quadrature order for --mu (default 64)")
-
-
-def _add_scan_flags(p):
-    g = p.add_argument_group("scan grid")
-    g.add_argument("--scan-start", type=float, help="left end of the log scan (default 1e-8)")
-    g.add_argument("--scan-stop", type=float, help="right end of the log scan (default 1e2)")
-    g.add_argument("--per-decade", type=int, help="grid points per decade (default 25)")
-
-
-def _add_run_flags(p, methods=True):
-    p.add_argument("--config", help="INI file with [mesh]/[operator]/[scan]/[run] sections")
-    p.add_argument("--outdir", help="output directory (or FRACPOS_OUTDIR)")
-    if methods:
-        p.add_argument(
-            "--methods",
-            nargs="+",
-            choices=fem.METHODS,
-            help="spatial methods (default: all three)",
-        )
+# rules that involve more than one option
 
 
 def _resolve_mesh(args):
-    family = _pick(args.family, _cfg(args, "mesh.family"), None)
-    bundled = _pick(args.bundled, _cfg(args, "mesh.bundled"), None)
-    node = _pick(args.node, _cfg(args, "mesh.node"), None)
-    ele = _pick(args.ele, _cfg(args, "mesh.ele"), None)
-    m = _pick(args.M, _cfg(args, "mesh.m", int), None)
-    eps = _pick(args.eps, _cfg(args, "mesh.eps", float), None)
-    sources = sum(x is not None for x in (family, bundled, node))
+    sources = sum(x is not None for x in (args.family, args.bundled, args.node))
     if sources != 1:
         raise UsageError("pick exactly one of --family, --bundled, --node/--ele")
-    if family is None:
-        for flag, value in (("--M (mesh.m)", m), ("--eps (mesh.eps)", eps)):
+    if args.family is None:
+        for flag, value in (("--M (mesh.m)", args.M), ("--eps (mesh.eps)", args.eps)):
             if value is not None:
                 raise UsageError("%s only applies to --family" % flag)
-    if node is not None or ele is not None:
-        if node is None or ele is None:
+    if args.node is not None or args.ele is not None:
+        if args.node is None or args.ele is None:
             raise UsageError("--node and --ele go together")
-        return meshmod.load_triangle_format(node, ele)
-    if bundled is not None:
-        return meshmod.bundled_mesh(bundled)
-    family = _FAMILY_ALIASES.get(family, family)
-    if m is None:
+        return meshmod.load_triangle_format(args.node, args.ele)
+    if args.bundled is not None:
+        return meshmod.bundled_mesh(args.bundled)
+    family = _FAMILY_ALIASES.get(args.family, args.family)
+    if args.M is None:
         raise UsageError("--family needs --M")
     kw = {}
     if family == "sliver":
-        kw["eps"] = 1e-3 if eps is None else eps
-    elif eps is not None:
+        kw["eps"] = 1e-3 if args.eps is None else args.eps
+    elif args.eps is not None:
         raise UsageError("--eps (mesh.eps) only applies to the sliver family")
-    return meshmod.FAMILIES[family](m, **kw)
+    return meshmod.FAMILIES[family](args.M, **kw)
 
 
 def _resolve_operator(args):
-    mu = _pick(args.mu, _cfg(args, "operator.mu"), None)
-    quad = _pick(args.quad_order, _cfg(args, "operator.quad_order", int), 64)
-    alpha = args.alpha
-    if alpha is None:
-        text = _cfg(args, "operator.alpha")
-        alpha = [float(x) for x in text.split()] if text else None
-    weights = args.weights
-    if weights is None:
-        text = _cfg(args, "operator.weights")
-        weights = [float(x) for x in text.split()] if text else None
-    if mu is not None:
-        if alpha is not None or weights is not None:
+    if args.mu is not None:
+        if args.alpha is not None or args.weights is not None:
             raise UsageError("--mu excludes --alpha/--weights")
-        return kernel.FracOperator.distributed(mu, quad_order=quad)
-    alpha = alpha if alpha is not None else [0.5]
-    if len(alpha) == 1 and weights is None:
+        return kernel.FracOperator.distributed(args.mu, quad_order=args.quad_order)
+    alpha = args.alpha if args.alpha is not None else [0.5]
+    if len(alpha) == 1 and args.weights is None:
         return kernel.FracOperator.single_term(alpha[0])
-    return kernel.FracOperator.multi_term(alpha, weights)
+    return kernel.FracOperator.multi_term(alpha, args.weights)
 
 
 def _resolve_scan(args):
-    return semidiscrete.ScanSpec(
-        start=_pick(args.scan_start, _cfg(args, "scan.start", float), 1e-8),
-        stop=_pick(args.scan_stop, _cfg(args, "scan.stop", float), 1e2),
-        per_decade=_pick(args.per_decade, _cfg(args, "scan.per_decade", int), 25),
+    scan = semidiscrete.ScanSpec(
+        start=args.scan_start, stop=args.scan_stop, per_decade=args.per_decade
     )
-
-
-def _resolve_methods(args):
-    return tuple(
-        _pick(
-            getattr(args, "methods", None),
-            (_cfg(args, "run.methods") or "").split() or None,
-            fem.METHODS,
-        )
-    )
+    if scan.points > _DENSE_SIDE:
+        raise UsageError("the scan grid has %d points, above %d" % (scan.points, _DENSE_SIDE))
+    return scan
 
 
 def _mesh_parts(mesh):
@@ -338,7 +366,7 @@ def cmd_semi_curve(args):
     out = _outdir(args)
     grid = scan.grid()
     written = []
-    for method in _resolve_methods(args):
+    for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         curve = semidiscrete.min_entry_curve(system, op, grid)
         parts = {"cmd": "semi-curve", "op": op.label, "method": method}
@@ -364,20 +392,24 @@ def _threshold_trailer(report):
     return ("# threshold " + json.dumps(summary, sort_keys=True),)
 
 
-def cmd_semi_threshold(args):
+def cmd_threshold(args):
     mesh = _resolve_mesh(args)
     op = _resolve_operator(args)
     scan = _resolve_scan(args)
     out = _outdir(args)
-    for method in _resolve_methods(args):
+    if args.command == "semi":
+        find, column = semidiscrete.positivity_threshold, "t"
+    else:
+        find, column = fullydiscrete.fd_positivity_threshold, "tau"
+    for method in args.methods:
         system = fem.build_fem_system(mesh, method)
-        report = semidiscrete.positivity_threshold(system, op, scan=scan, tol=args.tol)
-        parts = {"cmd": "semi-threshold", "op": op.label, "method": method}
+        report = find(system, op, scan=scan, tol=args.tol)
+        parts = {"cmd": "%s-threshold" % args.command, "op": op.label, "method": method}
         parts.update(_mesh_parts(mesh))
         parts.update(_scan_parts(scan))
-        path = os.path.join(out, "semi_threshold_%s.csv" % method)
+        path = os.path.join(out, "%s_threshold_%s.csv" % (args.command, method))
         _write_csv(
-            path, ("t", "min_entry"), report.curve, parts, _threshold_trailer(report)
+            path, (column, "min_entry"), report.curve, parts, _threshold_trailer(report)
         )
         print("%s %s: %s  [%s]" % (method, op.label, report.describe(), path))
     return 0
@@ -389,7 +421,7 @@ def cmd_semi_certify(args):
     delaunay = meshmod.is_delaunay(mesh)
     print("delaunay: %s" % ("true" if delaunay else "false"))
     print("normal: %s" % ("true" if meshmod.is_normal(mesh) else "false"))
-    for method in _resolve_methods(args):
+    for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         stieltjes = fem.is_stieltjes(system.stiffness)
         hinv_pos, hinv_min = semidiscrete.h_inverse_positive(system)
@@ -421,34 +453,15 @@ def cmd_semi_certify(args):
 # fully discrete commands
 
 
-def cmd_fully_threshold(args):
-    mesh = _resolve_mesh(args)
-    op = _resolve_operator(args)
-    scan = _resolve_scan(args)
-    out = _outdir(args)
-    for method in _resolve_methods(args):
-        system = fem.build_fem_system(mesh, method)
-        report = fullydiscrete.fd_positivity_threshold(system, op, scan=scan, tol=args.tol)
-        parts = {"cmd": "fully-threshold", "op": op.label, "method": method}
-        parts.update(_mesh_parts(mesh))
-        parts.update(_scan_parts(scan))
-        path = os.path.join(out, "fully_threshold_%s.csv" % method)
-        _write_csv(
-            path, ("tau", "min_entry"), report.curve, parts, _threshold_trailer(report)
-        )
-        print("%s %s: %s  [%s]" % (method, op.label, report.describe(), path))
-    return 0
-
-
 def cmd_fully_converge(args):
     mesh = _resolve_mesh(args)
     op = _resolve_operator(args)
     out = _outdir(args)
     lo, hi = args.n_exp
-    if not 0 <= lo < hi:
+    if lo >= hi:
         raise UsageError("--n-exp wants two increasing nonnegative integers")
     n_list = [2 ** k for k in range(lo, hi + 1)]
-    method = _resolve_methods(args)[0]
+    method = args.methods[0]
     system = fem.build_fem_system(mesh, method)
     rate, errors = fullydiscrete.convergence_rate(system, op, args.t, n_list)
     parts = {
@@ -469,7 +482,7 @@ def cmd_fully_contractivity(args):
     mesh = _resolve_mesh(args)
     op = _resolve_operator(args)
     out = _outdir(args)
-    method = _resolve_methods(args)[0]
+    method = args.methods[0]
     system = fem.build_fem_system(mesh, method)
     reports = fullydiscrete.max_norm_contractivity_check(
         system, op, args.tau, n_max=args.n_max
@@ -579,7 +592,11 @@ def cmd_reproduce(args):
     if (args.table is None) == (args.figure is None):
         raise UsageError("pick exactly one of --table or --figure")
     if args.table is not None:
+        if args.h0 is not None:
+            raise UsageError("--h0 applies to --figure only")
         return _reproduce_table(args)
+    if args.levels is not None or args.long_run:
+        raise UsageError("--levels and --long-run apply to --table only")
     return _reproduce_figure(args)
 
 
@@ -631,8 +648,6 @@ def _reproduce_figure(args):
         raise UsageError("--figure takes 2 or 3")
     h0 = args.h0 if args.h0 is not None else 0.1
     m = round(1.0 / h0)
-    if m < 2:
-        raise UsageError("--h0 too coarse")
     scan = _resolve_scan(args)
     grid = scan.grid()
     out = _outdir(args)
@@ -672,117 +687,70 @@ def _reproduce_figure(args):
 # parser
 
 
+_MESH = ("family", "M", "eps", "bundled", "node", "ele")
+_OPERATOR = ("alpha", "weights", "mu", "quad_order")
+_SCAN = ("scan_start", "scan_stop", "per_decade")
+_FILES = ("config", "outdir")
+_THRESHOLD = _MESH + _OPERATOR + _SCAN + _FILES + ("methods", "tol")
+
+# (command words, help, handler, option names); a command with
+# subcommands has no handler
+_COMMANDS = (
+    ("mesh", "generate or inspect triangulations", None, ()),
+    ("mesh gen", "generate a mesh family member and save it", cmd_mesh_gen, _MESH + _FILES),
+    ("mesh info", "validate a mesh and print its properties", cmd_mesh_info, _MESH + ("config",)),
+    ("kernel", "scalar kernel evaluations", None, ()),
+    ("kernel ulambda", "relaxation kernel u_lambda(t)", cmd_kernel_ulambda,
+     _OPERATOR + ("lam", "t", "config")),
+    ("kernel weights", "convolution quadrature weights", cmd_kernel_weights,
+     _OPERATOR + ("tau", "n", "config")),
+    ("kernel mittag", "Mittag-Leffler values on the negative axis", cmd_kernel_mittag,
+     ("alpha", "x", "config")),
+    ("semi", "semidiscrete solution matrix experiments", None, ()),
+    ("semi curve", "smallest entry of E(t) over a time scan", cmd_semi_curve,
+     _MESH + _OPERATOR + _SCAN + _FILES + ("methods",)),
+    ("semi threshold", "positivity threshold of E(t)", cmd_threshold, _THRESHOLD),
+    ("semi certify", "sufficient-condition report per method", cmd_semi_certify,
+     _MESH + _FILES + ("methods", "dump_matrices")),
+    ("fully", "backward Euler time stepping experiments", None, ()),
+    ("fully threshold", "positivity threshold of E_{1,tau}", cmd_threshold, _THRESHOLD),
+    ("fully converge", "stepping error against the kernel", cmd_fully_converge,
+     _MESH + _OPERATOR + _FILES + ("methods", "t_final", "n_exp")),
+    ("fully contractivity", "max-norm of E_{n,tau} over n", cmd_fully_contractivity,
+     _MESH + _OPERATOR + _FILES + ("methods", "taus", "n_max")),
+    ("reproduce", "published threshold tables and figure curves", cmd_reproduce,
+     ("table", "figure", "levels", "h0", "long_run") + _SCAN + _FILES),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fracpos",
         description="nonnegativity experiments for fractional-diffusion finite elements",
     )
     parser.add_argument("--version", action="version", version="fracpos " + __version__)
-    top = parser.add_subparsers(dest="command", required=True)
-
-    p_mesh = top.add_parser("mesh", help="generate or inspect triangulations")
-    mesh_sub = p_mesh.add_subparsers(dest="subcommand", required=True)
-    p = mesh_sub.add_parser("gen", help="generate a mesh family member and save it")
-    _add_mesh_flags(p)
-    _add_run_flags(p, methods=False)
-    p.set_defaults(func=cmd_mesh_gen)
-    p = mesh_sub.add_parser("info", help="validate a mesh and print its properties")
-    _add_mesh_flags(p)
-    _add_run_flags(p, methods=False)
-    p.set_defaults(func=cmd_mesh_info)
-
-    p_kernel = top.add_parser("kernel", help="scalar kernel evaluations")
-    kernel_sub = p_kernel.add_subparsers(dest="subcommand", required=True)
-    p = kernel_sub.add_parser("ulambda", help="relaxation kernel u_lambda(t)")
-    _add_operator_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--t", type=float, nargs="+", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_kernel_ulambda)
-    p = kernel_sub.add_parser("weights", help="convolution quadrature weights")
-    _add_operator_flags(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_kernel_weights)
-    p = kernel_sub.add_parser("mittag", help="Mittag-Leffler values on the negative axis")
-    _add_operator_flags(p)
-    p.add_argument("--x", type=float, nargs="+", required=True)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_kernel_mittag)
-
-    p_semi = top.add_parser("semi", help="semidiscrete solution matrix experiments")
-    semi_sub = p_semi.add_subparsers(dest="subcommand", required=True)
-    p = semi_sub.add_parser("curve", help="smallest entry of E(t) over a time scan")
-    _add_mesh_flags(p)
-    _add_operator_flags(p)
-    _add_scan_flags(p)
-    _add_run_flags(p)
-    p.set_defaults(func=cmd_semi_curve)
-    p = semi_sub.add_parser("threshold", help="positivity threshold of E(t)")
-    _add_mesh_flags(p)
-    _add_operator_flags(p)
-    _add_scan_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--tol", type=float, help="negativity tolerance (default 1e-12*N)")
-    p.set_defaults(func=cmd_semi_threshold)
-    p = semi_sub.add_parser("certify", help="sufficient-condition report per method")
-    _add_mesh_flags(p)
-    _add_run_flags(p)
-    p.add_argument(
-        "--dump-matrices", action="store_true", help="write dense mass/stiffness CSVs"
-    )
-    p.set_defaults(func=cmd_semi_certify)
-
-    p_fully = top.add_parser("fully", help="backward Euler time stepping experiments")
-    fully_sub = p_fully.add_subparsers(dest="subcommand", required=True)
-    p = fully_sub.add_parser("threshold", help="positivity threshold of E_{1,tau}")
-    _add_mesh_flags(p)
-    _add_operator_flags(p)
-    _add_scan_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--tol", type=float, help="negativity tolerance (default 1e-12*N)")
-    p.set_defaults(func=cmd_fully_threshold)
-    p = fully_sub.add_parser("converge", help="stepping error against the kernel")
-    _add_mesh_flags(p)
-    _add_operator_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--t", type=float, default=0.1, help="final time (default 0.1)")
-    p.add_argument(
-        "--n-exp",
-        type=int,
-        nargs=2,
-        default=(4, 10),
-        metavar=("LO", "HI"),
-        help="step counts 2^LO..2^HI (default 4 10)",
-    )
-    p.set_defaults(func=cmd_fully_converge)
-    p = fully_sub.add_parser("contractivity", help="max-norm of E_{n,tau} over n")
-    _add_mesh_flags(p)
-    _add_operator_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--tau", type=float, nargs="+", default=(1e-4, 1e-2, 1.0))
-    p.add_argument("--n-max", type=int, default=100)
-    p.set_defaults(func=cmd_fully_contractivity)
-
-    p = top.add_parser("reproduce", help="published threshold tables and figure curves")
-    p.add_argument("--table", type=int, help="table number 1..5")
-    p.add_argument("--figure", type=int, help="figure number 2 or 3")
-    p.add_argument("--levels", nargs="+", help="refinement levels (table only)")
-    p.add_argument("--h0", type=float, help="spacing for figures (default 0.1)")
-    p.add_argument("--long-run", action="store_true", help="allow the finest level")
-    _add_scan_flags(p)
-    _add_run_flags(p, methods=False)
-    p.set_defaults(func=cmd_reproduce)
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, handler, names in _COMMANDS:
+        parent, _, name = path.rpartition(" ")
+        p = subparsers[parent].add_parser(name, help=help_text)
+        if handler is None:
+            subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        groups = {}
+        for opt in (_OPTIONS[n] for n in names):
+            title = _GROUPS.get((opt.key or "").split(".")[0])
+            if title is not None and title not in groups:
+                groups[title] = p.add_argument_group(title)
+            # None marks "not given", so a file value or the default can fill it
+            groups.get(title, p).add_argument(opt.flag, default=None, **opt.kw)
+        p.set_defaults(func=handler, options=names)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args._config = _load_config(args.config)
+        _settle(args)
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

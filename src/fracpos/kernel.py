@@ -389,8 +389,8 @@ def cq_weights(op, tau, n):
     Generating function: sum_j omega_j xi^j = P((1 - xi) / tau).  The
     leading weight equals P(1/tau); all later weights are negative.
     """
-    if not tau > 0.0:
-        raise InvalidParameter("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise InvalidParameter("tau must be positive and finite")
     if n < 0:
         raise InvalidParameter("n must be nonnegative")
     if op.kind == "discrete":

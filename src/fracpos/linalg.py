@@ -8,8 +8,9 @@ are exact inverses of each other up to roundoff:
     back_transform    = L^{-T} W        (columns are M-orthonormal eigenvectors)
     forward_transform = W^T L^T         (its inverse, no matrix inversion needed)
 
-The reduction runs on numpy's LAPACK alone (cholesky, solve, eigh), so the
-threshold commands never import scipy; only solve_spd does, when called.
+The reduction runs on numpy's LAPACK alone (cholesky, solve, eigh), and
+every dense operator, H^{-1} included, is a matrix function through it, so
+nothing here imports scipy.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ __all__ = [
     "cholesky",
     "sym_eigen",
     "gen_sym_eigen",
-    "solve_spd",
 ]
 
 
@@ -145,11 +145,3 @@ def gen_sym_eigen(s, m):
     back = np.linalg.solve(ell.T, vecs)
     forward = (ell @ vecs).T
     return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)
-
-
-def solve_spd(a, b):
-    """Solve A X = B for SPD A via Cholesky."""
-    import scipy.linalg
-
-    factor = scipy.linalg.cho_factor(_check_square(a), lower=True)
-    return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=float))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel, linalg
+from . import kernel
 from .errors import InvalidParameter
 
 __all__ = [
@@ -54,9 +54,12 @@ class ScanSpec:
     def decades(self):
         return math.log10(self.stop / self.start)
 
+    @property
+    def points(self):
+        return int(round(self.decades * self.per_decade)) + 1
+
     def grid(self):
-        count = int(round(self.decades * self.per_decade)) + 1
-        return np.geomspace(self.start, self.stop, count)
+        return np.geomspace(self.start, self.stop, self.points)
 
 
 @dataclass(eq=False)
@@ -233,7 +236,7 @@ def _strictly_positive(a):
 
 def h_inverse_positive(system):
     """Whether H^{-1} = S^{-1} M is entrywise (strictly) positive."""
-    hinv = linalg.solve_spd(system.stiffness, system.mass)
+    hinv = system.eigen.matrix_function(1.0 / system.eigen.eigenvalues)
     return _strictly_positive(hinv)
 
 
@@ -241,7 +244,7 @@ def h_eventually_positive(system, max_power=8):
     """Smallest k <= max_power with H^{-k} > 0 entrywise, else None."""
     if not 1 <= max_power <= 8:
         raise InvalidParameter("max_power must lie in 1..8")
-    hinv = linalg.solve_spd(system.stiffness, system.mass)
+    hinv = system.eigen.matrix_function(1.0 / system.eigen.eigenvalues)
     power = hinv
     for k in range(1, max_power + 1):
         ok, _ = _strictly_positive(power)

@@ -77,6 +77,12 @@ def test_config_mesh_keys_rejected_for_bundled(key, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_mesh_info_has_no_outdir(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("mesh", "info", "--family", "uniform", "--M", "4", "--outdir", str(tmp_path))
+    assert exc.value.code == 2
+
+
 def test_unknown_subcommand_is_argparse_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("mesh", "shred")
@@ -137,6 +143,71 @@ def test_kernel_mittag(capsys):
     assert run_cli("kernel", "mittag", "--alpha", "0.5", "0.2", "--x", "-1.0") == 2
 
 
+@pytest.mark.parametrize("extra", [("--mu", "exp"), ("--weights", "1"), ("--quad-order", "32")])
+def test_kernel_mittag_takes_only_alpha_x_config(extra):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("kernel", "mittag", "--alpha", "0.5", "--x", "-1.0", *extra)
+    assert exc.value.code == 2
+
+
+def test_kernel_mittag_reads_alpha_from_config(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[operator]\nalpha = 0.5\n")
+    assert run_cli("kernel", "mittag", "--config", str(cfg), "--x", "-1.0") == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert float(last.split(",")[1]) == pytest.approx(0.427583576155807, rel=1e-9)
+
+
+def test_infinite_step_is_a_usage_error(tmp_path, capsys):
+    # every weight of an infinite step is zero: no rows, no verdict
+    assert run_cli("kernel", "weights", "--tau", "inf", "--n", "3") == 2
+    rc = run_cli(
+        "fully", "contractivity", "--family", "uniform", "--M", "4", "--methods", "lm",
+        "--tau", "inf", "--outdir", str(tmp_path),
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "contractive" not in out
+    assert err.count("error:") == 2
+    assert not (tmp_path / "contractivity_lm.csv").exists()
+
+
+# bounds from the dense-memory cap (8192^2 float64 entries); each value is
+# one past its bound and exits before any work
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mesh", "info", "--family", "uniform", "--M", "46"),
+        ("semi", "curve", "--family", "uniform", "--M", "4", "--per-decade", "8193"),
+        ("semi", "threshold", "--family", "uniform", "--M", "4",
+         "--scan-start", "1", "--scan-stop", "10", "--per-decade", "8192"),
+        ("kernel", "ulambda", "--lambda", "1", "--t", "1", "--mu", "exp", "--quad-order", "8193"),
+        ("kernel", "weights", "--tau", "1", "--n", "8192"),
+        ("fully", "contractivity", "--family", "uniform", "--M", "4", "--n-max", "8192"),
+        ("fully", "converge", "--family", "uniform", "--M", "2", "--n-exp", "4", "13"),
+        ("fully", "converge", "--family", "uniform", "--M", "2", "--n-exp", "13", "14"),
+        ("reproduce", "--figure", "2", "--h0", "0"),
+        ("reproduce", "--figure", "2", "--h0", "nan"),
+        ("reproduce", "--figure", "2", "--h0", "0.51"),
+        ("reproduce", "--figure", "2", "--h0", "0.022"),
+    ],
+    ids=[
+        "M", "per-decade", "scan-points", "quad-order", "n", "n-max", "n-exp-hi", "n-exp-lo",
+        "h0-zero", "h0-nan", "h0-coarse", "h0-fine",
+    ],
+)
+def test_values_past_their_bound_exit_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRACPOS_OUTDIR", raising=False)
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_numerical_failure_maps_to_exit_one(monkeypatch, capsys):
     def boom(*a, **kw):
         raise NoConvergence("synthetic")
@@ -186,6 +257,40 @@ def test_config_eps_rejected_for_non_sliver(tmp_path, capsys):
     cfg.write_text("[mesh]\nfamily = uniform\nm = 4\neps = 0.1\n")
     assert run_cli("mesh", "info", "--config", str(cfg)) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("[operator]\nalpha = abc\n", ("kernel", "ulambda", "--lambda", "1", "--t", "1"),
+         "config key operator.alpha: cannot read 'abc'"),
+        ("[mesh]\nfamily = bogus\nm = 4\n", ("mesh", "info"), "config key mesh.family: 'bogus'"),
+        ("[mesh]\nm = 46\n", ("mesh", "info", "--family", "uniform"), "config key mesh.m: 46"),
+        ("[mesh\nfamily = uniform\n", ("mesh", "info", "--family", "uniform", "--M", "4"),
+         "config file "),
+        ("[scan]\nper-decade = 5\n", ("semi", "curve", "--family", "uniform", "--M", "4"),
+         "config key scan.per-decade: not one of"),
+        ("[extra]\nper_decade = 5\n", ("semi", "curve", "--family", "uniform", "--M", "4"),
+         "config key extra.per_decade: not one of"),
+        ("[DEFAULT]\nper_decade = 5\n", ("semi", "curve", "--family", "uniform", "--M", "4"),
+         "config key DEFAULT.per_decade: not one of"),
+    ],
+    ids=[
+        "bad-float", "bad-choice", "above-bound", "malformed", "unknown-key", "unknown-section",
+        "default-section",
+    ],
+)
+def test_config_values_get_the_flag_checks(
+    text, argv, message, tmp_path, capsys, monkeypatch
+):
+    # a file value is parsed by its option's type, choices and bounds, and a
+    # key that names no option is an error, not silently dropped
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRACPOS_OUTDIR", raising=False)
+    (tmp_path / "run.ini").write_text(text)
+    assert run_cli(*argv, "--config", "run.ini") == 2
+    assert "error: " + message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 
 def test_outdir_env_fallback(tmp_path, capsys, monkeypatch):
@@ -327,6 +432,13 @@ def test_reproduce_validation(capsys):
     assert "needs --long-run" in err
 
 
+def test_reproduce_rejects_flags_of_the_other_mode(capsys):
+    assert run_cli("reproduce", "--table", "2", "--h0", "0.3") == 2
+    assert run_cli("reproduce", "--figure", "3", "--levels", "40", "--long-run") == 2
+    assert run_cli("reproduce", "--figure", "3", "--long-run") == 2
+    assert capsys.readouterr().err.count("error:") == 3
+
+
 def test_reproduce_has_no_threads_flag():
     # tables run their cells in one loop; the removed pool size is an argparse error
     with pytest.raises(SystemExit) as exc:
@@ -368,8 +480,8 @@ def test_module_entry_point():
 
 
 def test_threshold_commands_do_not_import_scipy(tmp_path):
-    # scipy serves only the stepping oracle, semi certify and the
-    # Mittag-Leffler quadrature; thresholds and contractivity run on numpy
+    # scipy serves only the stepping oracle and the Mittag-Leffler
+    # quadrature; thresholds, certificates and contractivity run on numpy
     script = (
         "import sys\n"
         "from fracpos import cli\n"
@@ -378,6 +490,7 @@ def test_threshold_commands_do_not_import_scipy(tmp_path):
         "    assert cli.main(cmd + mesh + ['--methods', 'sg']) == 0\n"
         "assert cli.main(['fully', 'contractivity'] + mesh + ['--methods', 'lm']) == 0\n"
         "assert cli.main(['reproduce', '--table', '3', '--outdir', sys.argv[1]]) == 0\n"
+        "assert cli.main(['semi', 'certify'] + mesh) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(

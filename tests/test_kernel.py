@@ -311,6 +311,14 @@ def test_cq_weight_signs():
         assert np.all(w[1:] < 0.0)
 
 
+def test_cq_weights_reject_infinite_tau():
+    # an infinite step made every weight zero (tau ** -alpha), a silent
+    # contractive verdict downstream
+    for op in ALL_OPS:
+        with pytest.raises(InvalidParameter):
+            kernel.cq_weights(op, math.inf, 3)
+
+
 def test_cq_leading_weight_is_symbol_value():
     for op in ALL_OPS:
         w = kernel.cq_weights(op, 0.2, 0)

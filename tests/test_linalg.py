@@ -110,11 +110,3 @@ def test_gen_sym_eigen_rejects_indefinite_stiffness():
 def test_gen_sym_eigen_rejects_shape_mismatch():
     with pytest.raises(NotPositiveDefinite):
         linalg.gen_sym_eigen(np.eye(3), np.eye(2))
-
-
-def test_solve_spd_matches_inverse():
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal((9, 9))
-    a = b @ b.T + 9.0 * np.eye(9)
-    x = rng.standard_normal((9, 4))
-    np.testing.assert_allclose(a @ linalg.solve_spd(a, x), x, atol=1e-10)
