@@ -199,12 +199,6 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _fmt_threshold(report):
-    if report.found:
-        return "%.2e" % report.value
-    return report.status
-
-
 # ---------------------------------------------------------------------------
 # rules that involve more than one option
 
@@ -220,7 +214,14 @@ def _resolve_mesh(args):
     if args.node is not None or args.ele is not None:
         if args.node is None or args.ele is None:
             raise UsageError("--node and --ele go together")
-        return meshmod.load_triangle_format(args.node, args.ele)
+        mesh = meshmod.load_triangle_format(args.node, args.ele)
+        # generated and bundled meshes are held to the cap by --M; the
+        # mesh commands build no N x N matrix
+        if args.command != "mesh" and mesh.interior_count > _DENSE_SIDE:
+            raise UsageError(
+                "the mesh has %d interior nodes, above %d" % (mesh.interior_count, _DENSE_SIDE)
+            )
+        return mesh
     if args.bundled is not None:
         return meshmod.bundled_mesh(args.bundled)
     family = _FAMILY_ALIASES.get(args.family, args.family)
@@ -578,11 +579,11 @@ def _table_mesh(spec, level):
 
 def _table_cell(system, op, scan):
     try:
-        sd = _fmt_threshold(semidiscrete.positivity_threshold(system, op, scan=scan))
+        sd = semidiscrete.positivity_threshold(system, op, scan=scan).describe()
     except FracposError as exc:
         sd = ("FAIL(%s)" % exc).replace(",", ";")
     try:
-        fd = _fmt_threshold(fullydiscrete.fd_positivity_threshold(system, op, scan=scan))
+        fd = fullydiscrete.fd_positivity_threshold(system, op, scan=scan).describe()
     except FracposError as exc:
         fd = ("FAIL(%s)" % exc).replace(",", ";")
     return sd, fd

@@ -30,10 +30,6 @@ class ParseError(UsageError):
     """Malformed mesh file: bad header, bad line, or index out of range."""
 
 
-class OrientationError(UsageError):
-    """A triangle read from file is degenerate (area below 1e-14)."""
-
-
 class NotPositiveDefinite(NumericalError):
     pass
 

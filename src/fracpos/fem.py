@@ -8,9 +8,9 @@ Methods:
        over the control volume around node i (barycentric dual: barycenter
        joined to edge midpoints), local matrix |K|/108 * (15 I + 7 ones)
 
-Assembly always runs over all nodes; homogeneous Dirichlet conditions are
-imposed by restricting rows and columns to the interior block afterwards,
-which the interior-first node ordering makes a plain slice.
+Homogeneous Dirichlet conditions: assembly keeps only the contributions
+between interior nodes, which the interior-first node ordering places in
+the leading block (interior_only=False assembles over all nodes).
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateTriangle, InvalidParameter, NotPositiveDefinite
+from .mesh import edge_table, triangle_areas
 
 __all__ = [
     "METHODS",
@@ -42,34 +43,36 @@ _FVE_LOCAL = (15.0 * np.eye(3) + 7.0 * np.ones((3, 3))) / 108.0
 
 
 def _geometry(mesh):
-    p = mesh.nodes[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = triangle_areas(mesh.nodes, mesh.triangles)
     if np.any(areas < 1e-14):
         raise DegenerateTriangle(
             "triangle area below 1e-14 at index %d" % int(np.argmin(areas))
         )
-    return p, areas
+    return mesh.nodes[mesh.triangles], areas
 
 
-def _scatter(mesh, local_blocks):
-    n = mesh.n_nodes
-    full = np.zeros((n, n))
-    tri = mesh.triangles
-    for a in range(3):
-        for b in range(3):
-            np.add.at(full, (tri[:, a], tri[:, b]), local_blocks[:, a, b])
-    return full
-
-
-def _restrict(mesh, full, interior_only):
+def _side(mesh, interior_only):
+    """Side of the assembled matrix: the interior block or all nodes."""
     if not interior_only:
-        return full
+        return mesh.n_nodes
     n = mesh.interior_count
     if n == 0:
         raise InvalidParameter("mesh has no interior nodes")
-    return full[:n, :n].copy()
+    return n
+
+
+def _scatter(mesh, local_blocks, interior_only):
+    # entries that touch a boundary node are dropped before the scatter;
+    # add.at keeps the order of the remaining contributions, so the
+    # interior block is the same to the bit as a slice of the full matrix
+    n = _side(mesh, interior_only)
+    out = np.zeros((n, n))
+    tri = mesh.triangles
+    for a in range(3):
+        for b in range(3):
+            keep = (tri[:, a] < n) & (tri[:, b] < n)
+            np.add.at(out, (tri[keep, a], tri[keep, b]), local_blocks[keep, a, b])
+    return out
 
 
 def assemble_stiffness(mesh, interior_only=True):
@@ -88,23 +91,22 @@ def assemble_stiffness(mesh, interior_only=True):
     rot[:, :, 1] = edges[:, :, 0]
     grads = rot / (2.0 * areas)[:, None, None]
     local = np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
-    return _restrict(mesh, _scatter(mesh, local), interior_only)
+    return _scatter(mesh, local, interior_only)
 
 
 def assemble_mass_sg(mesh, interior_only=True):
     """Consistent L2 mass matrix."""
     _, areas = _geometry(mesh)
     local = _SG_LOCAL[None, :, :] * areas[:, None, None]
-    return _restrict(mesh, _scatter(mesh, local), interior_only)
+    return _scatter(mesh, local, interior_only)
 
 
 def assemble_mass_lm(mesh, interior_only=True):
     """Lumped (diagonal) mass matrix; equals the row sums of the sg mass."""
     _, areas = _geometry(mesh)
-    n = mesh.n_nodes
-    diag = np.zeros(n)
+    diag = np.zeros(mesh.n_nodes)
     np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
-    return _restrict(mesh, np.diag(diag), interior_only)
+    return np.diag(diag[: _side(mesh, interior_only)])
 
 
 def assemble_mass_fve(mesh, interior_only=True):
@@ -115,7 +117,7 @@ def assemble_mass_fve(mesh, interior_only=True):
     """
     _, areas = _geometry(mesh)
     local = _FVE_LOCAL[None, :, :] * areas[:, None, None]
-    return _restrict(mesh, _scatter(mesh, local), interior_only)
+    return _scatter(mesh, local, interior_only)
 
 
 _MASS = {
@@ -191,11 +193,5 @@ def system_from_matrices(mass, stiffness, method="sg", mesh=None):
 
 def neighbor_pairs(mesh):
     """Interior node pairs joined by an edge, as (i, j) with i < j."""
-    from .mesh import _edge_table
-
-    n = mesh.interior_count
-    pairs = []
-    for (a, b) in sorted(_edge_table(mesh.triangles)):
-        if a < n and b < n:
-            pairs.append((a, b))
-    return pairs
+    edges, _ = edge_table(mesh.triangles)
+    return [tuple(e) for e in edges[edges[:, 1] < mesh.interior_count].tolist()]

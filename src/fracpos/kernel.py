@@ -332,6 +332,8 @@ def mittag_leffler(alpha, x):
     """E_alpha(x) for alpha in (0, 1] and x <= 0."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError("alpha %r outside (0, 1]" % (alpha,))
+    if not math.isfinite(x):
+        raise DomainError("x must be finite, got %r" % (x,))
     if x > 0.0:
         raise DomainError("only the decaying branch x <= 0 is supported")
     if x == 0.0:

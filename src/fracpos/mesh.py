@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameter, OrientationError, ParseError
+from .errors import InvalidParameter, ParseError
 
 __all__ = [
     "TriMesh",
@@ -38,6 +38,8 @@ __all__ = [
     "save_triangle_format",
     "bundled_mesh",
     "bundled_mesh_names",
+    "triangle_areas",
+    "edge_table",
     "delaunay_edges",
     "is_delaunay",
     "is_normal",
@@ -78,39 +80,37 @@ class TriMesh:
         return int(np.count_nonzero(~self.boundary))
 
 
-def _triangle_areas(nodes, triangles):
+def triangle_areas(nodes, triangles):
+    """Signed area of each triangle, positive when counterclockwise."""
     p = nodes[triangles]
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
-def _edge_table(triangles):
-    """Map sorted node pair -> list of (triangle index, opposite local vertex)."""
-    table = {}
-    for t, tri in enumerate(triangles):
-        for k in range(3):
-            a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
-            key = (a, b) if a < b else (b, a)
-            table.setdefault(key, []).append((t, k))
-    return table
+def edge_table(triangles):
+    """Unique edges of a triangulation and the edge of each half-edge.
+
+    Half-edge (t, k) is the side of triangle t opposite its local vertex
+    k.  Returns (edges, of_half): edges is an (E, 2) array of node pairs
+    a < b in lexicographic order, and of_half[t, k] is the row of edges
+    that half-edge (t, k) lies on.
+    """
+    tri = np.asarray(triangles, dtype=np.int64)
+    sides = np.sort(np.stack([tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=2), axis=2)
+    edges, of_half = np.unique(sides.reshape(-1, 2), axis=0, return_inverse=True)
+    return edges, of_half.reshape(tri.shape)
 
 
-def _finalize(nodes, triangles, boundary=None, family="", h0=None, from_file=False):
+def _finalize(nodes, triangles, boundary=None, family="", h0=None):
     nodes = np.asarray(nodes, dtype=float)
     triangles = np.asarray(triangles, dtype=np.int64)
-    areas = 0.5 * (
-        (nodes[triangles[:, 1], 0] - nodes[triangles[:, 0], 0])
-        * (nodes[triangles[:, 2], 1] - nodes[triangles[:, 0], 1])
-        - (nodes[triangles[:, 1], 1] - nodes[triangles[:, 0], 1])
-        * (nodes[triangles[:, 2], 0] - nodes[triangles[:, 0], 0])
-    )
+    areas = triangle_areas(nodes, triangles)
     tiny = np.abs(areas) < _AREA_TOL
     if np.any(tiny):
-        msg = "degenerate triangle(s) at index %s" % np.nonzero(tiny)[0][:5]
-        if from_file:
-            raise OrientationError(msg)
-        raise InvalidParameter(msg)
+        raise InvalidParameter(
+            "degenerate triangle(s) at index %s" % np.nonzero(tiny)[0][:5]
+        )
     flip = areas < 0.0
     if np.any(flip):
         triangles = triangles.copy()
@@ -119,11 +119,9 @@ def _finalize(nodes, triangles, boundary=None, family="", h0=None, from_file=Fal
             triangles[flip, 1].copy(),
         )
     if boundary is None:
+        edges, of_half = edge_table(triangles)
         boundary = np.zeros(nodes.shape[0], dtype=bool)
-        for (a, b), tris in _edge_table(triangles).items():
-            if len(tris) == 1:
-                boundary[a] = True
-                boundary[b] = True
+        boundary[edges[np.bincount(of_half.ravel()) == 1]] = True
     else:
         boundary = np.asarray(boundary, dtype=bool)
     # reorder interior nodes first, preserving creation order within groups
@@ -380,7 +378,7 @@ def load_triangle_format(node_path, ele_path):
             if not 0 <= v < count:
                 raise ParseError("%s:%d: node index out of range" % (ele_path, lineno))
             tris[row, k] = v
-    return _finalize(nodes, tris, boundary, from_file=True)
+    return _finalize(nodes, tris, boundary)
 
 
 def save_triangle_format(mesh, node_path, ele_path):
@@ -427,12 +425,16 @@ class EdgeInfo:
     is_delaunay: bool
 
 
-def _angle_at(nodes, apex, a, b):
-    va = nodes[a] - nodes[apex]
-    vb = nodes[b] - nodes[apex]
-    cross = va[0] * vb[1] - va[1] * vb[0]
-    dot = va[0] * vb[0] + va[1] * vb[1]
-    return math.atan2(abs(cross), dot)
+def _edge_counts(triangles):
+    """edge_table and the triangles per edge; no edge may border three."""
+    edges, of_half = edge_table(triangles)
+    counts = np.bincount(of_half.ravel())
+    if counts.max(initial=0) > 2:
+        k = int(np.argmax(counts))
+        raise InvalidParameter(
+            "edge (%d, %d) shared by %d triangles" % (edges[k, 0], edges[k, 1], counts[k])
+        )
+    return edges, of_half, counts
 
 
 def delaunay_edges(mesh):
@@ -442,22 +444,27 @@ def delaunay_edges(mesh):
     (plus 1e-12 slack, so edges of cocircular quads count as Delaunay).
     Boundary edges see a single angle and pass trivially.
     """
+    edges, of_half, counts = _edge_counts(mesh.triangles)
+    # the angle at local vertex k faces half-edge (t, k)
+    p = mesh.nodes[mesh.triangles]
+    va = p[:, [1, 2, 0]] - p
+    vb = p[:, [2, 0, 1]] - p
+    cross = va[..., 0] * vb[..., 1] - va[..., 1] * vb[..., 0]
+    dot = va[..., 0] * vb[..., 0] + va[..., 1] * vb[..., 1]
+    angles = np.arctan2(np.abs(cross), dot).ravel()
+    # each edge's angles in triangle order
+    angles = angles[np.argsort(of_half.ravel(), kind="stable")].tolist()
+    ends = np.cumsum(counts).tolist()
     out = []
-    for (a, b), hits in sorted(_edge_table(mesh.triangles).items()):
-        if len(hits) > 2:
-            raise InvalidParameter(
-                "edge (%d, %d) shared by %d triangles" % (a, b, len(hits))
-            )
-        angles = tuple(
-            _angle_at(mesh.nodes, mesh.triangles[t, k], a, b) for t, k in hits
-        )
+    for (a, b), start, end in zip(edges.tolist(), [0] + ends, ends):
+        opposite = tuple(angles[start:end])
         out.append(
             EdgeInfo(
                 node_a=a,
                 node_b=b,
-                opposite_angles=angles,
-                is_boundary=len(hits) == 1,
-                is_delaunay=sum(angles) <= math.pi + _ANGLE_SUM_TOL,
+                opposite_angles=opposite,
+                is_boundary=len(opposite) == 1,
+                is_delaunay=sum(opposite) <= math.pi + _ANGLE_SUM_TOL,
             )
         )
     return out
@@ -470,7 +477,7 @@ def is_delaunay(mesh):
 
 def _adjacency(mesh):
     nbrs = [set() for _ in range(mesh.n_nodes)]
-    for (a, b) in _edge_table(mesh.triangles):
+    for a, b in edge_table(mesh.triangles)[0].tolist():
         nbrs[a].add(b)
         nbrs[b].add(a)
     return nbrs
@@ -501,10 +508,9 @@ def is_normal(mesh):
 
 def mesh_size(mesh):
     """Longest edge length."""
-    h = 0.0
-    for (a, b) in _edge_table(mesh.triangles):
-        h = max(h, float(np.hypot(*(mesh.nodes[a] - mesh.nodes[b]))))
-    return h
+    edges, _ = edge_table(mesh.triangles)
+    d = mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]]
+    return float(np.hypot(d[:, 0], d[:, 1]).max(initial=0.0))
 
 
 def validate_mesh(mesh):
@@ -517,18 +523,14 @@ def validate_mesh(mesh):
         raise InvalidParameter("duplicate nodes within 1e-12")
     if tris.min() < 0 or tris.max() >= nodes.shape[0]:
         raise InvalidParameter("triangle index out of range")
-    areas = _triangle_areas(nodes, tris)
+    areas = triangle_areas(nodes, tris)
     if areas.min() < _AREA_TOL:
         raise InvalidParameter("triangle area below 1e-14 or negative orientation")
     interior = mesh.interior_count
     if mesh.boundary[:interior].any() or not mesh.boundary[interior:].all():
         raise InvalidParameter("nodes are not ordered interior-first")
+    edges, _, counts = _edge_counts(tris)
     topological = np.zeros(nodes.shape[0], dtype=bool)
-    for (a, b), hits in _edge_table(tris).items():
-        if len(hits) > 2:
-            raise InvalidParameter("edge shared by more than two triangles")
-        if len(hits) == 1:
-            topological[a] = True
-            topological[b] = True
+    topological[edges[counts == 1]] = True
     if not np.array_equal(topological, mesh.boundary):
         raise InvalidParameter("boundary flags disagree with edge topology")

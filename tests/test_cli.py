@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fracpos import cli, kernel, mesh
+from fracpos import cli, fem, kernel, mesh
 from fracpos.errors import NoConvergence
 from fracpos.semidiscrete import ScanSpec
 
@@ -77,6 +77,24 @@ def test_config_mesh_keys_rejected_for_bundled(key, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_file_mesh_above_the_cap_exits_2_before_assembly(tmp_path, capsys, monkeypatch):
+    big = mesh.gen_uniform_square(92)
+    assert big.interior_count == 8281
+    node, ele = str(tmp_path / "big.node"), str(tmp_path / "big.ele")
+    mesh.save_triangle_format(big, node, ele)
+
+    def no_assembly(*args):
+        raise AssertionError("assembled a mesh above the cap")
+
+    monkeypatch.setattr(fem, "build_fem_system", no_assembly)
+    rc = run_cli("semi", "threshold", "--node", node, "--ele", ele, "--outdir", str(tmp_path))
+    assert rc == 2
+    assert "8281 interior nodes, above 8192" in capsys.readouterr().err
+    # mesh info builds no N x N matrix, so it takes the file
+    assert run_cli("mesh", "info", "--node", node, "--ele", ele) == 0
+    assert "interior: 8281" in capsys.readouterr().out
+
+
 def test_mesh_info_has_no_outdir(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("mesh", "info", "--family", "uniform", "--M", "4", "--outdir", str(tmp_path))
@@ -141,6 +159,15 @@ def test_kernel_mittag(capsys):
     assert float(last.split(",")[1]) == pytest.approx(0.427583576155807, rel=1e-9)
     assert run_cli("kernel", "mittag", "--x", "-1.0") == 2  # alpha required
     assert run_cli("kernel", "mittag", "--alpha", "0.5", "0.2", "--x", "-1.0") == 2
+
+
+@pytest.mark.parametrize("x", ["nan", "-inf"])
+def test_kernel_mittag_rejects_non_finite_x(x, capsys):
+    # --x=-inf: a separate "-inf" would be read as a flag
+    assert run_cli("kernel", "mittag", "--alpha", "0.5", "--x=" + x) == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert "error:" in err
 
 
 @pytest.mark.parametrize("extra", [("--mu", "exp"), ("--weights", "1"), ("--quad-order", "32")])

@@ -1,6 +1,7 @@
 """Element assembly for the three mass inner products and matrix predicates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,34 @@ def test_stiffness_rejects_degenerate_triangle():
     )
     with pytest.raises(DegenerateTriangle):
         fem.assemble_stiffness(m, interior_only=False)
+
+
+@pytest.mark.parametrize("assemble", [fem.assemble_stiffness, fem.assemble_mass_lm])
+def test_interior_assembly_needs_an_interior_node(assemble):
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    m = mesh.TriMesh(
+        nodes=nodes,
+        triangles=np.array([[0, 1, 2]]),
+        boundary=np.ones(3, dtype=bool),
+    )
+    assert assemble(m, interior_only=False).shape == (3, 3)
+    with pytest.raises(InvalidParameter):
+        assemble(m)
+
+
+@pytest.mark.parametrize("assemble", [fem.assemble_mass_sg, fem.assemble_stiffness])
+def test_assembly_allocates_only_the_interior_block(assemble):
+    # uniform M=40: N = 1521 unknowns among 1681 nodes; an all-node matrix
+    # would be 1.22 times the N x N block
+    m = mesh.gen_uniform_square(40)
+    n = m.interior_count
+    tracemalloc.start()
+    try:
+        assemble(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * n * n * 8
 
 
 # mass matrices

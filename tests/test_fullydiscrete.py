@@ -153,6 +153,43 @@ def test_first_step_bound_scales_with_stiffness(get_system, scale):
     assert bound.omega_bisect == pytest.approx(scale * base, rel=5e-3)
 
 
+def _neighbor_pair_bounds(system):
+    """Reference: the first-step bounds over the mesh's interior edges."""
+    m, s = system.mass, system.stiffness
+    sups, ratios = [], []
+    for i, j in fem.neighbor_pairs(system.mesh):
+        mij, sij = m[i, j], s[i, j]
+        if mij > 0.0:
+            ratios.append(abs(sij) / mij)
+            sups.append(-sij / mij if sij < 0.0 else 0.0)
+        else:
+            sups.append(math.inf if sij <= 0.0 else 0.0)
+    return min(sups, default=math.inf), max(ratios, default=math.inf)
+
+
+@pytest.mark.parametrize("method", fem.METHODS)
+@pytest.mark.parametrize(
+    "family, kw",
+    [
+        ("uniform", {"m": 3}),
+        ("uniform", {"m": 10}),
+        ("crossed", {"m": 5}),
+        ("sliver", {"m": 10}),
+        ("equilateral", {"m": 4}),
+        ("lshape_coarse", {}),
+        ("disk_coarse", {}),
+        pytest.param("disk_medium", {}, marks=pytest.mark.extended),
+    ],
+)
+def test_first_step_bounds_need_only_the_matrices(get_system, family, kw, method):
+    # the coupling pattern of (M, S) gives the bounds of the mesh edges
+    sys = get_system(family, method, **kw)
+    want = _neighbor_pair_bounds(sys)
+    for system in (sys, fem.system_from_matrices(sys.mass, sys.stiffness, method)):
+        bound = fullydiscrete.first_step_positivity_omega(system)
+        assert (bound.omega_certified, bound.omega_stated) == want
+
+
 def test_first_step_bound_lm_unbounded(get_system):
     bound = fullydiscrete.first_step_positivity_omega(
         get_system("uniform", "lm", m=4)

@@ -127,6 +127,12 @@ def test_mittag_leffler_edges():
         kernel.mittag_leffler(0.5, 1.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, -math.inf])
+def test_mittag_leffler_rejects_non_finite_x(x):
+    with pytest.raises(DomainError):
+        kernel.mittag_leffler(0.5, x)
+
+
 # relaxation kernel
 
 

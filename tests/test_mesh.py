@@ -193,12 +193,44 @@ def test_single_triangle_all_boundary_and_delaunay():
     assert mesh.is_delaunay(m)
 
 
+def test_edge_shared_by_three_triangles_is_rejected():
+    # three triangles on the edge (0, 1): one above, one below, one overlapping
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    m = mesh.TriMesh(nodes=nodes, triangles=tris, boundary=np.ones(5, dtype=bool))
+    with pytest.raises(InvalidParameter, match="shared by"):
+        mesh.validate_mesh(m)
+    with pytest.raises(InvalidParameter, match="shared by"):
+        mesh.delaunay_edges(m)
+
+
 def test_delaunay_tie_counts_as_delaunay():
     # two right triangles in a square: opposite angles sum to exactly pi
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
     m = mesh.TriMesh(nodes=nodes, triangles=tris, boundary=np.ones(4, dtype=bool))
     assert mesh.is_delaunay(m)
+
+
+# edge table
+
+
+@pytest.mark.parametrize("name", sorted(mesh.FAMILIES) + mesh.bundled_mesh_names())
+def test_edge_table_obeys_euler(name):
+    m = mesh.FAMILIES[name](6) if name in mesh.FAMILIES else mesh.bundled_mesh(name)
+    edges, of_half = mesh.edge_table(m.triangles)
+    # V - E + F = 1 on a simply connected domain
+    assert edges.shape[0] == m.n_nodes + m.n_triangles - 1
+    assert np.all(edges[:, 0] < edges[:, 1])
+    # one boundary edge per boundary node, since the boundary is one cycle
+    counts = np.bincount(of_half.ravel())
+    assert counts.max() == 2
+    assert np.count_nonzero(counts == 1) == np.count_nonzero(m.boundary)
+    # half-edge (t, k) joins the two vertices of triangle t other than k
+    sides = edges[of_half]
+    tri = m.triangles[:, None, :]
+    assert np.all((sides[..., :1] == tri).any(-1) & (sides[..., 1:] == tri).any(-1))
+    assert not np.any(sides == m.triangles[:, :, None])
 
 
 # Triangle-format I/O
@@ -233,6 +265,15 @@ def test_load_rejects_out_of_range_index(tmp_path):
     (tmp_path / "b.ele").write_text("1 3 0\n1 1 2 999\n")
     with pytest.raises(ParseError):
         mesh.load_triangle_format(tmp_path / "b.node", tmp_path / "b.ele")
+
+
+def test_load_rejects_degenerate_triangle(tmp_path):
+    (tmp_path / "d.node").write_text(
+        "3 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1\n3 2.0 0.0 1\n"
+    )
+    (tmp_path / "d.ele").write_text("1 3 0\n1 1 2 3\n")
+    with pytest.raises(InvalidParameter, match="degenerate"):
+        mesh.load_triangle_format(tmp_path / "d.node", tmp_path / "d.ele")
 
 
 def test_load_missing_file_is_parse_error(tmp_path):

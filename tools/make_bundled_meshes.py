@@ -127,10 +127,7 @@ def verify(name, domain, mesh, target):
     if not meshmod.is_delaunay(mesh):
         bad = sum(not e.is_delaunay for e in meshmod.delaunay_edges(mesh))
         raise SystemExit("%s: %d non-delaunay edges" % (name, bad))
-    tris = mesh.nodes[mesh.triangles]
-    d1 = tris[:, 1] - tris[:, 0]
-    d2 = tris[:, 2] - tris[:, 0]
-    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]).sum()
+    area = np.abs(meshmod.triangle_areas(mesh.nodes, mesh.triangles)).sum()
     if domain == "lshape":
         if abs(area - 0.75) > 1e-10:
             raise SystemExit("%s: area %.12f != 0.75" % (name, area))
