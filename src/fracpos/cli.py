@@ -215,6 +215,7 @@ def _resolve_mesh(args):
         if args.node is None or args.ele is None:
             raise UsageError("--node and --ele go together")
         mesh = meshmod.load_triangle_format(args.node, args.ele)
+        meshmod.validate_mesh(mesh)
         # generated and bundled meshes are held to the cap by --M; the
         # mesh commands build no N x N matrix
         if args.command != "mesh" and mesh.interior_count > _DENSE_SIDE:

@@ -1,17 +1,23 @@
 """Scalar time kernels for fractional relaxation.
 
-The time operator is described by its symbol P(z): a finite combination
-sum_i b_i z^{a_i} with decreasing exponents in (0, 1], or an integral
-int_0^1 z^a mu(a) da with a positive weight function mu.  The relaxation
-kernel
+Every time operator has one symbol form, a finite sum of weighted powers
+
+    P(z) = sum_k b_k z^{a_k},   a_k in (0, 1],  b_k > 0.
+
+A single- or multi-term operator gives its own exponents and weights; a
+distributed operator int_0^1 z^a mu(a) da gives the Gauss-Legendre nodes
+a_k with weights w_k mu(a_k).  FracOperator.terms holds (a, b) from
+construction on, so the symbol and the convolution weights have one
+formula each.  The relaxation kernel
 
     u_lambda(t) = (1 / 2 pi i) int_Gamma e^{zt} P(z) / (z (P(z) + lambda)) dz
 
-is evaluated on a hyperbola z = scale * (1 + sin(i xi - angle)) with the
-trapezoid rule at half-offset nodes; the parameter defaults follow the
-standard optimized choice for this contour (step 1.0818/K, scale 4.4921*K/t
-for 2K nodes) which converges like exp(-2.85 K).  Conjugate symmetry of the
-nodes makes the imaginary part cancel; its residual is the accuracy check.
+is evaluated on one fixed hyperbola z = scale * (1 + sin(i xi - angle))
+with the trapezoid rule at 2K = 48 half-offset nodes and the optimized
+parameters for this contour (step 1.0818/K, scale 4.4921*K/t, angle
+1.1721; Weideman & Trefethen, Math. Comp. 76, 2007), which converge like
+exp(-2.85 K).  Conjugate symmetry of the nodes makes the imaginary part
+cancel; its residual is the accuracy check.
 
 For the single-term case u_lambda(t) = E_a(-lambda t^a), evaluated here by
 power series while the terms stay small and otherwise by the completely
@@ -22,7 +28,7 @@ monotone branch-cut representation
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +42,6 @@ from .errors import (
 
 __all__ = [
     "FracOperator",
-    "ContourSpec",
     "MU_FUNCTIONS",
     "char_fn",
     "u_lambda",
@@ -56,8 +61,14 @@ MU_FUNCTIONS = {
 }
 
 # complex entries of one chunk of u_lambda_many's quotient table and of
-# the distributed symbol's power table
+# the symbol's power table
 CHUNK_ENTRIES = 2 ** 14
+
+# the contour: 2K trapezoid nodes, step, scale times t, angle
+_NODES = 48
+_STEP = 1.0818 / (_NODES // 2)
+_SCALE_T = 4.4921 * (_NODES // 2)
+_ANGLE = 1.1721
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,8 @@ class FracOperator:
     kind "discrete": P(z) = sum b_i z^{a_i}, exponents strictly decreasing
     in (0, 1], leading weight normalized to 1.  kind "distributed":
     P(z) = int_0^1 z^a mu(a) da with mu positive at both endpoints,
-    evaluated by Gauss-Legendre quadrature of the given order.
+    evaluated by Gauss-Legendre quadrature of the given order.  terms is
+    the symbol as arrays (exponents, weights) of one sum of powers.
     """
 
     kind: str
@@ -76,6 +88,7 @@ class FracOperator:
     weight_fn: object = None
     quad_order: int = 64
     label: str = ""
+    terms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "discrete":
@@ -86,8 +99,8 @@ class FracOperator:
             for a in self.exponents:
                 if not 0.0 < a <= 1.0:
                     raise InvalidParameter("exponent %r outside (0, 1]" % (a,))
-            if any(b <= 0.0 for b in self.weights):
-                raise InvalidParameter("weights must be positive")
+            if not all(0.0 < b < math.inf for b in self.weights):
+                raise InvalidParameter("weights must be positive and finite")
             if abs(self.weights[0] - 1.0) > 1e-14:
                 raise InvalidParameter("leading weight must be 1")
             if any(
@@ -95,6 +108,7 @@ class FracOperator:
                 for i in range(len(self.exponents) - 1)
             ):
                 raise InvalidParameter("exponents must decrease strictly")
+            terms = (np.array(self.exponents), np.array(self.weights))
         elif self.kind == "distributed":
             if not callable(self.weight_fn):
                 raise InvalidParameter("distributed operator needs a weight function")
@@ -102,8 +116,11 @@ class FracOperator:
                 raise InvalidParameter("quadrature order below 16")
             if self.mu_at(0.0) <= 0.0 or self.mu_at(1.0) <= 0.0:
                 raise InvalidParameter("weight function must be positive at 0 and 1")
+            x, wq = _leggauss01(self.quad_order)
+            terms = (x, wq * self.mu_values(x))
         else:
             raise InvalidParameter("unknown operator kind %r" % (self.kind,))
+        object.__setattr__(self, "terms", terms)
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
 
@@ -164,33 +181,28 @@ def _leggauss01(order):
 
 def _char_fn_vec(op, z):
     """P(z) on an array of complex points off the negative real axis."""
-    z = np.asarray(z, dtype=complex)
-    logz = np.log(z)
-    if op.kind == "discrete":
-        acc = np.zeros_like(z)
-        for b, a in zip(op.weights, op.exponents):
-            acc += b * np.exp(a * logz)
-        return acc
-    x, wq = _leggauss01(op.quad_order)
-    coef = wq * op.mu_values(x)
-    # (Q, rows, K) table of z^{a_q}, a few rows of points at a time; an
+    exponents, weights = op.terms
+    logz = np.log(np.asarray(z, dtype=complex))
+    # (terms, rows, K) table of z^{a_k}, a few rows of points at a time; an
     # empty array gives no rows
     rows = logz.reshape(-1, max(1, logz.shape[-1]))
     out = np.empty(rows.shape, dtype=complex)
-    per_chunk = max(1, CHUNK_ENTRIES // (x.shape[0] * rows.shape[1]))
+    per_chunk = max(1, CHUNK_ENTRIES // (exponents.shape[0] * rows.shape[1]))
     for start in range(0, rows.shape[0], per_chunk):
         part = slice(start, start + per_chunk)
-        out[part] = np.tensordot(coef, np.exp(np.multiply.outer(x, rows[part])), axes=1)
-    return out.reshape(z.shape)
+        out[part] = np.tensordot(
+            weights, np.exp(np.multiply.outer(exponents, rows[part])), axes=1
+        )
+    return out.reshape(logz.shape)
 
 
 def char_fn(op, z):
     """Symbol P(z); real positive arguments give a float back.
 
-    An array of real positive arguments gives a float array back (for a
-    distributed operator its entries may differ from the scalar calls in
-    the last bit).  Raises BranchCut on the negative real axis (including
-    0) where the principal fractional powers are not analytic.
+    An array of real positive arguments gives a float array back (its
+    entries may differ from the scalar calls in the last bit when the sum
+    has several terms).  Raises BranchCut on the negative real axis
+    (including 0) where the principal fractional powers are not analytic.
     """
     if np.ndim(z):
         z = np.asarray(z, dtype=float)
@@ -205,46 +217,21 @@ def char_fn(op, z):
     return complex(_char_fn_vec(op, np.array([zc]))[0])
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Hyperbola and trapezoid step for the inversion integral.
-
-    Any of scale/angle/step left as None is filled in per evaluation time
-    with the optimized defaults.  node_count must be even (conjugate node
-    pairs) and at least 16.
-    """
-
-    node_count: int = 48
-    scale: float = None
-    angle: float = None
-    step: float = None
-
-    def __post_init__(self):
-        if self.node_count < 16 or self.node_count % 2:
-            raise InvalidParameter("node_count must be even and >= 16")
-        if self.angle is not None and not 0.0 < self.angle < 0.5 * math.pi:
-            raise InvalidParameter("angle must lie in (0, pi/2)")
-
-    def nodes(self, t):
-        """Nodes z and trapezoid weights for time t; a column of times gives rows."""
-        half = self.node_count // 2
-        step = self.step if self.step is not None else 1.0818 / half
-        scale = self.scale if self.scale is not None else 4.4921 * half / t
-        angle = self.angle if self.angle is not None else 1.1721
-        xi = (np.arange(-half, half) + 0.5) * step
-        w = 1j * xi - angle
-        z = scale * (1.0 + np.sin(w))
-        dz = scale * 1j * np.cos(w)
-        return z, dz * step
+def _contour_nodes(t):
+    """Nodes z and trapezoid weights for time t; a column of times gives rows."""
+    half = _NODES // 2
+    w = 1j * ((np.arange(-half, half) + 0.5) * _STEP) - _ANGLE
+    scale = _SCALE_T / t
+    return scale * (1.0 + np.sin(w)), scale * 1j * np.cos(w) * _STEP
 
 
-def u_lambda_many(op, lams, t, contour=None):
+def u_lambda_many(op, lams, t):
     """Relaxation kernel u_lambda(t) for a whole array of lambda at once.
 
     A scalar t gives one value per lambda.  A 1-D array of times gives one
     row per time, each equal bit for bit to the scalar call at that time;
-    the (times x lambda x nodes) quotient table is formed about
-    CHUNK_ENTRIES entries at a time.
+    t = 0 gives a row of ones, and the (times x lambda x nodes) quotient
+    table is formed about CHUNK_ENTRIES entries at a time.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all((lams > 0.0) & (lams < math.inf)):
@@ -259,14 +246,12 @@ def u_lambda_many(op, lams, t, contour=None):
             "t must be finite and nonnegative, got %r" % (float(flat[bad][0]),)
         )
     rows = np.ones((flat.shape[0], lams.shape[0]))
-    spec = contour if contour is not None else ContourSpec()
     live = np.nonzero(flat)[0]
     ts = flat[live, None]
-    z, w = spec.nodes(ts)
-    z = np.broadcast_to(z, (ts.shape[0], spec.node_count)).copy()
+    z, w = _contour_nodes(ts)
     p = _char_fn_vec(op, z)
     base = np.exp(z * ts) * w * p / z
-    per_chunk = max(1, CHUNK_ENTRIES // (lams.shape[0] * spec.node_count))
+    per_chunk = max(1, CHUNK_ENTRIES // (lams.shape[0] * _NODES))
     for start in range(0, ts.shape[0], per_chunk):
         part = slice(start, start + per_chunk)
         quot = p[part, None, :] + lams[None, :, None]
@@ -279,9 +264,9 @@ def u_lambda_many(op, lams, t, contour=None):
     return rows if times.ndim else rows[0]
 
 
-def u_lambda(op, lam, t, contour=None):
+def u_lambda(op, lam, t):
     """Scalar relaxation kernel; completely monotone, u_lambda(0+) = 1."""
-    return float(u_lambda_many(op, lam, t, contour=contour)[0])
+    return float(u_lambda_many(op, lam, t)[0])
 
 
 def _ml_series(alpha, y):
@@ -376,37 +361,23 @@ def beta_inf(op, t):
     return op.mu_at(0.0) / math.log(t)
 
 
-def _signed_binom_row(alpha, n):
-    """(-1)^j binom(alpha, j) for j = 0..n; negative for j >= 1."""
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for j in range(1, n + 1):
-        w[j] = w[j - 1] * (j - 1.0 - alpha) / j
-    return w
-
-
 def cq_weights(op, tau, n):
     """Backward Euler convolution weights omega_0..omega_n for step tau.
 
-    Generating function: sum_j omega_j xi^j = P((1 - xi) / tau).  The
-    leading weight equals P(1/tau); all later weights are negative.
+    Generating function: sum_j omega_j xi^j = P((1 - xi) / tau), so each
+    term b_k z^{a_k} adds b_k tau^{-a_k} (-1)^j binom(a_k, j).  The leading
+    weight equals P(1/tau); all later weights are negative.
     """
     if not 0.0 < tau < math.inf:
         raise InvalidParameter("tau must be positive and finite")
     if n < 0:
         raise InvalidParameter("n must be nonnegative")
-    if op.kind == "discrete":
-        out = np.zeros(n + 1)
-        for b, a in zip(op.weights, op.exponents):
-            out += b * tau ** (-a) * _signed_binom_row(a, n)
-        return out
-    x, wq = _leggauss01(op.quad_order)
-    rows = np.empty((len(x), n + 1))
+    exponents, weights = op.terms
+    rows = np.empty((exponents.shape[0], n + 1))
     rows[:, 0] = 1.0
     for j in range(1, n + 1):
-        rows[:, j] = rows[:, j - 1] * (j - 1.0 - x) / j
-    col = wq * op.mu_values(x) * tau ** (-x)
-    return col @ rows
+        rows[:, j] = rows[:, j - 1] * (j - 1.0 - exponents) / j
+    return (weights * tau ** -exponents) @ rows
 
 
 def _r_rows(op, lams, tau, n):

@@ -78,13 +78,13 @@ class SolutionMatrix:
         return float(self.matrix.min())
 
 
-def solution_matrix(system, op, t, contour=None):
+def solution_matrix(system, op, t):
     """E(t) for the semidiscrete scheme; t below 1e-14 returns the identity."""
     n = system.eigen.size
     if t <= 1e-14:
         mat = np.eye(n)
     else:
-        u = kernel.u_lambda_many(op, system.eigen.eigenvalues, t, contour=contour)
+        u = kernel.u_lambda_many(op, system.eigen.eigenvalues, t)
         mat = system.eigen.matrix_function(u)
     return SolutionMatrix(matrix=mat, time=t, method=system.method, operator=op.label)
 
@@ -93,13 +93,9 @@ def _kernel_rows(system, op, ts):
     """Per-mode coefficients u_lambda(t) of E(t), one row per time.
 
     Times at or below 1e-14 give a row of ones (the identity), like
-    solution_matrix; the kernel is called once for the other times.
+    solution_matrix: they reach the kernel as t = 0.
     """
-    rows = np.ones((ts.size, system.eigen.size))
-    live = ts > 1e-14
-    if live.any():
-        rows[live] = kernel.u_lambda_many(op, system.eigen.eigenvalues, ts[live])
-    return rows
+    return kernel.u_lambda_many(op, system.eigen.eigenvalues, np.where(ts > 1e-14, ts, 0.0))
 
 
 def min_entry_curve(system, op, grid):

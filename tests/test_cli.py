@@ -95,6 +95,26 @@ def test_file_mesh_above_the_cap_exits_2_before_assembly(tmp_path, capsys, monke
     assert "interior: 8281" in capsys.readouterr().out
 
 
+def test_file_mesh_with_wrong_boundary_markers_exits_2(tmp_path, capsys):
+    # corner node (0, 0) marked interior: solved as given, the corner would
+    # become an unknown of a different problem
+    node, ele = tmp_path / "u3.node", tmp_path / "u3.ele"
+    mesh.save_triangle_format(mesh.gen_uniform_square(3), str(node), str(ele))
+    lines = node.read_text().splitlines()
+    corner = [k for k, line in enumerate(lines) if line.split()[1:3] == ["0", "0"]]
+    assert len(corner) == 1
+    lines[corner[0]] = lines[corner[0]][:-1] + "0"
+    node.write_text("\n".join(lines) + "\n")
+    files = ("--node", str(node), "--ele", str(ele))
+    assert run_cli("mesh", "info", *files) == 2
+    rc = run_cli("semi", "threshold", *files, "--methods", "sg", "--outdir", str(tmp_path))
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "single(0.5)" not in out
+    assert "boundary flags disagree with edge topology" in err
+    assert not (tmp_path / "semi_threshold_sg.csv").exists()
+
+
 def test_mesh_info_has_no_outdir(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("mesh", "info", "--family", "uniform", "--M", "4", "--outdir", str(tmp_path))
@@ -183,6 +203,30 @@ def test_kernel_mittag_reads_alpha_from_config(tmp_path, capsys):
     assert run_cli("kernel", "mittag", "--config", str(cfg), "--x", "-1.0") == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(last.split(",")[1]) == pytest.approx(0.427583576155807, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fully_threshold_rejects_non_finite_weights(bad, tmp_path, capsys):
+    rc = run_cli(
+        "fully", "threshold", "--family", "uniform", "--M", "4", "--alpha", "0.5", "0.2",
+        "--weights", "1", bad, "--outdir", str(tmp_path),
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "all-nonnegative" not in out
+    assert "weights must be positive and finite" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_kernel_weights_rejects_non_finite_weights(bad, capsys):
+    rc = run_cli(
+        "kernel", "weights", "--alpha", "0.5", "0.2", "--weights", "1", bad,
+        "--tau", "1", "--n", "3",
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert "weights must be positive and finite" in err
 
 
 def test_infinite_step_is_a_usage_error(tmp_path, capsys):
@@ -508,7 +552,8 @@ def test_module_entry_point():
 
 def test_threshold_commands_do_not_import_scipy(tmp_path):
     # scipy serves only the stepping oracle and the Mittag-Leffler
-    # quadrature; thresholds, certificates and contractivity run on numpy
+    # quadrature; thresholds, certificates, contractivity and the kernel
+    # rows and weights run on numpy
     script = (
         "import sys\n"
         "from fracpos import cli\n"
@@ -518,6 +563,8 @@ def test_threshold_commands_do_not_import_scipy(tmp_path):
         "assert cli.main(['fully', 'contractivity'] + mesh + ['--methods', 'lm']) == 0\n"
         "assert cli.main(['reproduce', '--table', '3', '--outdir', sys.argv[1]]) == 0\n"
         "assert cli.main(['semi', 'certify'] + mesh) == 0\n"
+        "assert cli.main(['kernel', 'ulambda', '--lambda', '2', '--t', '0.1']) == 0\n"
+        "assert cli.main(['kernel', 'weights', '--mu', 'exp', '--tau', '0.1', '--n', '4']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run(

@@ -65,6 +65,12 @@ def test_constructor_rejections():
         FracOperator.distributed("exp", quad_order=8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(InvalidParameter, match="positive and finite"):
+        FracOperator.multi_term((0.5, 0.2), (1.0, bad))
+
+
 def test_heat_limit_exponent_allowed():
     op = FracOperator.single_term(1.0)
     assert kernel.char_fn(op, 3.0) == pytest.approx(3.0)
@@ -99,15 +105,6 @@ def test_char_fn_complex_argument():
     z = 1.0 + 2.0j
     val = kernel.char_fn(SINGLE, z)
     assert val == pytest.approx(z**0.5, rel=1e-14)
-
-
-def test_contour_spec_validation():
-    with pytest.raises(InvalidParameter):
-        kernel.ContourSpec(node_count=15)
-    with pytest.raises(InvalidParameter):
-        kernel.ContourSpec(node_count=10)
-    with pytest.raises(InvalidParameter):
-        kernel.ContourSpec(angle=2.0)
 
 
 # Mittag-Leffler
@@ -188,7 +185,7 @@ def test_u_lambda_many_matches_scalar():
 
 def _per_time_reference(op, lams, t):
     """The kernel formula at one time, written out without any batching."""
-    z, w = kernel.ContourSpec().nodes(t)
+    z, w = kernel._contour_nodes(t)
     p = kernel._char_fn_vec(op, z)
     base = np.exp(z * t) * w * p / z
     total = (base[None, :] / (p[None, :] + lams[:, None])).sum(axis=1) / (2j * math.pi)
@@ -208,6 +205,52 @@ def test_u_lambda_many_time_array_is_bitwise_per_time(get_system, op):
         np.testing.assert_array_equal(rows[k], _per_time_reference(op, lams, grid[k]))
     with pytest.raises(DomainError):
         kernel.u_lambda_many(op, lams, np.array([1.0, -1e-3]))
+
+
+def _terms_written_out(op):
+    """(exponents, weights) of the symbol as one sum of weighted powers."""
+    if op is SINGLE:
+        return np.array([0.5]), np.array([1.0])
+    x, w = np.polynomial.legendre.leggauss(64)
+    a = 0.5 * (x + 1.0)
+    return a, 0.5 * w * np.exp(a)
+
+
+def _symbol_written_out(op, z):
+    a, b = _terms_written_out(op)
+    return b @ np.exp(np.outer(a, np.log(z.astype(complex))))
+
+
+def _cq_written_out(op, tau, n):
+    a, b = _terms_written_out(op)
+    rows = []
+    for ak in a:
+        row = [1.0]
+        for j in range(1, n + 1):
+            row.append(row[-1] * (j - 1.0 - ak) / j)
+        rows.append(row)
+    return (b * tau ** -a) @ np.array(rows)
+
+
+@pytest.mark.parametrize("op", (SINGLE, DIST), ids=lambda o: o.label)
+def test_kernel_is_bitwise_the_sum_of_weighted_powers(get_system, op):
+    z = np.geomspace(1e-6, 1e8, 57)
+    np.testing.assert_array_equal(kernel.char_fn(op, z), _symbol_written_out(op, z).real)
+    lams = get_system("uniform", "sg", m=10).eigen.eigenvalues
+    grid = np.geomspace(1e-8, 1e2, 11)
+    rows = kernel.u_lambda_many(op, lams, grid)
+    for k, t in enumerate(grid):
+        half = 24
+        step = 1.0818 / half
+        w = 1j * ((np.arange(-half, half) + 0.5) * step) - 1.1721
+        scale = 4.4921 * half / t
+        nodes = scale * (1.0 + np.sin(w))
+        p = _symbol_written_out(op, nodes)
+        base = np.exp(nodes * t) * (scale * 1j * np.cos(w) * step) * p / nodes
+        total = (base[None, :] / (p[None, :] + lams[:, None])).sum(axis=1) / (2j * math.pi)
+        np.testing.assert_array_equal(rows[k], total.real)
+    for tau in (1e-4, 0.37, 2.0):
+        np.testing.assert_array_equal(kernel.cq_weights(op, tau, 40), _cq_written_out(op, tau, 40))
 
 
 def test_char_fn_array_matches_scalar_calls():
@@ -241,10 +284,10 @@ def test_char_fn_empty_array(op):
 
 
 def test_contour_gate_fails_on_nan_residual():
-    # a hyperbola scaled far too wide for t = 10 overflows e^{zt}; the
+    # at t = 1e-300 the contour's scale 4.4921 * 24 / t overflows and the
     # imaginary residual is nan, which must fail the gate, not pass it
     with np.errstate(all="ignore"), pytest.raises(ContourFailure, match="nan"):
-        kernel.u_lambda_many(SINGLE, [2.0], 10.0, contour=kernel.ContourSpec(scale=1e3))
+        kernel.u_lambda_many(SINGLE, [2.0], 1e-300)
 
 
 # asymptotic scale functions
