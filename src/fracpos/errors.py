@@ -52,3 +52,7 @@ class BranchCut(NumericalError):
 
 class ContourFailure(NumericalError):
     """Contour quadrature lost conjugate symmetry; result untrustworthy."""
+
+
+class ScanMismatch(NumericalError):
+    """A threshold scan's full curve contradicts the verdict it was decided by."""

@@ -6,8 +6,14 @@ steps of the same run.  The one-step operator
 
     E_{1,tau} = omega_0 (omega_0 M + S)^{-1} M = omega_0 (omega_0 + H)^{-1}
 
-decides nonnegativity of the whole scheme: once it is nonnegative for some
-step size (and H^{-1} >= 0), every longer step inherits the property.
+decides nonnegativity of the whole scheme.  It depends on tau only
+through omega_0 = P(1/tau), which decreases in tau, and its sign changes
+at most once along a tau grid: with R(w) = (w + H)^{-1}, the resolvent
+series R(w') = sum_k (w - w')^k R(w)^{k+1} converges for 0 <= w' < w
+(H is self-adjoint in the M inner product with spectrum >= lambda_1 > 0),
+so R(w) >= 0 makes every term, hence R(w'), nonnegative.  Once E_{1,tau}
+is nonnegative for some step size, every longer step inherits the
+property, and fd_positivity_threshold bisects over grid indices.
 
 Every dense operator here is a function of H = M^{-1} S evaluated through
 the eigensystem of (S, M), like E(t) in semidiscrete: E_{1,tau} from
@@ -200,11 +206,14 @@ def first_step_positivity_omega(system, tol=1e-13, omega_cap=None):
 def fd_positivity_threshold(system, op, scan=None, tol=None):
     """Step size beyond which E_{1,tau} is entrywise nonnegative.
 
-    Scans tau with semidiscrete.scan_threshold: a log grid of at least six
-    decades, the last sign change of the smallest entry of E_{1,tau}
-    refined by bisection.  The coefficient rows omega_0 / (omega_0 +
-    lambda), with omega_0 = P(1/tau), take one char_fn call per decade
-    scanned or bisection step.
+    Scans tau with semidiscrete.scan_threshold on a log grid of at least
+    six decades.  The sign of E_{1,tau} changes at most once along it (see
+    the module docstring), so the scan bisects over grid indices: the two
+    ends, then one point per halving of the index range, then bisection
+    between the two grid points around the change.  The coefficient rows
+    omega_0 / (omega_0 + lambda), with omega_0 = P(1/tau), take one
+    char_fn call per point.  Reading the report's curve reduces the whole
+    grid and raises ScanMismatch if it contradicts the bisected verdict.
     """
     lams = system.eigen.eigenvalues
 
@@ -212,7 +221,7 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
         omega0 = kernel.char_fn(op, 1.0 / taus)[:, None]
         return omega0 / (omega0 + lams)
 
-    return scan_threshold(system, op, coeffs, scan, tol)
+    return scan_threshold(system, op, coeffs, scan, tol, monotone=True)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ scan_threshold runs that scan for any per-mode coefficient rows c(x): one
 decade at a time from the top of the grid, it computes the decade's rows
 in one call and EigenSystem.min_entries reduces them, stopping at the
 decade that holds the last negative point; bisection goes point by point.
+When the sign is known to change at most once along the grid, as for the
+fully discrete scheme's E_{1,tau}, it bisects over grid indices instead.
 The rest of the curve is computed and reduced only when a caller reads
-it.  The fully discrete scheme scans E_{1,tau} over step sizes with it.
+it.
 """
 
 import functools
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ScanMismatch
 
 __all__ = [
     "ScanSpec",
@@ -115,7 +117,9 @@ class ThresholdReport:
     (still negative at the end of the scan).  curve holds (x, smallest
     entry) over the whole scan grid; the scan computes and reduces only
     the rows that decide the status, and the first read of curve does the
-    rest through fill_curve().
+    rest through fill_curve().  After a sign-monotone scan, fill_curve
+    reduces the whole grid and raises ScanMismatch when that curve
+    decides a different status or grid bracket than the bisection did.
     """
 
     status: str
@@ -141,18 +145,25 @@ class ThresholdReport:
         return self.status
 
 
+def _grid_verdict(mins, tol):
+    """Status and index of the last point below -tol (None unless "found")."""
+    neg = mins < -tol
+    if not neg.any():
+        return "all-nonnegative", None
+    if neg[-1]:
+        return "none-found", None
+    return "found", int(np.nonzero(neg)[0][-1])
+
+
 def detect_threshold(grid, mins, value_fn, tol, rel_width=1e-3):
     """Last sign change of min-entry data, bisected to three digits.
 
     value_fn(t) re-evaluates the smallest entry during bisection.  Returns
     (status, value, bracket).
     """
-    neg = mins < -tol
-    if not neg.any():
-        return "all-nonnegative", None, None
-    if neg[-1]:
-        return "none-found", None, None
-    last = np.nonzero(neg)[0][-1]
+    status, last = _grid_verdict(mins, tol)
+    if last is None:
+        return status, None, None
     lo, hi = grid[last], grid[last + 1]
     while hi / lo > 1.0 + 2.0 * rel_width:
         mid = math.sqrt(lo * hi)
@@ -163,7 +174,27 @@ def detect_threshold(grid, mins, value_fn, tol, rel_width=1e-3):
     return "found", math.sqrt(lo * hi), (lo, hi)
 
 
-def scan_threshold(system, op, coeffs, scan=None, tol=None):
+def _bisect_indices(grid, reduce, tol):
+    """Adjacent grid indices, and their smallest entries, around the sign change.
+
+    Valid when the curve is below -tol up to one grid index and not below
+    it after: both ends first, then one reduced row per halving of the
+    index range.  The ends alone decide "all-nonnegative" and "none-found".
+    """
+    lo, hi = 0, grid.size - 1
+    lo_min, hi_min = reduce(grid[[lo, hi]])
+    if lo_min < -tol <= hi_min:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            mid_min = reduce(grid[mid:mid + 1])[0]
+            if mid_min < -tol:
+                lo, lo_min = mid, mid_min
+            else:
+                hi, hi_min = mid, mid_min
+    return np.array([lo, hi]), np.array([lo_min, hi_min])
+
+
+def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     """Threshold of back @ diag(c(x)) @ forward over a log scan of x.
 
     coeffs(xs) returns one row of per-mode coefficients c(x) per point.
@@ -174,8 +205,18 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None):
     stopping after the first decade with a point below -tol.  Only the
     last sign change matters, and it is bisected one point at a time.
     "none-found" thus needs the top decade only, "all-nonnegative" the
-    whole grid.  The report's curve computes and reduces the remaining
-    rows when it is first read.
+    whole grid.
+
+    monotone=True is for curves whose sign changes at most once along the
+    grid, from negative to nonnegative.  The scan then reduces the two
+    ends, then one point per halving of the index range (about log2 of
+    the grid size), and refines between the two grid points around the
+    change.
+
+    The report's curve computes and reduces the remaining rows when it is
+    first read, in the top-down decade groups either way, so its entries
+    do not depend on monotone.  A monotone scan checks that curve against
+    its bisected verdict (ScanMismatch when they disagree).
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
@@ -186,18 +227,39 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None):
         raise InvalidParameter("tol must be finite and nonnegative, got %r" % tol)
     min_entries = system.eigen.min_entries
     grid = scan.grid()
-    start = grid.size
-    mins = np.empty(0)
-    while start > 0 and not (mins < -tol).any():
-        stop, start = start, max(0, start - scan.per_decade)
-        mins = np.concatenate((min_entries(coeffs(grid[start:stop])), mins))
+
+    def reduce(xs):
+        return min_entries(coeffs(xs))
+
+    def top_down():
+        start, mins = grid.size, np.empty(0)
+        while start > 0 and not (mins < -tol).any():
+            stop, start = start, max(0, start - scan.per_decade)
+            mins = np.concatenate((reduce(grid[start:stop]), mins))
+        return start, mins
+
+    if monotone:
+        idx, mins = _bisect_indices(grid, reduce, tol)
+    else:
+        start, mins = top_down()
+        idx = np.arange(start, grid.size)
     status, value, bracket = detect_threshold(
-        grid[start:], mins, lambda x: min_entries(coeffs(np.array([x])))[0], tol
+        grid[idx], mins, lambda x: reduce(np.array([x]))[0], tol
     )
 
     def fill_curve():
-        head = min_entries(coeffs(grid[:start]))
-        return np.column_stack((grid, np.concatenate((head, mins))))
+        head_stop, tail = top_down() if monotone else (start, mins)
+        curve = np.concatenate((reduce(grid[:head_stop]), tail))
+        if monotone:
+            full = _grid_verdict(curve, tol)
+            bisected = (status, int(idx[0]) if status == "found" else None)
+            if full != bisected:
+                raise ScanMismatch(
+                    "%s %s: full curve gives %s at grid index %s, "
+                    "index bisection %s at %s"
+                    % ((system.method, op.label) + full + bisected)
+                )
+        return np.column_stack((grid, curve))
 
     return ThresholdReport(
         status=status,

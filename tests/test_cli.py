@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fracpos import cli, fem, kernel, mesh
+from fracpos import cli, fem, fullydiscrete, kernel, mesh
 from fracpos.errors import NoConvergence
 from fracpos.semidiscrete import ScanSpec
 
@@ -415,9 +416,34 @@ def test_fully_threshold_crossed_lm(tmp_path, capsys):
     assert '"status": "found"' in (tmp_path / "fully_threshold_lm.csv").read_text()
 
 
+def test_fully_threshold_exits_1_when_curve_contradicts_bisection(
+    tmp_path, capsys, monkeypatch
+):
+    # -E_{1,tau} on (0.1, 1): negative again after the bisected change
+    scan_threshold = fullydiscrete.scan_threshold
+
+    def dipping_scan(system, op, coeffs, scan, tol, monotone):
+        def dipped(taus):
+            flip = np.where((taus > 0.1) & (taus < 1.0), -1.0, 1.0)
+            return flip[:, None] * coeffs(taus)
+
+        return scan_threshold(system, op, dipped, scan, tol, monotone=monotone)
+
+    monkeypatch.setattr(fullydiscrete, "scan_threshold", dipping_scan)
+    rc = run_cli(
+        "fully", "threshold", "--family", "uniform", "--M", "4", "--methods", "sg",
+        "--outdir", str(tmp_path),
+    )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "numerical failure: sg single(0.5): full curve gives found" in err
+    assert out == ""
+    assert not (tmp_path / "fully_threshold_sg.csv").exists()
+
+
 def test_fully_threshold_all_nonnegative_distributed_writes_curve(tmp_path, capsys):
-    # an all-nonnegative scan computes the whole curve inside the scan, so
-    # reading it asks for the rows of an empty head
+    # reading the curve of an all-nonnegative scan reduces every decade of
+    # the grid, then the rows of an empty head
     rc = run_cli(
         "fully", "threshold", "--family", "uniform", "--M", "10", "--methods", "lm",
         "--mu", "exp", "--outdir", str(tmp_path),

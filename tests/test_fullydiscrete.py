@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracpos import fem, fullydiscrete, kernel, linalg, semidiscrete
+from fracpos import cli, fem, fullydiscrete, kernel, linalg, semidiscrete
 from fracpos.errors import InvalidParameter, NoConvergence
 from fracpos.kernel import FracOperator
 
@@ -277,6 +277,34 @@ def test_threshold_scans_memory_stays_bounded(get_system):
         tracemalloc.stop()
     assert semi.found and fully.found
     assert peak < 12 * 2**20
+
+
+def _table_systems():
+    """(table, family, method, level kwargs) of every default table system."""
+    for num, spec in sorted(cli._TABLES.items()):
+        (level,) = spec["default"]
+        family = spec.get("family") or "%s_%s" % (spec["bundled"], level)
+        kw = {"m": level} if "family" in spec else {}
+        for method in spec["methods"]:
+            yield pytest.param(
+                num, family, method, kw, id="table%d-%s-%s" % (num, family, method)
+            )
+
+
+@pytest.mark.parametrize("table, family, method, kw", list(_table_systems()))
+def test_one_first_step_omega_per_table_system(get_system, table, family, method, kw):
+    # E_{1,tau} depends on tau only through omega_0 = P(1/tau), which
+    # decreases in tau: every operator's bracket maps to one omega_0 range
+    sys = get_system(family, method, **kw)
+    lo, hi = 0.0, math.inf
+    for name in cli._TABLES[table]["ops"]:
+        op = cli._OPS[name]()
+        rep = fullydiscrete.fd_positivity_threshold(sys, op)
+        assert rep.found
+        tau_lo, tau_hi = rep.bracket
+        lo = max(lo, kernel.char_fn(op, 1.0 / tau_hi))
+        hi = min(hi, kernel.char_fn(op, 1.0 / tau_lo))
+    assert lo <= hi
 
 
 def test_lemma_propagation_first_step_to_all_steps(get_system):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracpos import fem, fullydiscrete, kernel, linalg, mesh, semidiscrete
-from fracpos.errors import InvalidParameter
+from fracpos.errors import InvalidParameter, NumericalError, ScanMismatch
 from fracpos.kernel import FracOperator
 from fracpos.semidiscrete import ScanSpec
 
@@ -182,14 +182,10 @@ def test_batched_curve_identity_rows_on_scalar_system(get_system):
 KERNEL_CALLS = {"semi": "u_lambda_many", "fully": "char_fn"}
 
 
-@pytest.mark.parametrize("scheme", ["semi", "fully"])
-def test_scan_computes_rows_only_for_the_decades_it_reduces(
-    get_system, monkeypatch, scheme
-):
-    sys = get_system("uniform", "sg", m=10)
+def _count_scan_work(monkeypatch, kernel_name):
+    """Count kernel calls and rows, reduced rows and refinement steps."""
     counts = {"calls": 0, "rows": 0, "reduced": 0, "bisect": 0}
-    name = KERNEL_CALLS[scheme]
-    kernel_fn = getattr(kernel, name)
+    kernel_fn = getattr(kernel, kernel_name)
     min_entries = linalg.EigenSystem.min_entries
     detect_threshold = semidiscrete.detect_threshold
 
@@ -210,9 +206,18 @@ def test_scan_computes_rows_only_for_the_decades_it_reduces(
 
         return detect_threshold(grid, mins, step, tol)
 
-    monkeypatch.setattr(kernel, name, counting_kernel)
+    monkeypatch.setattr(kernel, kernel_name, counting_kernel)
     monkeypatch.setattr(linalg.EigenSystem, "min_entries", counting_min_entries)
     monkeypatch.setattr(semidiscrete, "detect_threshold", counting_detect)
+    return counts
+
+
+@pytest.mark.parametrize("scheme", ["semi"])
+def test_scan_computes_rows_only_for_the_decades_it_reduces(
+    get_system, monkeypatch, scheme
+):
+    sys = get_system("uniform", "sg", m=10)
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS[scheme])
     rep = THRESHOLD_FNS[scheme](sys, SINGLE)
     scan = ScanSpec()
     assert rep.found
@@ -225,6 +230,60 @@ def test_scan_computes_rows_only_for_the_decades_it_reduces(
     assert counts["calls"] <= math.ceil(grid_rows / scan.per_decade) + counts["bisect"]
     assert rep.curve is rep.curve
     assert counts["rows"] == scan.grid().size + counts["bisect"]
+
+
+def test_fully_discrete_scan_bisects_grid_indices(get_system, monkeypatch):
+    sys = get_system("uniform", "sg", m=10)
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["fully"])
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
+    points = ScanSpec().grid().size
+    assert rep.found
+    assert counts["bisect"] >= 1
+    # both ends, then one point per halving of the 250 index steps
+    probes = counts["reduced"] - counts["bisect"]
+    assert probes <= 2 + math.ceil(math.log2(points - 1))
+    assert counts["rows"] == counts["reduced"]
+    # the ends share one call; every other probe and refinement step is one
+    assert counts["calls"] == probes - 1 + counts["bisect"]
+    # reading the curve reduces the whole grid once more, in decades
+    assert rep.curve is rep.curve
+    assert counts["reduced"] == points + probes + counts["bisect"]
+    assert counts["rows"] == counts["reduced"]
+
+
+def _sign_coeffs(size, negative):
+    """Rows of +1 or -1 per mode, so the smallest entry is 0 or about -1."""
+
+    def coeffs(xs):
+        return np.where(negative(xs), -1.0, 1.0)[:, None] * np.ones(size)
+
+    return coeffs
+
+
+@pytest.mark.parametrize(
+    "negative, bisected",
+    [
+        # below -tol up to 1e-6 and again on (0.1, 1): the index bisection
+        # lands on the first change, the full curve's last one is at 1
+        (lambda x: (x < 1e-6) | ((x > 0.1) & (x < 1.0)), "found"),
+        # nonnegative at both ends, negative in between
+        (lambda x: (x > 1e-4) & (x < 1e-2), "all-nonnegative"),
+    ],
+    ids=["two-dips", "inner-dip"],
+)
+def test_monotone_scan_curve_guard(negative, bisected):
+    sys = fem.system_from_matrices(np.eye(3), np.diag([1.0, 2.0, 3.0]))
+    coeffs = _sign_coeffs(sys.size, negative)
+    rep = semidiscrete.scan_threshold(sys, SINGLE, coeffs, monotone=True)
+    assert rep.status == bisected
+    with pytest.raises(ScanMismatch) as exc:
+        rep.curve
+    assert isinstance(exc.value, NumericalError)
+    # the top-down scan reads the same rows and takes the last change
+    rep = semidiscrete.scan_threshold(sys, SINGLE, coeffs)
+    assert rep.found
+    assert rep.bracket[0] < (1.0 if bisected == "found" else 1e-2) <= rep.bracket[1]
+    assert rep.curve.shape == (ScanSpec().grid().size, 2)
 
 
 def _full_grid_threshold(sys, op, scheme, scan, tol):
@@ -311,37 +370,83 @@ def test_top_down_scan_matches_full_grid_without_threshold(
     np.testing.assert_allclose(rep.curve, curve, rtol=0.0, atol=1e-15)
 
 
+# the fully discrete scan bisects over grid indices; on this roster it
+# decides what the full grid decides
+WIDE_MESHES = [
+    ("uniform", {"m": 10}),
+    ("uniform", {"m": 20}),
+    ("crossed", {"m": 5}),
+    ("crossed", {"m": 10}),
+    ("sliver", {"m": 10}),
+    ("sliver", {"m": 20}),
+    ("equilateral", {"m": 6}),
+    ("lshape_coarse", {}),
+    ("lshape_medium", {}),
+    ("disk_coarse", {}),
+    ("disk_medium", {}),
+]
+WIDE_OPS = [
+    FracOperator.single_term(0.5),
+    FracOperator.single_term(0.75),
+    FracOperator.single_term(1.0),
+    MULTI,
+    DIST,
+    FracOperator.distributed("one"),
+]
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("method", fem.METHODS)
+@pytest.mark.parametrize(
+    "family, kw", WIDE_MESHES, ids=["%s%s" % (f, kw.get("m", "")) for f, kw in WIDE_MESHES]
+)
+def test_index_bisection_matches_full_grid_scan(get_system, family, kw, method):
+    sys = get_system(family, method, **kw)
+    scan = ScanSpec()
+    tol = 1e-12 * sys.size
+    for op in WIDE_OPS:
+        rep = fullydiscrete.fd_positivity_threshold(sys, op, scan=scan)
+        verdict, _ = _full_grid_threshold(sys, op, "fully", scan, tol)
+        assert (rep.status, rep.value, rep.bracket) == verdict, op.label
+
+
+DELAUNAY_LM = [
+    ("uniform", {"m": 10}),
+    ("equilateral", {"m": 6}),
+    ("lshape_coarse", {}),
+    ("disk_coarse", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, kw", DELAUNAY_LM, ids=["%s%s" % (f, kw.get("m", "")) for f, kw in DELAUNAY_LM]
+)
+@pytest.mark.parametrize("scheme", THRESHOLD_FNS)
+def test_lumped_mass_on_delaunay_meshes_stays_nonnegative(get_system, family, kw, scheme):
+    # the default floor sits above the GEMM roundoff of these curves
+    # (smallest entries down to -4e-14 semidiscrete, -7e-16 fully discrete)
+    sys = get_system(family, "lm", **kw)
+    for op in (SINGLE, MULTI, DIST):
+        rep = THRESHOLD_FNS[scheme](sys, op)
+        assert rep.status == "all-nonnegative", op.label
+        assert rep.curve[:, 1].min() >= -rep.tolerance, op.label
+
+
 def test_scan_reduces_only_the_deciding_rows_until_curve_is_read(
     get_system, monkeypatch
 ):
     sys = get_system("uniform", "sg", m=10)
-    counts = {"rows": 0, "bisect": 0}
-    min_entries = linalg.EigenSystem.min_entries
-    detect_threshold = semidiscrete.detect_threshold
-
-    def counting_min_entries(self, rows):
-        counts["rows"] += len(rows)
-        return min_entries(self, rows)
-
-    def counting_detect(grid, mins, value_fn, tol):
-        def step(x):
-            counts["bisect"] += 1
-            return value_fn(x)
-
-        return detect_threshold(grid, mins, step, tol)
-
-    monkeypatch.setattr(linalg.EigenSystem, "min_entries", counting_min_entries)
-    monkeypatch.setattr(semidiscrete, "detect_threshold", counting_detect)
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
     rep = semidiscrete.positivity_threshold(sys, SINGLE)
     grid_rows = ScanSpec().grid().size
     assert grid_rows == 251
     assert rep.found
     assert counts["bisect"] >= 1
-    assert counts["rows"] - counts["bisect"] < grid_rows
+    assert counts["reduced"] - counts["bisect"] < grid_rows
     first = rep.curve
     assert rep.curve is first
     assert first.shape == (grid_rows, 2)
-    assert counts["rows"] == grid_rows + counts["bisect"]
+    assert counts["reduced"] == grid_rows + counts["bisect"]
 
 
 def test_scan_spec_validation():
