@@ -16,15 +16,18 @@ is evaluated on one fixed hyperbola z = scale * (1 + sin(i xi - angle))
 with the trapezoid rule at 2K = 48 half-offset nodes and the optimized
 parameters for this contour (step 1.0818/K, scale 4.4921*K/t, angle
 1.1721; Weideman & Trefethen, Math. Comp. 76, 2007), which converge like
-exp(-2.85 K).  Conjugate symmetry of the nodes makes the imaginary part
-cancel; its residual is the accuracy check.
+exp(-2.85 K).  The nodes come in conjugate pairs, so the sum folds onto
+the K = 24 upper-half nodes, u = (1 / pi) sum_k Im(...), and runs in real
+arithmetic.  A lambda = 0 column, whose exact value is 1, rides along;
+its defect |u_0(t) - 1| is the accuracy check (at most 3.5e-12 on the
+default scan grid), and a defect above 1e-6 raises ContourFailure.
 
 For the single-term case u_lambda(t) = E_a(-lambda t^a), evaluated here by
 power series while the terms stay small and otherwise by the completely
 monotone branch-cut representation
 
-    E_a(-y) = (y sin(a pi) / (a pi)) *
-              int_0^inf exp(-s^{1/a}) / (s^2 + 2 y s cos(a pi) + y^2) ds.
+    E_a(-y) = (sin(a pi) / (a pi y)) *
+              int_0^inf exp(-s^{1/a}) / ((s / y)^2 + 2 (s / y) cos(a pi) + 1) ds.
 """
 
 import math
@@ -60,8 +63,8 @@ MU_FUNCTIONS = {
     "one": lambda a: np.ones_like(np.asarray(a, dtype=float)),
 }
 
-# complex entries of one chunk of u_lambda_many's quotient table and of
-# the symbol's power table
+# entries of one chunk of u_lambda_many's quotient table and of the
+# symbol's power tables
 CHUNK_ENTRIES = 2 ** 14
 
 # the contour: 2K trapezoid nodes, step, scale times t, angle
@@ -69,6 +72,11 @@ _NODES = 48
 _STEP = 1.0818 / (_NODES // 2)
 _SCALE_T = 4.4921 * (_NODES // 2)
 _ANGLE = 1.1721
+# upper-half node parameters i xi_k - angle, xi_k = (k + 1/2) step
+_XI = 1j * ((np.arange(_NODES // 2) + 0.5) * _STEP) - _ANGLE
+# above this lambda (p_r + lambda)^2 may overflow: such columns are
+# recomputed from the complex quotient, which numpy scales
+_REAL_SHIFT_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -218,11 +226,35 @@ def char_fn(op, z):
 
 
 def _contour_nodes(t):
-    """Nodes z and trapezoid weights for time t; a column of times gives rows."""
-    half = _NODES // 2
-    w = 1j * ((np.arange(-half, half) + 0.5) * _STEP) - _ANGLE
+    """Upper-half nodes z and trapezoid weights w for time t.
+
+    A column of times gives rows.  The other 24 nodes of the hyperbola are
+    the conjugates of these, in reverse order, with weights -conj(w).
+    """
     scale = _SCALE_T / t
-    return scale * (1.0 + np.sin(w)), scale * 1j * np.cos(w) * _STEP
+    return scale * (1.0 + np.sin(_XI)), scale * 1j * np.cos(_XI) * _STEP
+
+
+def _symbol_on_contour(op, ts):
+    """Real and imaginary parts of P on the upper-half nodes, one row per time.
+
+    P(zeta_k / t) = sum_m (b_m t^{-a_m}) zeta_k^{a_m} with the fixed table
+    zeta_k^{a_m}, zeta_k = scale * (1 + sin(i xi_k - angle)) the nodes at
+    t = 1; the sum over terms is elementwise, a few rows at a time, so
+    every row is independent of the others.
+    """
+    exponents, weights = op.terms
+    log_zeta = np.log(_SCALE_T * (1.0 + np.sin(_XI)))
+    table = np.exp(np.multiply.outer(exponents, log_zeta))
+    table = np.concatenate((table.real, table.imag), axis=1)
+    coef = weights * ts ** -exponents
+    out = np.empty((ts.shape[0], table.shape[1]))
+    per_chunk = max(1, CHUNK_ENTRIES // table.size)
+    for start in range(0, ts.shape[0], per_chunk):
+        part = slice(start, start + per_chunk)
+        out[part] = (coef[part, :, None] * table).sum(axis=1)
+    half = _NODES // 2
+    return out[:, :half], out[:, half:]
 
 
 def u_lambda_many(op, lams, t):
@@ -230,8 +262,14 @@ def u_lambda_many(op, lams, t):
 
     A scalar t gives one value per lambda.  A 1-D array of times gives one
     row per time, each equal bit for bit to the scalar call at that time;
-    t = 0 gives a row of ones, and the (times x lambda x nodes) quotient
-    table is formed about CHUNK_ENTRIES entries at a time.
+    t = 0 gives a row of ones.  The folded sum
+    u = (1 / pi) sum_k Im(c_k / (p_k + lambda)) over the upper-half nodes,
+    c_k = e^{z_k t} w_k p_k / z_k, runs in real arithmetic on a
+    (times x nodes x lambda) table of about CHUNK_ENTRIES entries at a
+    time; a lambda above 1e150, whose square may overflow there, is
+    recomputed from the complex quotient.  A lambda = 0 column, exactly 1,
+    rides along: a defect above 1e-6 (overflow at tiny t, underflow at
+    huge t) raises ContourFailure.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all((lams > 0.0) & (lams < math.inf)):
@@ -248,19 +286,34 @@ def u_lambda_many(op, lams, t):
     rows = np.ones((flat.shape[0], lams.shape[0]))
     live = np.nonzero(flat)[0]
     ts = flat[live, None]
-    z, w = _contour_nodes(ts)
-    p = _char_fn_vec(op, z)
-    base = np.exp(z * ts) * w * p / z
-    per_chunk = max(1, CHUNK_ENTRIES // (lams.shape[0] * _NODES))
-    for start in range(0, ts.shape[0], per_chunk):
-        part = slice(start, start + per_chunk)
-        quot = p[part, None, :] + lams[None, :, None]
-        np.divide(base[part, None, :], quot, out=quot)
-        total = quot.sum(axis=2) / (2j * math.pi)
-        resid = np.abs(total.imag).max()
-        if not resid <= 1e-6:
-            raise ContourFailure("conjugate symmetry residual %.3e" % resid)
-        rows[live[part]] = total.real
+    shifts = np.concatenate(([0.0], lams))
+    huge = lams > _REAL_SHIFT_MAX
+    with np.errstate(all="ignore"):
+        z, w = _contour_nodes(ts)
+        pr, pi = _symbol_on_contour(op, ts)
+        p = pr + 1j * pi
+        c = np.exp(z * ts) * w * p / z
+        cr_pi = (c.real * pi)[:, :, None]
+        ci = c.imag[:, :, None]
+        pi2 = (pi * pi)[:, :, None]
+        per_chunk = max(1, CHUNK_ENTRIES // (shifts.shape[0] * pi.shape[1]))
+        for start in range(0, ts.shape[0], per_chunk):
+            part = slice(start, start + per_chunk)
+            # term (c_i (p_r + lambda) - c_r p_i) / ((p_r + lambda)^2 + p_i^2)
+            shifted = pr[part, :, None] + shifts
+            denom = shifted * shifted
+            denom += pi2[part]
+            shifted *= ci[part]
+            shifted -= cr_pi[part]
+            shifted /= denom
+            total = shifted.sum(axis=1) / math.pi
+            defect = np.abs(total[:, 0] - 1.0).max()
+            if not defect <= 1e-6:
+                raise ContourFailure("lambda = 0 defect %.3e" % defect)
+            rows[live[part]] = total[:, 1:]
+            if huge.any():
+                quot = c[part, :, None] / (p[part, :, None] + lams[huge])
+                rows[live[part, None], huge] = quot.imag.sum(axis=1) / math.pi
     return rows if times.ndim else rows[0]
 
 
@@ -293,11 +346,13 @@ def _ml_branch_cut(alpha, y):
 
     c = math.cos(math.pi * alpha)
     s = math.sin(math.pi * alpha)
-    pref = y * s / (alpha * math.pi)
+    # the integrand is divided through by y^2, so it stays finite and of
+    # order one for every finite y
+    pref = s / (alpha * math.pi * y)
     inv_alpha = 1.0 / alpha
 
     def integrand(sig):
-        return math.exp(-sig ** inv_alpha) / ((sig + y * c) ** 2 + (y * s) ** 2)
+        return math.exp(-sig ** inv_alpha) / ((sig / y + c) ** 2 + s ** 2)
 
     upper = 80.0 ** alpha
     pts = None

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ def test_kernel_ulambda_rejects_non_finite_input(lam, t, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("lam, t", [("1", "1e-250"), ("1e-300", "1e300")])
+def test_kernel_ulambda_contour_failure_prints_only_the_failure(lam, t, capsys):
+    # at t = 1e-250 the contour overflows, at t = 1e300 its weights
+    # underflow and the kernel would read 0 instead of about 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("kernel", "ulambda", "--alpha", "0.5", "--lambda", lam, "--t", t)
+    assert rc == 1
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: lambda = 0 defect")
+
+
 def test_kernel_weights_rows(capsys):
     assert run_cli("kernel", "weights", "--tau", "1.0", "--n", "2") == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -178,6 +192,10 @@ def test_kernel_mittag(capsys):
     assert run_cli("kernel", "mittag", "--alpha", "0.5", "--x", "-1.0") == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(last.split(",")[1]) == pytest.approx(0.427583576155807, rel=1e-9)
+    # the branch-cut integral stays finite far out: 1 / (y Gamma(1/2))
+    assert run_cli("kernel", "mittag", "--alpha", "0.5", "--x=-1e155") == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert float(last.split(",")[1]) == pytest.approx(5.641895835477563e-156, rel=1e-15)
     assert run_cli("kernel", "mittag", "--x", "-1.0") == 2  # alpha required
     assert run_cli("kernel", "mittag", "--alpha", "0.5", "0.2", "--x", "-1.0") == 2
 

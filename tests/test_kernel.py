@@ -124,6 +124,15 @@ def test_mittag_leffler_edges():
         kernel.mittag_leffler(0.5, 1.0)
 
 
+@pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75, 0.9))
+def test_mittag_leffler_at_huge_arguments(alpha):
+    # E_a(-y) = 1 / (y Gamma(1 - a)) + O(y^-2); the branch-cut integrand is
+    # scaled by y^2 and so neither overflows nor drops below quad's epsabs
+    for y in (1e20, 1e150, 1e155, 1e300):
+        want = 1.0 / (y * math.gamma(1.0 - alpha))
+        assert kernel.mittag_leffler(alpha, -y) == pytest.approx(want, rel=2e-15)
+
+
 @pytest.mark.parametrize("x", [math.nan, -math.inf])
 def test_mittag_leffler_rejects_non_finite_x(x):
     with pytest.raises(DomainError):
@@ -183,13 +192,42 @@ def test_u_lambda_many_matches_scalar():
     np.testing.assert_allclose(many, each, rtol=1e-13)
 
 
-def _per_time_reference(op, lams, t):
-    """The kernel formula at one time, written out without any batching."""
-    z, w = kernel._contour_nodes(t)
-    p = kernel._char_fn_vec(op, z)
-    base = np.exp(z * t) * w * p / z
-    total = (base[None, :] / (p[None, :] + lams[:, None])).sum(axis=1) / (2j * math.pi)
-    return total.real
+def _folded_sum(terms, lams, t):
+    """The kernel at one time, written out: 24 upper-half nodes, real arithmetic.
+
+    u = (1 / pi) sum_k Im(c_k / (p_k + lambda)), c_k = e^{z_k t} w_k p_k / z_k,
+    with the symbol p_k = sum_m (b_m t^-a_m) zeta_k^a_m from the fixed table.
+    """
+    a, weights = terms
+    half = 24
+    step = 1.0818 / half
+    xi = 1j * ((np.arange(half) + 0.5) * step) - 1.1721
+    scale = 4.4921 * half / t
+    z = scale * (1.0 + np.sin(xi))
+    w = scale * 1j * np.cos(xi) * step
+    table = np.exp(np.outer(a, np.log(4.4921 * half * (1.0 + np.sin(xi)))))
+    coef = weights * t ** -a
+    pr, pi = table.real[0] * coef[0], table.imag[0] * coef[0]
+    for m in range(1, a.size):
+        pr = pr + coef[m] * table.real[m]
+        pi = pi + coef[m] * table.imag[m]
+    c = np.exp(z * t) * w * (pr + 1j * pi) / z
+    d = pr[:, None] + lams[None, :]
+    q = (d * c.imag[:, None] - (c.real * pi)[:, None]) / (d * d + (pi * pi)[:, None])
+    return q.sum(axis=0) / math.pi
+
+
+def _contour_sum_48(terms, lams, t):
+    """The unfolded kernel: complex trapezoid sum over all 48 hyperbola nodes."""
+    a, weights = terms
+    half = 24
+    step = 1.0818 / half
+    xi = 1j * ((np.arange(-half, half) + 0.5) * step) - 1.1721
+    scale = 4.4921 * half / t
+    z = scale * (1.0 + np.sin(xi))
+    p = weights @ np.exp(np.outer(a, np.log(z)))
+    base = np.exp(z * t) * (scale * 1j * np.cos(xi) * step) * p / z
+    return ((base[None, :] / (p[None, :] + lams[:, None])).sum(axis=1) / (2j * math.pi)).real
 
 
 @pytest.mark.parametrize("op", (SINGLE, MULTI, DIST), ids=lambda o: o.label)
@@ -202,7 +240,7 @@ def test_u_lambda_many_time_array_is_bitwise_per_time(get_system, op):
     np.testing.assert_array_equal(rows, each)
     np.testing.assert_array_equal(rows[0], np.ones(lams.size))
     for k in (1, 120, 252):
-        np.testing.assert_array_equal(rows[k], _per_time_reference(op, lams, grid[k]))
+        np.testing.assert_array_equal(rows[k], _folded_sum(op.terms, lams, grid[k]))
     with pytest.raises(DomainError):
         kernel.u_lambda_many(op, lams, np.array([1.0, -1e-3]))
 
@@ -240,17 +278,69 @@ def test_kernel_is_bitwise_the_sum_of_weighted_powers(get_system, op):
     grid = np.geomspace(1e-8, 1e2, 11)
     rows = kernel.u_lambda_many(op, lams, grid)
     for k, t in enumerate(grid):
-        half = 24
-        step = 1.0818 / half
-        w = 1j * ((np.arange(-half, half) + 0.5) * step) - 1.1721
-        scale = 4.4921 * half / t
-        nodes = scale * (1.0 + np.sin(w))
-        p = _symbol_written_out(op, nodes)
-        base = np.exp(nodes * t) * (scale * 1j * np.cos(w) * step) * p / nodes
-        total = (base[None, :] / (p[None, :] + lams[:, None])).sum(axis=1) / (2j * math.pi)
-        np.testing.assert_array_equal(rows[k], total.real)
+        np.testing.assert_array_equal(rows[k], _folded_sum(_terms_written_out(op), lams, t))
     for tau in (1e-4, 0.37, 2.0):
         np.testing.assert_array_equal(kernel.cq_weights(op, tau, 40), _cq_written_out(op, tau, 40))
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.label)
+def test_folded_kernel_matches_the_48_node_complex_sum(get_system, op):
+    lams = get_system("uniform", "sg", m=10).eigen.eigenvalues
+    grid = np.geomspace(1e-8, 1e2, 251)
+    rows = kernel.u_lambda_many(op, lams, grid)
+    worst = max(
+        np.abs(rows[k] - _contour_sum_48(op.terms, lams, t)).max()
+        for k, t in enumerate(grid)
+    )
+    assert worst <= 5e-13
+
+
+def test_kernel_matches_erfcx_on_the_default_grid(get_system):
+    # E_{1/2}(-x) = exp(x^2) erfc(x) = erfcx(x), with x = lambda * sqrt(t)
+    erfcx = pytest.importorskip("scipy.special").erfcx
+    lams = get_system("uniform", "sg", m=10).eigen.eigenvalues
+    grid = np.geomspace(1e-8, 1e2, 251)
+    rows = kernel.u_lambda_many(SINGLE, lams, grid)
+    want = erfcx(lams[None, :] * np.sqrt(grid[:, None]))
+    assert np.abs(rows - want).max() <= 4e-12
+
+
+def test_huge_lambda_takes_the_complex_quotient():
+    # (p_r + lambda)^2 overflows above ~1e154; such columns must not read 0
+    lams = np.array([2.0, 1e160, 1e300])
+    for t in (1e-5, 1.0, 1e5):
+        row = kernel.u_lambda_many(SINGLE, lams, t)
+        assert row[0] == kernel.u_lambda_many(SINGLE, lams[:1], t)[0]
+        # E_a(-y) ~ 1 / (y Gamma(1 - a)) for large y
+        want = 1.0 / (lams[1:] * math.sqrt(t) * math.sqrt(math.pi))
+        np.testing.assert_allclose(row[1:], want, rtol=1e-9)
+
+
+# last small-t decade that fails, first large-t decade that fails (None: none
+# up to 1e307); below the first the scale overflows, above the second the
+# quadrature weights underflow
+GATE_DECADES = {
+    "single(0.5)": (-203, 213),
+    "multi(0.5,0.2)": (-203, 266),
+    "dist(exp,64)": (-153, None),
+    "single(1)": (-152, 159),
+}
+
+
+@pytest.mark.parametrize(
+    "op", ALL_OPS + (FracOperator.single_term(1.0),), ids=lambda o: o.label
+)
+def test_contour_gate_fires_outside_its_decades(get_system, op):
+    lams = get_system("uniform", "sg", m=10).eigen.eigenvalues
+    small, large = GATE_DECADES[op.label]
+    for k in range(-323, 308):
+        t = float("1e%d" % k)
+        if k <= small or (large is not None and k >= large):
+            with pytest.raises(ContourFailure, match="lambda = 0 defect"):
+                kernel.u_lambda_many(op, lams, t)
+            continue
+        vals = kernel.u_lambda_many(op, lams, t)
+        assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12), t
 
 
 def test_char_fn_array_matches_scalar_calls():
