@@ -323,14 +323,12 @@ def cmd_mesh_info(args):
 
 def cmd_kernel_ulambda(args):
     op = _resolve_operator(args)
-    lam = args.lam
-    if lam <= 0.0:
-        raise UsageError("--lambda must be positive")
-    parts = {"cmd": "ulambda", "op": op.label, "lambda": repr(lam)}
+    values = [kernel.u_lambda(op, args.lam, t) for t in args.t]
+    parts = {"cmd": "ulambda", "op": op.label, "lambda": repr(args.lam)}
     print(_header_line(parts))
     print("t,u_lambda")
-    for t in args.t:
-        print("%s,%s" % (_fmt(t), _fmt(kernel.u_lambda(op, lam, t))))
+    for t, u in zip(args.t, values):
+        print("%s,%s" % (_fmt(t), _fmt(u)))
     return 0
 
 
@@ -349,11 +347,12 @@ def cmd_kernel_mittag(args):
     if len(args.alpha or ()) != 1:
         raise UsageError("mittag needs exactly one --alpha")
     alpha = args.alpha[0]
+    values = [kernel.mittag_leffler(alpha, x) for x in args.x]
     parts = {"cmd": "mittag", "alpha": repr(alpha)}
     print(_header_line(parts))
     print("x,E_alpha")
-    for x in args.x:
-        print("%s,%s" % (_fmt(x), _fmt(kernel.mittag_leffler(alpha, x))))
+    for x, e in zip(args.x, values):
+        print("%s,%s" % (_fmt(x), _fmt(e)))
     return 0
 
 

@@ -13,7 +13,10 @@ series R(w') = sum_k (w - w')^k R(w)^{k+1} converges for 0 <= w' < w
 (H is self-adjoint in the M inner product with spectrum >= lambda_1 > 0),
 so R(w) >= 0 makes every term, hence R(w'), nonnegative.  Once E_{1,tau}
 is nonnegative for some step size, every longer step inherits the
-property, and fd_positivity_threshold bisects over grid indices.
+property, and fd_positivity_threshold bisects over grid indices.  Each
+system thus has one omega_0*: first_step_positivity_omega reads it as
+1/tau* of the heat symbol P(z) = z under the scan's negativity floor,
+and every operator's threshold is the tau where P(1/tau) = omega_0*.
 
 Every dense operator here is a function of H = M^{-1} S evaluated through
 the eigensystem of (S, M), like E(t) in semidiscrete: E_{1,tau} from
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import fem, kernel, mesh as meshmod
 from .errors import InvalidParameter, NoConvergence
-from .semidiscrete import SolutionMatrix, scan_threshold
+from .semidiscrete import ScanSpec, SolutionMatrix, scan_threshold
 
 __all__ = [
     "SteppingState",
@@ -126,8 +129,10 @@ def first_step_matrix(system, omega0):
 class FirstStepBound:
     """Largest nonnegativity-preserving omega_0, with certified bounds.
 
-    omega_bisect: largest omega_0 with (omega_0 M + S)^{-1} M entrywise
-    nonnegative; inf when every omega_0 works, None when none does.
+    omega_bisect: largest omega_0 with omega_0 (omega_0 M + S)^{-1} M
+    entrywise above the scan's floor -1e-12 * N, i.e. 1/tau* of the heat
+    symbol, bracketed to 0.2%; inf when every omega_0 works, None when
+    none does.
     omega_certified: largest omega_0 for which every off-diagonal of
     omega_0 M + S is certainly nonpositive (min over neighbor pairs), a
     sufficient condition.  omega_stated: the max-over-pairs variant of the
@@ -168,39 +173,22 @@ def _pair_bounds(system):
     return certified, stated
 
 
-def first_step_positivity_omega(system, tol=1e-13, omega_cap=None):
-    """Bisect the largest omega_0 keeping the first step nonnegative."""
+def first_step_positivity_omega(system):
+    """Largest omega_0 keeping the first step nonnegative, with pair bounds.
 
-    def nonneg(omega0):
-        x = system.eigen.matrix_function(1.0 / (omega0 + system.eigen.eigenvalues))
-        return x.min() >= -tol * max(1.0, np.abs(x).max())
-
+    omega_0* is 1/tau* of the heat symbol P(z) = z, read from
+    fd_positivity_threshold on the default scan grid divided by lambda_1,
+    so scaling S scales the grid and the answer with it.
+    """
     certified, stated = _pair_bounds(system)
-    lams = system.eigen.eigenvalues
-    if omega_cap is None:
-        omega_cap = 1e16 * lams[-1]
-    if not nonneg(0.0):
-        return FirstStepBound(None, certified, stated)
-    # decade search up or down from the smallest eigenvalue, so the bracket
-    # scales with the spectrum; below 1e-16 * lambda_1 the first step equals
-    # H^{-1} to roundoff, which nonneg(0) already accepted
-    if nonneg(lams[0]):
-        lo, hi = lams[0], 10.0 * lams[0]
-        while nonneg(hi):
-            lo, hi = hi, 10.0 * hi
-            if hi > omega_cap:
-                return FirstStepBound(math.inf, certified, stated)
+    lam1 = system.eigen.eigenvalues[0]
+    heat = kernel.FracOperator.single_term(1.0)
+    rep = fd_positivity_threshold(system, heat, ScanSpec(1e-8 / lam1, 1e2 / lam1))
+    if rep.found:
+        omega = 1.0 / rep.value
     else:
-        lo, hi = 0.1 * lams[0], lams[0]
-        while not nonneg(lo) and lo > 1e-16 * lams[0]:
-            lo, hi = 0.1 * lo, lo
-    while hi / lo > 1.002:
-        mid = math.sqrt(lo * hi)
-        if nonneg(mid):
-            lo = mid
-        else:
-            hi = mid
-    return FirstStepBound(math.sqrt(lo * hi), certified, stated)
+        omega = math.inf if rep.status == "all-nonnegative" else None
+    return FirstStepBound(omega, certified, stated)
 
 
 def fd_positivity_threshold(system, op, scan=None, tol=None):
@@ -218,8 +206,11 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
     lams = system.eigen.eigenvalues
 
     def coeffs(taus):
-        omega0 = kernel.char_fn(op, 1.0 / taus)[:, None]
-        return omega0 / (omega0 + lams)
+        # a tau whose reciprocal overflows gives a nan row, which the scan
+        # rejects as a NumericalError
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega0 = kernel.char_fn(op, 1.0 / taus)[:, None]
+            return omega0 / (omega0 + lams)
 
     return scan_threshold(system, op, coeffs, scan, tol, monotone=True)
 

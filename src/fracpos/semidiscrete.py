@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .errors import InvalidParameter, ScanMismatch
+from .errors import InvalidParameter, NumericalError, ScanMismatch
 
 __all__ = [
     "ScanSpec",
@@ -199,7 +199,8 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
 
     coeffs(xs) returns one row of per-mode coefficients c(x) per point.
     The scan must cover at least six decades.  Negativity below
-    tol = 1e-12 * N is attributed to roundoff.  The grid goes one decade
+    tol = 1e-12 * N is attributed to roundoff; a non-finite smallest
+    entry raises NumericalError naming its x.  The grid goes one decade
     (per_decade points) at a time from the largest x down: one coeffs call
     gives the decade's rows and min_entries their smallest entries,
     stopping after the first decade with a point below -tol.  Only the
@@ -229,7 +230,14 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     grid = scan.grid()
 
     def reduce(xs):
-        return min_entries(coeffs(xs))
+        mins = min_entries(coeffs(xs))
+        bad = ~np.isfinite(mins)
+        if bad.any():
+            raise NumericalError(
+                "%s %s: smallest entry %r at x = %r"
+                % (system.method, op.label, float(mins[bad][0]), float(xs[bad][0]))
+            )
+        return mins
 
     def top_down():
         start, mins = grid.size, np.empty(0)

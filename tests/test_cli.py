@@ -209,6 +209,21 @@ def test_kernel_mittag_rejects_non_finite_x(x, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "ulambda", "--lambda", "1", "--t", "1", "-1"),
+        ("kernel", "mittag", "--alpha", "0.5", "--x", "-1", "1"),
+    ],
+)
+def test_kernel_commands_print_nothing_before_a_bad_value(argv, capsys):
+    # the valid first value must not reach stdout ahead of the failure
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error:" in err
+
+
 @pytest.mark.parametrize("extra", [("--mu", "exp"), ("--weights", "1"), ("--quad-order", "32")])
 def test_kernel_mittag_takes_only_alpha_x_config(extra):
     with pytest.raises(SystemExit) as exc:
@@ -234,6 +249,22 @@ def test_fully_threshold_rejects_non_finite_weights(bad, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "all-nonnegative" not in out
     assert "weights must be positive and finite" in err
+
+
+def test_fully_threshold_exits_1_when_one_over_tau_overflows(tmp_path, capsys):
+    # 1/tau overflows below tau = 5.6e-309, so every first-step row is nan
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(
+            "fully", "threshold", "--family", "uniform", "--M", "4", "--methods", "sg",
+            "--scan-start", "1e-320", "--scan-stop", "1e-310", "--outdir", str(tmp_path),
+        )
+    assert rc == 1
+    assert caught == []
+    assert os.listdir(tmp_path) == []
+    out, err = capsys.readouterr()
+    assert "all-nonnegative" not in out
+    assert "numerical failure" in err and "nan at x = 1e-320" in err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -305,6 +305,8 @@ def test_one_first_step_omega_per_table_system(get_system, table, family, method
         lo = max(lo, kernel.char_fn(op, 1.0 / tau_hi))
         hi = min(hi, kernel.char_fn(op, 1.0 / tau_lo))
     assert lo <= hi
+    omega = fullydiscrete.first_step_positivity_omega(sys).omega_bisect
+    assert lo * (1.0 - 2e-3) <= omega <= hi * (1.0 + 2e-3)
 
 
 def test_lemma_propagation_first_step_to_all_steps(get_system):
