@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, kernel, mesh as meshmod
-from .errors import InvalidParameter, NoConvergence
+from .errors import InvalidParameter, NoConvergence, NumericalError
 from .semidiscrete import ScanSpec, SolutionMatrix, scan_threshold
 
 __all__ = [
@@ -278,16 +278,26 @@ def max_norm_contractivity_check(system, op, taus, n_max=100, slack=1e-10):
     """Max-norm of E_{n,tau} over n = 0..n_max for each step size.
 
     For the lumped mass method with a diagonally dominant stiffness matrix
-    the norms must never exceed 1 (up to slack).  E_{n,tau} is built one
-    step count at a time from the scalar recursion; E_{0,tau} = I.
+    the norms must never exceed 1 (up to slack).  The rows r_{n,tau}(lambda)
+    of the scalar recursion for n = 1..n_max go to EigenSystem.max_norms,
+    which reads E_{n,tau} through a skeleton of those rows: each entry is
+    off by at most linalg.SKELETON_TOL * (|back| |forward|)_ij plus
+    roundoff, far below slack = 1e-10.  E_{0,tau} = I, so norms[0] = 1
+    exactly.  A row that is not finite (tau so small that the weights
+    overflow) raises NumericalError naming its step count.
     """
     out = []
     for tau in taus:
-        rows = kernel._r_rows(op, system.eigen.eigenvalues, tau, n_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = kernel._r_rows(op, system.eigen.eigenvalues, tau, n_max)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise NumericalError(
+                "r_{n,tau} is not finite at step count n=%d (tau=%r)" % (bad[0], tau)
+            )
         norms = np.empty(n_max + 1)
         norms[0] = 1.0
-        for m in range(1, n_max + 1):
-            norms[m] = np.abs(system.eigen.matrix_function(rows[m])).sum(axis=1).max()
+        norms[1:] = system.eigen.max_norms(rows[1:])
         max_norm = float(norms.max())
         out.append(
             ContractivityReport(

@@ -11,13 +11,18 @@ are exact inverses of each other up to roundoff:
 The reduction runs on numpy's LAPACK alone (cholesky, solve, eigh), and
 every dense operator, H^{-1} included, is a matrix function through it, so
 nothing here imports scipy.
+
+Two reductions read a batch of coefficient rows without keeping its
+matrices: min_entries (smallest entry, exact products in blocks) and
+max_norms (max-norm, through a skeleton of the rows).  A max-norm entry
+moves by at most SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite
+from .errors import NoConvergence, NotPositiveDefinite, NumericalError
 
 __all__ = [
     "EigenSystem",
@@ -29,6 +34,9 @@ __all__ = [
 
 # float64 entries of one block of EigenSystem.min_entries' wide product
 BLOCK_ENTRIES = 2 ** 15
+
+# largest residual row 2-norm max_norms leaves outside its skeleton rows
+SKELETON_TOL = 1e-15
 
 
 def _check_square(a):
@@ -93,6 +101,90 @@ class EigenSystem:
             out[start:start + block.shape[0]] = wide.reshape(n, -1, n).min(axis=(0, 2))
         out[(rows == 1.0).all(axis=1)] = 1.0 if n == 1 else 0.0
         return out
+
+    def max_norms(self, rows):
+        """max_i sum_j |(back @ diag(c) @ forward)_ij| for each row c of rows.
+
+        Rows go min(k, N) at a time.  Each batch is written as an
+        interpolative decomposition c_n = sum_s X_ns c_s over skeleton rows
+        S (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci. Comput. 26,
+        2005; see _skeleton), so every matrix is sum_s X_ns E_s with
+        E_s = back diag(c_s) forward, and only the |S| matrices E_s are
+        products.  The rows of a time-stepping batch have numerical rank
+        about 5-30, so this costs about |S| dense products instead of k.
+        An entry then differs from the per-row product by at most
+        SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
+
+        E_s is formed for a block of rows of back at a time, sized so the
+        combined block holds at most N^2 entries: a row sum is complete
+        inside one block, so nothing of size N x k is kept.
+        """
+        rows = np.asarray(rows, dtype=float)
+        n = self.size
+        per_batch = max(1, min(rows.shape[0], n))
+        out = np.zeros(rows.shape[0])
+        for first in range(0, rows.shape[0], per_batch):
+            batch = rows[first:first + per_batch]
+            skeleton, x = _skeleton(batch)
+            r = skeleton.shape[0]
+            norms = out[first:first + per_batch]
+            per_block = max(1, n // batch.shape[0])
+            for start in range(0, n, per_block):
+                back = self.back_transform[start:start + per_block]
+                # entry [s, i, :] is row i of back diag(c_s) forward
+                scaled = (skeleton[:, None, :] * back).reshape(-1, n)
+                wide = (scaled @ self.forward_transform).reshape(r, back.shape[0] * n)
+                block = x @ wide
+                np.abs(block, out=block)
+                sums = block.reshape(batch.shape[0], back.shape[0], n).sum(axis=2)
+                np.maximum(norms, sums.max(axis=1), out=norms)
+        return out
+
+
+def _skeleton(rows):
+    """Skeleton rows S of rows and X with rows = X @ rows[S] to SKELETON_TOL.
+
+    Greedy row-pivoted Gram-Schmidt: take the row whose residual has the
+    largest 2-norm, orthogonalise it against the basis again, then remove
+    the new direction from every residual twice; stop once no residual
+    2-norm exceeds SKELETON_TOL.  X is the least-squares fit in the basis,
+    coef @ coef[S]^-1 with coef = rows @ basis^T.  The fit is checked a
+    posteriori, entrywise: |c_n - X_n rows[S]| <= SKELETON_TOL plus
+    (|S| + 1) eps (|c_n|_2 + |X_n| |rows[S]|), the rounding of the
+    projections (which spreads over the whole row, hence its 2-norm) and
+    of the check itself.  A zero row gets a zero row of X; rows must be
+    finite.
+    """
+    res = rows.copy()
+    picked = []
+    basis = np.empty((0, rows.shape[1]))
+    for _ in range(min(rows.shape)):
+        sq = np.einsum("ij,ij->i", res, res)
+        p = int(np.argmax(sq))
+        if not np.sqrt(sq[p]) > SKELETON_TOL:
+            break
+        q = res[p] - basis.T @ (basis @ res[p])
+        basis = np.vstack([basis, q / np.linalg.norm(q)])
+        for _ in range(2):
+            res -= np.outer(res @ basis[-1], basis[-1])
+        res[p] = 0.0
+        picked.append(p)
+    del res
+    coef = rows @ basis.T
+    x = np.linalg.solve(coef[picked].T, coef.T).T
+    skeleton = rows[picked]
+    err = x @ skeleton
+    err -= rows
+    np.abs(err, out=err)
+    bound = np.abs(x) @ np.abs(skeleton)
+    bound += np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    bound *= (len(picked) + 1) * np.finfo(float).eps
+    bound += SKELETON_TOL
+    if not np.all(err <= bound):
+        raise NumericalError(
+            "skeleton of %d rows misses a row by %.3e" % (len(picked), err.max())
+        )
+    return skeleton, x
 
 
 def cholesky(a):

@@ -551,6 +551,21 @@ def test_fully_contractivity(tmp_path, capsys):
     assert (tmp_path / "contractivity_lm.csv").exists()
 
 
+def test_fully_contractivity_exits_1_when_weights_overflow(tmp_path, capsys):
+    # 1/tau overflows for the heat symbol, so every r_{n,tau} row is nan
+    rc = run_cli(
+        "fully", "contractivity", "--family", "uniform", "--M", "4", "--methods", "lm",
+        "--alpha", "1", "--tau", "1e-320", "--outdir", str(tmp_path),
+    )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "contractive" not in out
+    assert err.strip() == (
+        "numerical failure: r_{n,tau} is not finite at step count n=1 (tau=1e-320)"
+    )
+    assert not (tmp_path / "contractivity_lm.csv").exists()
+
+
 # reproduce
 
 

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from fracpos import cli, fem, fullydiscrete, kernel, linalg, semidiscrete
-from fracpos.errors import InvalidParameter, NoConvergence
+from fracpos.errors import InvalidParameter, NoConvergence, NumericalError
 from fracpos.kernel import FracOperator
 
 SINGLE = FracOperator.single_term(0.5)
@@ -412,6 +412,36 @@ def test_contractivity_memory_is_one_matrix_at_a_time(get_system):
         tracemalloc.stop()
     assert reports[0].contractive
     assert peak < 16 * 2**20
+
+
+def test_contractivity_memory_for_many_steps(get_system):
+    # n_max = 2000 > N = 361: the rows alone take 5.5 MB, and a reduction
+    # holding an N x n_max array of row sums or residuals would double that
+    sys = get_system("uniform", "lm", m=20)
+    tracemalloc.start()
+    try:
+        reports = fullydiscrete.max_norm_contractivity_check(
+            sys, SINGLE, (1e-2,), n_max=2000
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reports[0].contractive
+    assert peak < 10 * 2**20
+
+
+def test_contractivity_rejects_a_non_finite_row(get_system, monkeypatch):
+    sys = get_system("uniform", "lm", m=4)
+    rows_of = kernel._r_rows
+
+    def doctored(*args):
+        rows = rows_of(*args)
+        rows[7, 3] = np.nan
+        return rows
+
+    monkeypatch.setattr(kernel, "_r_rows", doctored)
+    with pytest.raises(NumericalError, match="step count n=7"):
+        fullydiscrete.max_norm_contractivity_check(sys, SINGLE, (1e-2,), n_max=10)
 
 
 def test_contractivity_counterexample_without_dominance():

@@ -1,10 +1,11 @@
-"""Dense symmetric linear algebra: factorizations, eigensystems, solves."""
+"""Dense symmetric linear algebra: factorizations, eigensystems, reductions."""
 
 import numpy as np
 import pytest
 
-from fracpos import linalg
+from fracpos import kernel, linalg
 from fracpos.errors import NotPositiveDefinite
+from fracpos.kernel import FracOperator
 
 
 def test_gen_sym_eigen_diagonal_pair():
@@ -73,6 +74,70 @@ def test_min_entries_of_identity_rows_is_exact(get_system):
         assert mins[0] == want and mins[2] == want
         want_mid = sys.eigen.matrix_function(rows[1]).min()
         assert mins[1] == pytest.approx(want_mid, rel=0.0, abs=1e-15)
+
+
+def _per_row_max_norms(eig, rows):
+    # the route max_norms replaces: one dense product per row
+    return np.array([np.abs(eig.matrix_function(c)).sum(axis=1).max() for c in rows])
+
+
+@pytest.mark.parametrize(
+    "family,method,m",
+    [
+        ("uniform", "lm", 4),
+        ("uniform", "lm", 10),
+        ("uniform", "lm", 20),
+        ("uniform", "sg", 10),
+        ("counterexample", None, None),
+    ],
+    ids=["uniform-lm-4", "uniform-lm-10", "uniform-lm-20", "uniform-sg-10", "counterexample"],
+)
+@pytest.mark.parametrize(
+    "op",
+    [
+        FracOperator.single_term(0.5),
+        FracOperator.multi_term((0.5, 0.2)),
+        FracOperator.distributed("exp"),
+        FracOperator.single_term(1.0),
+    ],
+    ids=lambda op: op.label,
+)
+def test_max_norms_match_per_row_products(get_system, family, method, m, op):
+    if family == "counterexample":
+        # not diagonally dominant: the norms exceed one for small tau
+        eig = linalg.gen_sym_eigen(np.array([[2.0, -3.0], [-3.0, 6.0]]), np.eye(2))
+    else:
+        eig = get_system(family, method, m=m).eigen
+    for tau in (1e-4, 1e-2, 1.0):
+        rows = kernel._r_rows(op, eig.eigenvalues, tau, 100)[1:]
+        np.testing.assert_allclose(
+            eig.max_norms(rows), _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
+        )
+
+
+def test_max_norms_edge_batches(get_system):
+    eig = get_system("uniform", "lm", m=6).eigen
+    n = eig.size
+    assert eig.max_norms(np.empty((0, n))).shape == (0,)
+    rng = np.random.default_rng(4)
+    full = rng.uniform(-1.0, 1.0, (n, n))
+    low = rng.uniform(0.0, 1.0, (3 * n + 2, 4)) @ rng.uniform(0.0, 1.0, (4, n))
+    with np.errstate(all="raise"):
+        # one row; a full-rank batch, whose skeleton is every row; a
+        # low-rank batch longer than N, which goes in pieces of N rows
+        assert linalg._skeleton(full)[0].shape[0] == n
+        for rows in (full[:1], full, low):
+            np.testing.assert_allclose(
+                eig.max_norms(rows), _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
+            )
+        # zero rows read 0, alone and inside a batch
+        assert np.array_equal(eig.max_norms(np.zeros((1, n))), [0.0])
+        rows = np.vstack([full[:3], np.zeros(n), full[3:5]])
+        norms = eig.max_norms(rows)
+        assert norms[3] == 0.0
+        np.testing.assert_allclose(
+            norms, _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
+        )
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 50])
