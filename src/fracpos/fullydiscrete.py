@@ -283,13 +283,18 @@ def max_norm_contractivity_check(system, op, taus, n_max=100, slack=1e-10):
     which reads E_{n,tau} through a skeleton of those rows: each entry is
     off by at most linalg.SKELETON_TOL * (|back| |forward|)_ij plus
     roundoff, far below slack = 1e-10.  E_{0,tau} = I, so norms[0] = 1
-    exactly.  A row that is not finite (tau so small that the weights
-    overflow) raises NumericalError naming its step count.
+    exactly, and n_max = 0 gives norms = [1.0].  A row that is not finite
+    (tau so small that the weights overflow) raises NumericalError naming
+    its step count.
     """
+    if n_max < 0:
+        raise InvalidParameter("n_max must be nonnegative")
     out = []
     for tau in taus:
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = kernel._r_rows(op, system.eigen.eigenvalues, tau, n_max)
+            # at least one step, so tau is checked even when n_max = 0
+            rows = kernel._r_rows(op, system.eigen.eigenvalues, tau, max(n_max, 1))
+        rows = rows[:n_max + 1]
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         if bad.size:
             raise NumericalError(

@@ -10,7 +10,8 @@ are exact inverses of each other up to roundoff:
 
 The reduction runs on numpy's LAPACK alone (cholesky, solve, eigh), and
 every dense operator, H^{-1} included, is a matrix function through it, so
-nothing here imports scipy.
+nothing here imports scipy.  A diagonal (lumped) M has L = diag(sqrt(m)),
+and L^{-1} is then a scaling of rows by 1/sqrt(m) instead of a solve.
 
 Two reductions read a batch of coefficient rows without keeping its
 matrices: min_entries (smallest entry, exact products in blocks) and
@@ -109,15 +110,18 @@ class EigenSystem:
         interpolative decomposition c_n = sum_s X_ns c_s over skeleton rows
         S (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci. Comput. 26,
         2005; see _skeleton), so every matrix is sum_s X_ns E_s with
-        E_s = back diag(c_s) forward, and only the |S| matrices E_s are
+        E_s = back diag(c_s) forward, and only the r = |S| matrices E_s are
         products.  The rows of a time-stepping batch have numerical rank
-        about 5-30, so this costs about |S| dense products instead of k.
+        about 5-30, so this costs about r dense products instead of k.
         An entry then differs from the per-row product by at most
         SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
 
-        E_s is formed for a block of rows of back at a time, sized so the
-        combined block holds at most N^2 entries: a row sum is complete
-        inside one block, so nothing of size N x k is kept.
+        E_s is formed for b = N // r rows of back at a time (at least one),
+        all r of them in one (r b) x N by N x N product, so about r blocks
+        cover back.  Against each, k' = N // b rows of X (at least one)
+        combine at a time.  Every array of a block, E_s and the combined
+        k' x b x N, holds at most N^2 entries; a row sum is complete inside
+        one block, so nothing of size N x k is kept.
         """
         rows = np.asarray(rows, dtype=float)
         n = self.size
@@ -128,16 +132,19 @@ class EigenSystem:
             skeleton, x = _skeleton(batch)
             r = skeleton.shape[0]
             norms = out[first:first + per_batch]
-            per_block = max(1, n // batch.shape[0])
+            per_block = max(1, n // max(r, 1))
+            per_combine = max(1, n // per_block)
             for start in range(0, n, per_block):
                 back = self.back_transform[start:start + per_block]
                 # entry [s, i, :] is row i of back diag(c_s) forward
                 scaled = (skeleton[:, None, :] * back).reshape(-1, n)
                 wide = (scaled @ self.forward_transform).reshape(r, back.shape[0] * n)
-                block = x @ wide
-                np.abs(block, out=block)
-                sums = block.reshape(batch.shape[0], back.shape[0], n).sum(axis=2)
-                np.maximum(norms, sums.max(axis=1), out=norms)
+                for c0 in range(0, batch.shape[0], per_combine):
+                    block = x[c0:c0 + per_combine] @ wide
+                    np.abs(block, out=block)
+                    sums = block.reshape(block.shape[0], back.shape[0], n).sum(axis=2)
+                    part = norms[c0:c0 + per_combine]
+                    np.maximum(part, sums.max(axis=1), out=part)
         return out
 
 
@@ -217,7 +224,11 @@ def gen_sym_eigen(s, m):
 
     Reduces to the standard problem on L^{-1} S L^{-T} where M = L L^T,
     then maps the orthonormal eigenvectors back.  Eigenvalues must come
-    out strictly positive (S is expected SPD as well).
+    out strictly positive (S is expected SPD as well).  A diagonal M (the
+    lumped mass) takes L = diag(sqrt(m)) and applies L^{-1} as a product
+    with the reciprocals 1/sqrt(m); under numpy's OpenBLAS that gives the
+    Cholesky route's eigensystem bit for bit, where dividing by sqrt(m)
+    does not.
     """
     s = _check_square(s)
     m = _check_square(m)
@@ -226,14 +237,29 @@ def gen_sym_eigen(s, m):
             "operand shapes differ: %s vs %s" % (s.shape, m.shape)
         )
     _check_symmetric(s)
-    ell = cholesky(m)
+    diag = np.diagonal(m)
+    lumped = np.count_nonzero(m) == np.count_nonzero(diag)
     # C = L^{-1} S L^{-T}, symmetrized to kill roundoff skew
-    c = np.linalg.solve(ell, s)
-    c = np.linalg.solve(ell, c.T)
+    if lumped:
+        if not np.all(diag > 0.0):
+            raise NotPositiveDefinite(
+                "diagonal mass entry %.3e is not positive" % diag.min()
+            )
+        root = np.sqrt(diag)[:, None]
+        inv = 1.0 / root
+        c = (s * inv).T * inv
+    else:
+        ell = cholesky(m)
+        c = np.linalg.solve(ell, s)
+        c = np.linalg.solve(ell, c.T)
     c = 0.5 * (c + c.T)
     w, vecs = sym_eigen(c)
     if w[0] <= 0.0:
         raise NotPositiveDefinite("smallest eigenvalue %.3e is not positive" % w[0])
-    back = np.linalg.solve(ell.T, vecs)
-    forward = (ell @ vecs).T
+    if lumped:
+        back = vecs * inv
+        forward = (root * vecs).T
+    else:
+        back = np.linalg.solve(ell.T, vecs)
+        forward = (ell @ vecs).T
     return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)

@@ -551,6 +551,20 @@ def test_fully_contractivity(tmp_path, capsys):
     assert (tmp_path / "contractivity_lm.csv").exists()
 
 
+def test_fully_contractivity_zero_steps(tmp_path, capsys):
+    # n = 0..0 is E_{0,tau} = I alone, whose max-norm is exactly one
+    rc = run_cli(
+        "fully", "contractivity", "--family", "uniform", "--M", "4",
+        "--methods", "lm", "--tau", "1e-2", "1", "--n-max", "0",
+        "--outdir", str(tmp_path),
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("max_norm=1.000000000000 contractive=true") == 2
+    lines = (tmp_path / "contractivity_lm.csv").read_text().strip().splitlines()
+    assert lines[1:] == ["tau,n,max_norm", "0.01,0,1.0", "1.0,0,1.0"]
+
+
 def test_fully_contractivity_exits_1_when_weights_overflow(tmp_path, capsys):
     # 1/tau overflows for the heat symbol, so every r_{n,tau} row is nan
     rc = run_cli(

@@ -430,6 +430,19 @@ def test_contractivity_memory_for_many_steps(get_system):
     assert peak < 10 * 2**20
 
 
+def test_contractivity_of_zero_steps_is_the_identity(get_system):
+    sys = get_system("uniform", "lm", m=4)
+    reports = fullydiscrete.max_norm_contractivity_check(
+        sys, SINGLE, (1e-2, 1.0), n_max=0
+    )
+    for rep in reports:
+        assert rep.norms.tolist() == [1.0] and rep.max_norm == 1.0 and rep.contractive
+    with pytest.raises(InvalidParameter):
+        fullydiscrete.max_norm_contractivity_check(sys, SINGLE, (1e-2,), n_max=-1)
+    with pytest.raises(InvalidParameter):
+        fullydiscrete.max_norm_contractivity_check(sys, SINGLE, (-1.0,), n_max=0)
+
+
 def test_contractivity_rejects_a_non_finite_row(get_system, monkeypatch):
     sys = get_system("uniform", "lm", m=4)
     rows_of = kernel._r_rows

@@ -140,6 +140,75 @@ def test_max_norms_edge_batches(get_system):
         )
 
 
+def test_max_norms_block_extremes(get_system):
+    eig = get_system("uniform", "lm", m=6).eigen
+    n = eig.size
+    rng = np.random.default_rng(9)
+    # rank one: b = N rows of back in a single block, one row of X at a time
+    one = rng.uniform(-1.0, 1.0, (7, 1)) @ rng.uniform(0.0, 1.0, (1, n))
+    # rank four: b = N // 4 and k' = N // b rows of X, which do not divide k
+    four = rng.uniform(0.0, 1.0, (10, 4)) @ rng.uniform(0.0, 1.0, (4, n))
+    per_combine = n // (n // 4)
+    assert four.shape[0] % per_combine != 0
+    for rows, r in ((one, 1), (four, 4)):
+        assert linalg._skeleton(rows)[0].shape[0] == r
+        np.testing.assert_allclose(
+            eig.max_norms(rows), _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
+        )
+
+
+def _cholesky_route(s, m):
+    # the reduction for a general mass: Cholesky factor, then LU solves
+    ell = np.linalg.cholesky(m)
+    c = np.linalg.solve(ell, s)
+    c = np.linalg.solve(ell, c.T)
+    w, vecs = np.linalg.eigh(0.5 * (c + c.T))
+    return linalg.EigenSystem(w, np.linalg.solve(ell.T, vecs), (ell @ vecs).T)
+
+
+@pytest.mark.parametrize(
+    "family,kw",
+    [("uniform", {"m": 20}), ("crossed", {"m": 5}), ("sliver", {"m": 10}), ("disk_coarse", {})],
+    ids=["uniform-20", "crossed-5", "sliver-10", "disk_coarse"],
+)
+def test_lumped_mass_scaling_matches_cholesky_route(get_system, family, kw):
+    sys = get_system(family, "lm", **kw)
+    got = linalg.gen_sym_eigen(sys.stiffness, sys.mass)
+    want = _cholesky_route(sys.stiffness, sys.mass)
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=1e-13)
+    # eigenvectors of a degenerate eigenspace depend on the BLAS; the
+    # matrix function does not
+    np.testing.assert_allclose(
+        got.matrix_function(np.exp(-1e-3 * got.eigenvalues)),
+        want.matrix_function(np.exp(-1e-3 * want.eigenvalues)),
+        rtol=0.0,
+        atol=1e-13,
+    )
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0])
+def test_lumped_mass_rejects_nonpositive_entry(entry):
+    with pytest.raises(NotPositiveDefinite):
+        linalg.gen_sym_eigen(np.eye(3), np.diag([1.0, entry, 2.0]))
+
+
+class _SolveCalled(Exception):
+    pass
+
+
+def test_lumped_mass_takes_no_solve(get_system, monkeypatch):
+    lm = get_system("uniform", "lm", m=6)
+    sg = get_system("uniform", "sg", m=6)
+
+    def refuse(*args, **kw):
+        raise _SolveCalled
+
+    monkeypatch.setattr(linalg.np.linalg, "solve", refuse)
+    linalg.gen_sym_eigen(lm.stiffness, lm.mass)
+    with pytest.raises(_SolveCalled):
+        linalg.gen_sym_eigen(sg.stiffness, sg.mass)
+
+
 @pytest.mark.parametrize("n", [2, 5, 17, 50])
 def test_cholesky_roundtrip(n):
     rng = np.random.default_rng(n)
