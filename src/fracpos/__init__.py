@@ -1,19 +1,17 @@
 """Nonnegativity of finite element schemes for fractional-in-time diffusion.
 
 The package builds the three spatial discretizations (standard Galerkin,
-mass lumping, finite volume element) on triangular meshes, evaluates the
-time-fractional solution operator through contour quadrature, and locates
-the times / step sizes where the discrete solutions stop dipping negative.
+mass lumping, finite volume element) on triangular meshes and reads every
+solution operator one way: a row of per-mode coefficients (the contour
+quadrature kernel u_lambda(t), or omega_0 / (omega_0 + lambda) and
+r_{n,tau}(lambda) for backward Euler) applied through the eigensystem of
+(S, M).  The threshold scans locate the times / step sizes where the
+discrete solutions stop dipping negative.
 """
 
 from .errors import FracposError, NumericalError, UsageError
 from .fem import METHODS, build_fem_system, system_from_matrices
-from .fullydiscrete import (
-    fd_positivity_threshold,
-    fd_solution_matrix,
-    first_step_positivity_omega,
-    step_solution,
-)
+from .fullydiscrete import fd_positivity_threshold
 from .kernel import FracOperator, cq_weights, mittag_leffler, u_lambda
 from .mesh import (
     bundled_mesh,
@@ -24,7 +22,7 @@ from .mesh import (
     gen_uniform_square,
     load_triangle_format,
 )
-from .semidiscrete import positivity_threshold, solution_matrix
+from .semidiscrete import positivity_threshold
 
 __version__ = "0.1.0"
 
@@ -46,11 +44,7 @@ __all__ = [
     "load_triangle_format",
     "bundled_mesh",
     "bundled_mesh_names",
-    "solution_matrix",
     "positivity_threshold",
-    "fd_solution_matrix",
-    "step_solution",
     "fd_positivity_threshold",
-    "first_step_positivity_omega",
     "__version__",
 ]

@@ -462,20 +462,20 @@ def cmd_fully_converge(args):
     if lo >= hi:
         raise UsageError("--n-exp wants two increasing nonnegative integers")
     n_list = [2 ** k for k in range(lo, hi + 1)]
-    method = args.methods[0]
-    system = fem.build_fem_system(mesh, method)
-    rate, errors = fullydiscrete.convergence_rate(system, op, args.t, n_list)
-    parts = {
-        "cmd": "converge",
-        "op": op.label,
-        "method": method,
-        "t": repr(args.t),
-        "n": "%d..%d" % (n_list[0], n_list[-1]),
-    }
-    parts.update(_mesh_parts(mesh))
-    path = os.path.join(out, "converge_%s.csv" % method)
-    _write_csv(path, ("n", "error"), errors, parts, ("# rate %.4f" % rate,))
-    print("%s %s: rate %.4f  [%s]" % (method, op.label, rate, path))
+    for method in args.methods:
+        system = fem.build_fem_system(mesh, method)
+        rate, errors = fullydiscrete.convergence_rate(system, op, args.t, n_list)
+        parts = {
+            "cmd": "converge",
+            "op": op.label,
+            "method": method,
+            "t": repr(args.t),
+            "n": "%d..%d" % (n_list[0], n_list[-1]),
+        }
+        parts.update(_mesh_parts(mesh))
+        path = os.path.join(out, "converge_%s.csv" % method)
+        _write_csv(path, ("n", "error"), errors, parts, ("# rate %.4f" % rate,))
+        print("%s %s: rate %.4f  [%s]" % (method, op.label, rate, path))
     return 0
 
 
@@ -483,32 +483,32 @@ def cmd_fully_contractivity(args):
     mesh = _resolve_mesh(args)
     op = _resolve_operator(args)
     out = _outdir(args)
-    method = args.methods[0]
-    system = fem.build_fem_system(mesh, method)
-    reports = fullydiscrete.max_norm_contractivity_check(
-        system, op, args.tau, n_max=args.n_max
-    )
-    parts = {
-        "cmd": "contractivity",
-        "op": op.label,
-        "method": method,
-        "tau": " ".join(repr(t) for t in args.tau),
-        "n_max": args.n_max,
-    }
-    parts.update(_mesh_parts(mesh))
-    rows = []
-    for rep in reports:
-        rows.extend((rep.tau, n, rep.norms[n]) for n in range(rep.norms.shape[0]))
-    path = os.path.join(out, "contractivity_%s.csv" % method)
-    _write_csv(path, ("tau", "n", "max_norm"), rows, parts)
-    ok = fem.is_diagonally_dominant(system.stiffness)
-    print("stiffness diagonally dominant: %s" % ("true" if ok else "false"))
-    for rep in reports:
-        print(
-            "tau=%s max_norm=%.12f contractive=%s"
-            % (_fmt(rep.tau), rep.max_norm, "true" if rep.contractive else "false")
+    for method in args.methods:
+        system = fem.build_fem_system(mesh, method)
+        reports = fullydiscrete.max_norm_contractivity_check(
+            system, op, args.tau, n_max=args.n_max
         )
-    print("wrote %s" % path)
+        parts = {
+            "cmd": "contractivity",
+            "op": op.label,
+            "method": method,
+            "tau": " ".join(repr(t) for t in args.tau),
+            "n_max": args.n_max,
+        }
+        parts.update(_mesh_parts(mesh))
+        rows = []
+        for rep in reports:
+            rows.extend((rep.tau, n, rep.norms[n]) for n in range(rep.norms.shape[0]))
+        path = os.path.join(out, "contractivity_%s.csv" % method)
+        _write_csv(path, ("tau", "n", "max_norm"), rows, parts)
+        ok = fem.is_diagonally_dominant(system.stiffness)
+        print("stiffness diagonally dominant: %s" % ("true" if ok else "false"))
+        for rep in reports:
+            print(
+                "tau=%s max_norm=%.12f contractive=%s"
+                % (_fmt(rep.tau), rep.max_norm, "true" if rep.contractive else "false")
+            )
+        print("wrote %s" % path)
     return 0
 
 

@@ -38,10 +38,6 @@ class NoConvergence(NumericalError):
     pass
 
 
-class Singular(NumericalError):
-    pass
-
-
 class DegenerateTriangle(NumericalError):
     """A triangle encountered during assembly has near-zero area."""
 

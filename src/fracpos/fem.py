@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateTriangle, InvalidParameter, NotPositiveDefinite
-from .mesh import edge_table, triangle_areas
+from .mesh import triangle_areas
 
 __all__ = [
     "METHODS",
@@ -33,7 +33,6 @@ __all__ = [
     "system_from_matrices",
     "is_stieltjes",
     "is_diagonally_dominant",
-    "neighbor_pairs",
 ]
 
 METHODS = ("sg", "lm", "fve")
@@ -189,9 +188,3 @@ def system_from_matrices(mass, stiffness, method="sg", mesh=None):
         interior_count=mass.shape[0],
         mesh=mesh,
     )
-
-
-def neighbor_pairs(mesh):
-    """Interior node pairs joined by an edge, as (i, j) with i < j."""
-    edges, _ = edge_table(mesh.triangles)
-    return [tuple(e) for e in edges[edges[:, 1] < mesh.interior_count].tolist()]

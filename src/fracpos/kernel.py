@@ -53,7 +53,6 @@ __all__ = [
     "beta0",
     "beta_inf",
     "cq_weights",
-    "r_scalar",
     "r_scalar_many",
 ]
 
@@ -461,7 +460,3 @@ def _r_rows(op, lams, tau, n):
 def r_scalar_many(op, lams, tau, n):
     """Discrete relaxation kernel r_{n,tau}(lambda) for an array of lambda."""
     return _r_rows(op, lams, tau, n)[n]
-
-
-def r_scalar(op, lam, tau, n):
-    return float(r_scalar_many(op, lam, tau, n)[0])

@@ -9,9 +9,9 @@ are exact inverses of each other up to roundoff:
     forward_transform = W^T L^T         (its inverse, no matrix inversion needed)
 
 The reduction runs on numpy's LAPACK alone (cholesky, solve, eigh), and
-every dense operator, H^{-1} included, is a matrix function through it, so
-nothing here imports scipy.  A diagonal (lumped) M has L = diag(sqrt(m)),
-and L^{-1} is then a scaling of rows by 1/sqrt(m) instead of a solve.
+every dense operator, H^{-1} included, is a matrix function through it.
+A diagonal (lumped) M has L = diag(sqrt(m)), and L^{-1} is then a
+scaling of rows by 1/sqrt(m) instead of a solve.
 
 Two reductions read a batch of coefficient rows without keeping its
 matrices: min_entries (smallest entry, exact products in blocks) and

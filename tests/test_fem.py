@@ -178,14 +178,16 @@ def test_fve_structure():
     # row sums are the control volume areas, which is what lm lumps
     np.testing.assert_allclose(fve.sum(axis=1), np.diag(lm), rtol=1e-12)
     # nondiagonal: every edge couples with strictly positive weight
-    for (a, b) in fem.neighbor_pairs(m):
+    edges, _ = mesh.edge_table(m.triangles)
+    for (a, b) in edges[edges[:, 1] < m.interior_count]:
         assert fve[a, b] > 0.0
 
 
 def test_sg_mass_nondiagonal():
     m = mesh.gen_uniform_square(6)
     sg = fem.assemble_mass_sg(m, interior_only=False)
-    for (a, b) in fem.neighbor_pairs(m):
+    edges, _ = mesh.edge_table(m.triangles)
+    for (a, b) in edges[edges[:, 1] < m.interior_count]:
         assert sg[a, b] > 0.0
 
 
@@ -246,10 +248,3 @@ def test_diagonal_dominance():
     assert fem.is_diagonally_dominant(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     m = mesh.gen_uniform_square(8)
     assert fem.is_diagonally_dominant(fem.assemble_stiffness(m))
-
-
-def test_neighbor_pairs_uniform3():
-    m = mesh.gen_uniform_square(3)
-    # interior nodes are scanned row-major: (1,1) (2,1) (1,2) (2,2);
-    # the positive-slope diagonal joins 0 and 3, the other diagonal is cut
-    assert fem.neighbor_pairs(m) == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]

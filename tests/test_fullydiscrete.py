@@ -4,11 +4,12 @@ import math
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 import scipy.linalg
 
 from fracpos import cli, fem, fullydiscrete, kernel, linalg, semidiscrete
-from fracpos.errors import InvalidParameter, NoConvergence, NumericalError
+from fracpos.errors import InvalidParameter, NumericalError
 from fracpos.kernel import FracOperator
 
 SINGLE = FracOperator.single_term(0.5)
@@ -22,16 +23,16 @@ ALL_OPS = (SINGLE, MULTI, DIST)
 
 def test_scalar_first_step(get_system):
     sys = get_system("uniform", "lm", m=2)
-    state = fullydiscrete.step_solution(sys, SINGLE, 1.0, 1, np.array([1.0]))
-    assert state.steps == 1
-    assert state.solution[0] == pytest.approx(1.0 / 17.0, rel=1e-14)
-    np.testing.assert_array_equal(state.history[0], [1.0])
+    hist = oracles.step_solution(sys, SINGLE, 1.0, 1, np.array([1.0]))
+    assert len(hist) == 2  # U^0 and U^1
+    assert hist[-1][0] == pytest.approx(1.0 / 17.0, rel=1e-14)
+    np.testing.assert_array_equal(hist[0], [1.0])
 
 
 def test_zero_data_stays_zero(get_system):
     sys = get_system("uniform", "sg", m=4)
-    state = fullydiscrete.step_solution(sys, SINGLE, 0.1, 12, np.zeros(sys.size))
-    np.testing.assert_array_equal(state.history, 0.0)
+    hist = oracles.step_solution(sys, SINGLE, 0.1, 12, np.zeros(sys.size))
+    np.testing.assert_array_equal(hist, 0.0)
 
 
 def test_step_residual_identity(get_system):
@@ -39,15 +40,15 @@ def test_step_residual_identity(get_system):
     sys = get_system("uniform", "fve", m=4)
     rng = np.random.default_rng(2)
     v = rng.random(sys.size)
-    state = fullydiscrete.step_solution(sys, MULTI, 0.05, 9, v)
-    w = state.weights
+    hist = oracles.step_solution(sys, MULTI, 0.05, 9, v)
+    w = kernel.cq_weights(MULTI, 0.05, 9)
     csum = np.cumsum(w)
     a = w[0] * sys.mass + sys.stiffness
     for m in range(1, 10):
         rhs = csum[m - 1] * v
         if m > 1:
-            rhs -= np.tensordot(w[m - 1:0:-1], state.history[1:m], axes=1)
-        lhs = a @ state.history[m]
+            rhs -= np.tensordot(w[m - 1:0:-1], hist[1:m], axes=1)
+        lhs = a @ hist[m]
         want = sys.mass @ rhs
         assert np.abs(lhs - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
 
@@ -56,9 +57,9 @@ def test_matrix_and_vector_paths_agree(get_system):
     sys = get_system("uniform", "sg", m=4)
     rng = np.random.default_rng(8)
     v = rng.random(sys.size)
-    full = fullydiscrete.step_solution(sys, SINGLE, 0.02, 7, np.eye(sys.size))
-    vec = fullydiscrete.step_solution(sys, SINGLE, 0.02, 7, v)
-    np.testing.assert_allclose(full.solution @ v, vec.solution, rtol=1e-12)
+    full = oracles.step_solution(sys, SINGLE, 0.02, 7, np.eye(sys.size))
+    vec = oracles.step_solution(sys, SINGLE, 0.02, 7, v)
+    np.testing.assert_allclose(full[-1] @ v, vec[-1], rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", fem.METHODS)
@@ -66,28 +67,20 @@ def test_matrix_and_vector_paths_agree(get_system):
 def test_stepping_matches_modal_form(get_system, method, op):
     sys = get_system("uniform", method, m=4)
     tau, n = 0.05, 16
-    stepped = fullydiscrete.step_solution(sys, op, tau, n, np.eye(sys.size))
-    modal = fullydiscrete.fd_solution_matrix(sys, op, tau, n)
-    assert modal.steps == n
-    assert modal.time == pytest.approx(n * tau)
-    np.testing.assert_allclose(stepped.solution, modal.matrix, atol=1e-9)
+    stepped = oracles.step_solution(sys, op, tau, n, np.eye(sys.size))
+    modal = sys.eigen.matrix_function(
+        kernel.r_scalar_many(op, sys.eigen.eigenvalues, tau, n)
+    )
+    np.testing.assert_allclose(stepped[-1], modal, atol=1e-9)
 
 
 def test_stepping_matches_modal_on_crossed_lm(get_system):
     sys = get_system("crossed", "lm", m=3)
-    stepped = fullydiscrete.step_solution(sys, SINGLE, 0.1, 32, np.eye(sys.size))
-    modal = fullydiscrete.fd_solution_matrix(sys, SINGLE, 0.1, 32)
-    np.testing.assert_allclose(stepped.solution, modal.matrix, atol=1e-9)
-
-
-def test_step_solution_rejections(get_system):
-    sys = get_system("uniform", "sg", m=4)
-    with pytest.raises(InvalidParameter):
-        fullydiscrete.step_solution(sys, SINGLE, 0.1, 0, np.zeros(sys.size))
-    with pytest.raises(InvalidParameter):
-        fullydiscrete.step_solution(sys, SINGLE, -0.1, 3, np.zeros(sys.size))
-    with pytest.raises(InvalidParameter):
-        fullydiscrete.step_solution(sys, SINGLE, 0.1, 3, np.zeros(sys.size + 1))
+    stepped = oracles.step_solution(sys, SINGLE, 0.1, 32, np.eye(sys.size))
+    modal = sys.eigen.matrix_function(
+        kernel.r_scalar_many(SINGLE, sys.eigen.eigenvalues, 0.1, 32)
+    )
+    np.testing.assert_allclose(stepped[-1], modal, atol=1e-9)
 
 
 # first-step matrix and omega bounds
@@ -102,43 +95,38 @@ def test_first_step_matrix_identities(get_system):
     )
     for family, method, kw in cases:
         sys = get_system(family, method, **kw)
+        lams = sys.eigen.eigenvalues
         for tau in (1e-6, 0.3, 100.0):
             omega0 = kernel.char_fn(SINGLE, 1.0 / tau)
-            got = fullydiscrete.first_step_matrix(sys, omega0)
+            got = sys.eigen.matrix_function(omega0 / (omega0 + lams))
             factor = scipy.linalg.cho_factor(omega0 * sys.mass + sys.stiffness)
             want = omega0 * scipy.linalg.cho_solve(factor, sys.mass)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-            modal = fullydiscrete.fd_solution_matrix(sys, SINGLE, tau, 1).matrix
+            modal = sys.eigen.matrix_function(kernel.r_scalar_many(SINGLE, lams, tau, 1))
             np.testing.assert_allclose(got, modal, rtol=0.0, atol=1e-12)
-    with pytest.raises(InvalidParameter):
-        fullydiscrete.first_step_matrix(sys, -1.0)
 
 
 def test_first_step_bound_equilateral_sharp(get_system):
     # every neighbor ratio equals 8 m^2, so all three bounds coincide
-    bound = fullydiscrete.first_step_positivity_omega(
-        get_system("equilateral", "sg", m=4)
-    )
-    assert bound.omega_certified == pytest.approx(128.0, rel=1e-12)
-    assert bound.omega_stated == pytest.approx(128.0, rel=1e-12)
-    assert not bound.forms_disagree
-    assert bound.omega_bisect == pytest.approx(128.0, rel=2e-3)
+    sys = get_system("equilateral", "sg", m=4)
+    certified, stated = oracles.neighbor_pair_bounds(sys)
+    assert certified == pytest.approx(128.0, rel=1e-12)
+    assert stated == pytest.approx(128.0, rel=1e-12)
+    assert math.isclose(certified, stated, rel_tol=1e-12, abs_tol=0.0)
+    assert oracles.first_step_omega(sys) == pytest.approx(128.0, rel=2e-3)
 
 
 def test_first_step_bound_uniform_forms_split(get_system):
     # decoupled diagonal pairs force the certified bound to zero while the
     # max-form quotes 12/h^2; the true bisected value sits in between
-    bound = fullydiscrete.first_step_positivity_omega(
-        get_system("uniform", "sg", m=4)
-    )
-    assert bound.omega_certified == 0.0
-    assert bound.omega_stated == pytest.approx(192.0, rel=1e-12)
-    assert bound.forms_disagree
-    assert 0.0 < bound.omega_bisect < bound.omega_stated
+    sys = get_system("uniform", "sg", m=4)
+    certified, stated = oracles.neighbor_pair_bounds(sys)
+    assert certified == 0.0
+    assert stated == pytest.approx(192.0, rel=1e-12)
+    assert not math.isclose(certified, stated, rel_tol=1e-12, abs_tol=0.0)
+    assert 0.0 < oracles.first_step_omega(sys) < stated
     # the max-form is genuinely unsafe: its omega_0 has a negative entry
-    mat = fullydiscrete.first_step_matrix(
-        get_system("uniform", "sg", m=4), bound.omega_stated
-    )
+    mat = sys.eigen.matrix_function(stated / (stated + sys.eigen.eigenvalues))
     assert mat.min() < 0.0
 
 
@@ -147,24 +135,9 @@ def test_first_step_bound_scales_with_stiffness(get_system, scale):
     # omega_0 (omega_0 M + S)^{-1} M depends on omega_0 / S only, so scaling
     # S scales the bisected bound; no absolute clamp may cap the search
     sys = get_system("uniform", "sg", m=6)
-    base = fullydiscrete.first_step_positivity_omega(sys).omega_bisect
+    base = oracles.first_step_omega(sys)
     scaled = fem.system_from_matrices(sys.mass, scale * sys.stiffness)
-    bound = fullydiscrete.first_step_positivity_omega(scaled)
-    assert bound.omega_bisect == pytest.approx(scale * base, rel=5e-3)
-
-
-def _neighbor_pair_bounds(system):
-    """Reference: the first-step bounds over the mesh's interior edges."""
-    m, s = system.mass, system.stiffness
-    sups, ratios = [], []
-    for i, j in fem.neighbor_pairs(system.mesh):
-        mij, sij = m[i, j], s[i, j]
-        if mij > 0.0:
-            ratios.append(abs(sij) / mij)
-            sups.append(-sij / mij if sij < 0.0 else 0.0)
-        else:
-            sups.append(math.inf if sij <= 0.0 else 0.0)
-    return min(sups, default=math.inf), max(ratios, default=math.inf)
+    assert oracles.first_step_omega(scaled) == pytest.approx(scale * base, rel=5e-3)
 
 
 @pytest.mark.parametrize("method", fem.METHODS)
@@ -182,28 +155,28 @@ def _neighbor_pair_bounds(system):
     ],
 )
 def test_first_step_bounds_need_only_the_matrices(get_system, family, kw, method):
-    # the coupling pattern of (M, S) gives the bounds of the mesh edges
+    # the certified bound reads only entries of M and S, and it is
+    # sufficient: no omega_0 below it may break E_{1,tau} >= 0, so it sits
+    # below the scanner's omega_0* up to the bisection's 0.2% bracket
     sys = get_system(family, method, **kw)
-    want = _neighbor_pair_bounds(sys)
-    for system in (sys, fem.system_from_matrices(sys.mass, sys.stiffness, method)):
-        bound = fullydiscrete.first_step_positivity_omega(system)
-        assert (bound.omega_certified, bound.omega_stated) == want
+    certified, _ = oracles.neighbor_pair_bounds(sys)
+    omega = oracles.first_step_omega(sys)
+    if omega is None:
+        assert certified == 0.0
+    else:
+        assert certified <= omega * (1.0 + 2e-3)
 
 
 def test_first_step_bound_lm_unbounded(get_system):
-    bound = fullydiscrete.first_step_positivity_omega(
-        get_system("uniform", "lm", m=4)
-    )
-    assert bound.omega_bisect == math.inf
-    assert bound.omega_certified == math.inf
+    sys = get_system("uniform", "lm", m=4)
+    assert oracles.first_step_omega(sys) == math.inf
+    assert oracles.neighbor_pair_bounds(sys)[0] == math.inf
 
 
 def test_first_step_bound_sliver_lm_none(get_system):
-    bound = fullydiscrete.first_step_positivity_omega(
-        get_system("sliver", "lm", m=10)
-    )
-    assert bound.omega_bisect is None
-    assert bound.omega_certified == 0.0
+    sys = get_system("sliver", "lm", m=10)
+    assert oracles.first_step_omega(sys) is None
+    assert oracles.neighbor_pair_bounds(sys)[0] == 0.0
 
 
 # tau thresholds
@@ -254,9 +227,10 @@ def test_fd_batched_curve_matches_first_step_matrices(get_system, family, method
     rep = fullydiscrete.fd_positivity_threshold(
         sys, SINGLE, scan=semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=5)
     )
+    omegas = [kernel.char_fn(SINGLE, 1.0 / tau) for tau in rep.curve[:, 0]]
     each = [
-        fullydiscrete.first_step_matrix(sys, kernel.char_fn(SINGLE, 1.0 / tau)).min()
-        for tau in rep.curve[:, 0]
+        sys.eigen.matrix_function(omega0 / (omega0 + sys.eigen.eigenvalues)).min()
+        for omega0 in omegas
     ]
     if sys.size * sys.size > linalg.BLOCK_ENTRIES // 2:
         np.testing.assert_array_equal(rep.curve[:, 1], each)
@@ -305,7 +279,7 @@ def test_one_first_step_omega_per_table_system(get_system, table, family, method
         lo = max(lo, kernel.char_fn(op, 1.0 / tau_hi))
         hi = min(hi, kernel.char_fn(op, 1.0 / tau_lo))
     assert lo <= hi
-    omega = fullydiscrete.first_step_positivity_omega(sys).omega_bisect
+    omega = oracles.first_step_omega(sys)
     assert lo * (1.0 - 2e-3) <= omega <= hi * (1.0 + 2e-3)
 
 
@@ -314,11 +288,10 @@ def test_lemma_propagation_first_step_to_all_steps(get_system):
     sys = get_system("uniform", "sg", m=4)
     rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
     tau = 2.0 * rep.value
-    assert fullydiscrete.fd_solution_matrix(sys, SINGLE, tau, 1).matrix.min() >= (
-        -1e-13
-    )
-    state = fullydiscrete.step_solution(sys, SINGLE, tau, 200, np.eye(sys.size))
-    assert state.history.min() >= -1e-10 * sys.size
+    first = kernel.r_scalar_many(SINGLE, sys.eigen.eigenvalues, tau, 1)
+    assert sys.eigen.matrix_function(first).min() >= -1e-13
+    hist = oracles.step_solution(sys, SINGLE, tau, 200, np.eye(sys.size))
+    assert hist.min() >= -1e-10 * sys.size
 
 
 def test_theorem_monotonicity_in_tau(get_system):
@@ -326,7 +299,9 @@ def test_theorem_monotonicity_in_tau(get_system):
     rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
     for factor in (1.5, 4.0, 32.0, 1000.0):
         tau = factor * rep.value
-        mat = fullydiscrete.fd_solution_matrix(sys, SINGLE, tau, 1).matrix
+        mat = sys.eigen.matrix_function(
+            kernel.r_scalar_many(SINGLE, sys.eigen.eigenvalues, tau, 1)
+        )
         assert mat.min() >= -1e-13
 
 
@@ -334,22 +309,12 @@ def test_theorem_monotonicity_in_tau(get_system):
 
 
 def test_weight_scale_law_two_levels():
-    rep = fullydiscrete.weight_scale_law("uniform", 0.5, (5, 10))
-    assert rep.levels == (5, 10)
-    assert len(rep.h_values) == 2
-    assert rep.h_values[0] > rep.h_values[1]
-    assert rep.thresholds[0] > rep.thresholds[1]
+    slope, hs, taus = oracles.scale_law("uniform", 0.5, (5, 10))
+    assert len(hs) == 2
+    assert hs[0] > hs[1]
+    assert taus[0] > taus[1]
     # tau_0 ~ h^{2/alpha} = h^4, still steepening toward it at these sizes
-    assert 3.0 < rep.slope < 5.0
-
-
-def test_weight_scale_law_rejections():
-    with pytest.raises(InvalidParameter):
-        fullydiscrete.weight_scale_law("moebius", 0.5, (4, 8))
-    with pytest.raises(InvalidParameter):
-        fullydiscrete.weight_scale_law("uniform", 0.5, (4,))
-    with pytest.raises(NoConvergence):
-        fullydiscrete.weight_scale_law("uniform", 0.5, (4, 6), method="lm")
+    assert 3.0 < slope < 5.0
 
 
 # convergence
@@ -392,8 +357,8 @@ def test_contractivity_norms_match_stepping(get_system):
             taus = (1e-4, 1e-2, 1.0)
             reports = fullydiscrete.max_norm_contractivity_check(sys, op, taus, n_max=n)
             for tau, rep in zip(taus, reports):
-                state = fullydiscrete.step_solution(sys, op, tau, n, np.eye(sys.size))
-                stepped = np.abs(state.history).sum(axis=2).max(axis=1)
+                hist = oracles.step_solution(sys, op, tau, n, np.eye(sys.size))
+                stepped = np.abs(hist).sum(axis=2).max(axis=1)
                 assert rep.norms[0] == 1.0
                 np.testing.assert_allclose(rep.norms, stepped, rtol=0.0, atol=1e-12)
 

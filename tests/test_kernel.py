@@ -521,13 +521,13 @@ def test_cq_rejections():
 
 def test_r_scalar_first_step():
     # one backward Euler step: omega_0 / (omega_0 + lambda) with omega_0 = 1
-    assert kernel.r_scalar(SINGLE, 16.0, 1.0, 1) == pytest.approx(1.0 / 17.0)
+    assert kernel.r_scalar_many(SINGLE, 16.0, 1.0, 1)[0] == pytest.approx(1.0 / 17.0)
 
 
 def test_r_scalar_many_matches_scalar():
     lams = np.array([2.0, 16.0, 90.0])
     many = kernel.r_scalar_many(MULTI, lams, 0.05, 20)
-    each = [kernel.r_scalar(MULTI, lam, 0.05, 20) for lam in lams]
+    each = [kernel.r_scalar_many(MULTI, lam, 0.05, 20)[0] for lam in lams]
     np.testing.assert_allclose(many, each, rtol=1e-13)
 
 
@@ -535,7 +535,7 @@ def test_r_scalar_stays_in_unit_interval():
     for op in ALL_OPS:
         for lam in (1.0, 16.0, 400.0):
             for n in (1, 7, 60):
-                val = kernel.r_scalar(op, lam, 0.1, n)
+                val = kernel.r_scalar_many(op, lam, 0.1, n)[0]
                 assert 0.0 < val <= 1.0
 
 
@@ -543,7 +543,7 @@ def test_r_scalar_first_order_convergence():
     t, lam = 0.1, 16.0
     exact = kernel.u_lambda(SINGLE, lam, t)
     errors = [
-        abs(kernel.r_scalar(SINGLE, lam, t / n, n) - exact) for n in (16, 32, 64)
+        abs(kernel.r_scalar_many(SINGLE, lam, t / n, n)[0] - exact) for n in (16, 32, 64)
     ]
     assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.3)
     assert errors[1] / errors[2] == pytest.approx(2.0, rel=0.3)
@@ -551,6 +551,6 @@ def test_r_scalar_first_order_convergence():
 
 def test_r_scalar_rejections():
     with pytest.raises(InvalidParameter):
-        kernel.r_scalar(SINGLE, 16.0, 1.0, 0)
+        kernel.r_scalar_many(SINGLE, 16.0, 1.0, 0)
     with pytest.raises(InvalidParameter):
-        kernel.r_scalar(SINGLE, -16.0, 1.0, 3)
+        kernel.r_scalar_many(SINGLE, -16.0, 1.0, 3)

@@ -15,32 +15,25 @@ MULTI = FracOperator.multi_term((0.5, 0.2))
 DIST = FracOperator.distributed("exp")
 
 
-def test_solution_matrix_at_zero_is_identity(get_system):
-    sys = get_system("uniform", "sg", m=4)
-    e = semidiscrete.solution_matrix(sys, SINGLE, 0.0)
-    np.testing.assert_array_equal(e.matrix, np.eye(sys.size))
-    assert e.time == 0.0
-
-
 def test_scalar_system_is_the_relaxation_kernel(get_system):
     # one interior node, lumped mass: E(t) = [u_16(t)]
     sys = get_system("uniform", "lm", m=2)
-    assert sys.eigen.eigenvalues[0] == pytest.approx(16.0)
-    e1 = semidiscrete.solution_matrix(sys, SINGLE, 1.0)
-    assert e1.matrix.shape == (1, 1)
+    lams = sys.eigen.eigenvalues
+    assert lams[0] == pytest.approx(16.0)
+    e1 = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, 1.0))
+    assert e1.shape == (1, 1)
     # frozen oracle: E_0.5(-16) from tools/ml_reference.py
-    assert e1.matrix[0, 0] == pytest.approx(0.035193377824930838, rel=1e-8)
+    assert e1[0, 0] == pytest.approx(0.035193377824930838, rel=1e-8)
     # and exactly the kernel value, with no linear-algebra detour
     for t in (1e-3, 0.1, 7.0):
         want = kernel.u_lambda(SINGLE, 16.0, t)
-        assert semidiscrete.solution_matrix(sys, SINGLE, t).matrix[0, 0] == (
-            pytest.approx(want, rel=1e-13)
-        )
+        e = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, t))
+        assert e[0, 0] == pytest.approx(want, rel=1e-13)
 
 
 def test_solution_matrix_rows_substochastic(get_system):
     sys = get_system("uniform", "lm", m=10)
-    e = semidiscrete.solution_matrix(sys, SINGLE, 1e-3).matrix
+    e = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, sys.eigen.eigenvalues, 1e-3))
     sums = e.sum(axis=1)
     assert np.all(sums > 0.0)
     assert np.all(sums < 1.0)
@@ -50,7 +43,9 @@ def test_solution_matrix_bounded(get_system):
     for method in fem.METHODS:
         sys = get_system("uniform", method, m=6)
         for t in (1e-6, 1e-2, 1.0, 100.0):
-            e = semidiscrete.solution_matrix(sys, SINGLE, t).matrix
+            e = sys.eigen.matrix_function(
+                kernel.u_lambda_many(SINGLE, sys.eigen.eigenvalues, t)
+            )
             assert np.abs(e).max() <= 1.0 + 1e-10
 
 
@@ -159,7 +154,11 @@ def test_batched_curve_matches_per_point_matrices(get_system, family, method, kw
     sys = get_system(family, method, **kw)
     grid = np.geomspace(1e-8, 1e2, 26)
     curve = semidiscrete.min_entry_curve(sys, SINGLE, grid)
-    each = [semidiscrete.solution_matrix(sys, SINGLE, t).matrix.min() for t in grid]
+    lams = sys.eigen.eigenvalues
+    each = [
+        sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, t)).min()
+        for t in grid
+    ]
     if sys.size * sys.size > linalg.BLOCK_ENTRIES // 2:
         np.testing.assert_array_equal(curve[:, 1], each)
     else:
@@ -171,7 +170,13 @@ def test_batched_curve_identity_rows_on_scalar_system(get_system):
     assert sys.size == 1
     grid = np.array([1e-17, 1e-15, 1e-14, 2e-14, 1e-12, 1e-9, 1e-3])
     curve = semidiscrete.min_entry_curve(sys, SINGLE, grid)
-    each = [semidiscrete.solution_matrix(sys, SINGLE, t).matrix.min() for t in grid]
+    lams = sys.eigen.eigenvalues
+    # E(t) is the identity at t <= 1e-14, whose smallest entry is one here
+    each = [
+        1.0 if t <= 1e-14
+        else sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, t)).min()
+        for t in grid
+    ]
     np.testing.assert_allclose(curve[:, 1], each, rtol=0.0, atol=1e-15)
     tiny = grid <= 1e-14
     assert tiny.sum() == 3
@@ -476,18 +481,24 @@ def test_positivity_threshold_rejects_short_scan(get_system):
 
 
 def test_small_time_expansion_scalar(get_system):
+    # max-norm defect of (I - E(t)) / beta0(t) against H = M^{-1} S
     sys = get_system("uniform", "lm", m=2)
-    dev = semidiscrete.small_time_expansion_check(sys, SINGLE, 1e-10)
+    lams = sys.eigen.eigenvalues
+    e = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, 1e-10))
+    h = sys.eigen.matrix_function(lams)
+    dev = np.abs((np.eye(sys.size) - e) / kernel.beta0(SINGLE, 1e-10) - h).max()
     assert dev <= 0.05 * 16.0
 
 
 def test_small_time_expansion_shrinks(get_system):
     sys = get_system("uniform", "sg", m=4)
-    h_norm = np.abs(sys.eigen.matrix_function(sys.eigen.eigenvalues)).max()
-    devs = [
-        semidiscrete.small_time_expansion_check(sys, SINGLE, t)
-        for t in (1e-6, 1e-8, 1e-10)
-    ]
+    lams = sys.eigen.eigenvalues
+    h = sys.eigen.matrix_function(lams)
+    h_norm = np.abs(h).max()
+    devs = []
+    for t in (1e-6, 1e-8, 1e-10):
+        e = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, t))
+        devs.append(np.abs((np.eye(sys.size) - e) / kernel.beta0(SINGLE, t) - h).max())
     assert devs[-1] <= 0.05 * h_norm
     assert devs[0] > devs[1] > devs[2]
 
