@@ -13,10 +13,11 @@ every dense operator, H^{-1} included, is a matrix function through it.
 A diagonal (lumped) M has L = diag(sqrt(m)), and L^{-1} is then a
 scaling of rows by 1/sqrt(m) instead of a solve.
 
-Two reductions read a batch of coefficient rows without keeping its
-matrices: min_entries (smallest entry, exact products in blocks) and
-max_norms (max-norm, through a skeleton of the rows).  A max-norm entry
-moves by at most SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
+Three reductions read a batch of coefficient rows without keeping its
+matrices: min_entries (smallest entry, exact products in blocks) and,
+through one loop over a skeleton of the rows, max_norms (max-norm) and
+skeleton_min_entries (smallest entry and its error bound).  A skeleton
+entry moves by at most SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
 """
 
 from dataclasses import dataclass
@@ -106,46 +107,76 @@ class EigenSystem:
     def max_norms(self, rows):
         """max_i sum_j |(back @ diag(c) @ forward)_ij| for each row c of rows.
 
+        Read through a skeleton of the rows (_skeleton_reduce): an entry
+        moves by at most SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
+        """
+        out = np.zeros(len(rows))
+        self._skeleton_reduce(rows, out, lambda block, part: np.maximum(
+            part, np.abs(block, out=block).sum(axis=2).max(axis=1), out=part))
+        return out
+
+    def skeleton_min_entries(self, rows):
+        """(mins, bound): min_entries through a skeleton, within bound of it.
+
+        The bound is _skeleton_reduce's times max (|back| |forward|), one
+        GEMM of absolute values.  Rows of ones read the identity exactly.
+        """
+        out = np.full(len(rows), np.inf)
+        bound = self._skeleton_reduce(rows, out, lambda block, part: np.minimum(
+            part, block.min(axis=(1, 2)), out=part), exact=self.min_entries)
+        ones = np.all(np.equal(rows, 1.0), axis=1)
+        out[ones], bound[ones] = (1.0 if self.size == 1 else 0.0), 0.0
+        if bound.any():
+            bound *= (np.abs(self.back_transform) @ np.abs(self.forward_transform)).max()
+        return out, bound
+
+    def _skeleton_reduce(self, rows, out, fold, exact=None):
+        """Fold every row's matrix back @ diag(c) @ forward into out.
+
         Rows go min(k, N) at a time.  Each batch is written as an
         interpolative decomposition c_n = sum_s X_ns c_s over skeleton rows
         S (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci. Comput. 26,
-        2005; see _skeleton), so every matrix is sum_s X_ns E_s with
-        E_s = back diag(c_s) forward, and only the r = |S| matrices E_s are
-        products.  The rows of a time-stepping batch have numerical rank
-        about 5-30, so this costs about r dense products instead of k.
-        An entry then differs from the per-row product by at most
-        SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
+        2005; see _skeleton), so every matrix is sum_s X_ns E_s and only the
+        r = |S| matrices E_s = back diag(c_s) forward are products.  When
+        exact is given, a batch whose skeleton saves no products,
+        r (1 + k/N) >= k, goes to exact(batch) instead.
 
-        E_s is formed for b = N // r rows of back at a time (at least one),
-        all r of them in one (r b) x N by N x N product, so about r blocks
-        cover back.  Against each, k' = N // b rows of X (at least one)
-        combine at a time.  Every array of a block, E_s and the combined
-        k' x b x N, holds at most N^2 entries; a row sum is complete inside
-        one block, so nothing of size N x k is kept.
+        E_s is formed for b = N // r rows of back at a time, all r in one
+        (r b) x N by N x N product; against it, k' = N // b rows of X (both
+        at least one) combine into a k' x b x N block, which fold(block,
+        part) folds into their k' entries of out.  No array exceeds N^2.
+
+        Returns each row's error bound in units of max (|back| |forward|):
+        its skeleton residual plus (N + 2r + 2) eps (|c|_inf + |X| |c_S|_inf),
+        the rounding of the products, the combine and that residual; 0 for
+        rows that went to exact.
         """
         rows = np.asarray(rows, dtype=float)
         n = self.size
         per_batch = max(1, min(rows.shape[0], n))
-        out = np.zeros(rows.shape[0])
+        err = np.zeros(rows.shape[0])
         for first in range(0, rows.shape[0], per_batch):
             batch = rows[first:first + per_batch]
-            skeleton, x = _skeleton(batch)
+            skeleton, x, resid = _skeleton(batch)
             r = skeleton.shape[0]
-            norms = out[first:first + per_batch]
+            part = out[first:first + per_batch]
+            if exact is not None and not r * (1 + batch.shape[0] / n) < batch.shape[0]:
+                part[:] = exact(batch)
+                continue
+            scale = np.abs(batch).max(axis=1) + np.abs(x) @ np.abs(skeleton).max(axis=1)
+            err[first:first + per_batch] = resid + (n + 2 * r + 2) * np.finfo(float).eps * scale
             per_block = max(1, n // max(r, 1))
             per_combine = max(1, n // per_block)
             for start in range(0, n, per_block):
                 back = self.back_transform[start:start + per_block]
                 # entry [s, i, :] is row i of back diag(c_s) forward
-                scaled = (skeleton[:, None, :] * back).reshape(-1, n)
-                wide = (scaled @ self.forward_transform).reshape(r, back.shape[0] * n)
+                wide = ((skeleton[:, None, :] * back).reshape(-1, n)
+                        @ self.forward_transform).reshape(r, back.shape[0] * n)
                 for c0 in range(0, batch.shape[0], per_combine):
-                    block = x[c0:c0 + per_combine] @ wide
-                    np.abs(block, out=block)
-                    sums = block.reshape(block.shape[0], back.shape[0], n).sum(axis=2)
-                    part = norms[c0:c0 + per_combine]
-                    np.maximum(part, sums.max(axis=1), out=part)
-        return out
+                    block = (x[c0:c0 + per_combine] @ wide).reshape(-1, back.shape[0], n)
+                    fold(block, part[c0:c0 + per_combine])
+                    del block  # before the next one is formed: it sets peak memory
+        return err
 
 
 def _skeleton(rows):
@@ -160,7 +191,7 @@ def _skeleton(rows):
     (|S| + 1) eps (|c_n|_2 + |X_n| |rows[S]|), the rounding of the
     projections (which spreads over the whole row, hence its 2-norm) and
     of the check itself.  A zero row gets a zero row of X; rows must be
-    finite.
+    finite.  The third value is each row's largest residual entry.
     """
     res = rows.copy()
     picked = []
@@ -191,7 +222,7 @@ def _skeleton(rows):
         raise NumericalError(
             "skeleton of %d rows misses a row by %.3e" % (len(picked), err.max())
         )
-    return skeleton, x
+    return skeleton, x, err.max(axis=1, initial=0.0)
 
 
 def cholesky(a):

@@ -184,10 +184,11 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     the grid size), and refines between the two grid points around the
     change.
 
-    The report's curve computes and reduces the remaining rows when it is
-    first read, in the top-down decade groups either way, so its entries
-    do not depend on monotone.  A monotone scan checks that curve against
-    its bisected verdict (ScanMismatch when they disagree).
+    The report's curve is computed when first read: a top-down scan
+    reduces its remaining decades, a monotone scan the whole grid (finite
+    rows only) through EigenSystem.skeleton_min_entries, re-reading
+    exactly each point within that read's error bound of -tol, and checks
+    the curve's verdict against its bisected one (ScanMismatch).
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
@@ -199,44 +200,47 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     min_entries = system.eigen.min_entries
     grid = scan.grid()
 
-    def reduce(xs):
-        mins = min_entries(coeffs(xs))
-        bad = ~np.isfinite(mins)
+    def finite(values, xs, what):
+        bad = ~np.isfinite(values)
         if bad.any():
             raise NumericalError(
-                "%s %s: smallest entry %r at x = %r"
-                % (system.method, op.label, float(mins[bad][0]), float(xs[bad][0]))
+                "%s %s: %s %r at x = %r"
+                % (system.method, op.label, what, float(values[bad][0]), float(xs[bad][0]))
             )
-        return mins
+        return values
 
-    def top_down():
-        start, mins = grid.size, np.empty(0)
-        while start > 0 and not (mins < -tol).any():
-            stop, start = start, max(0, start - scan.per_decade)
-            mins = np.concatenate((reduce(grid[start:stop]), mins))
-        return start, mins
+    def reduce(xs):
+        return finite(min_entries(coeffs(xs)), xs, "smallest entry")
 
     if monotone:
         idx, mins = _bisect_indices(grid, reduce, tol)
     else:
-        start, mins = top_down()
+        start, mins = grid.size, np.empty(0)
+        while start > 0 and not (mins < -tol).any():
+            stop, start = start, max(0, start - scan.per_decade)
+            mins = np.concatenate((reduce(grid[start:stop]), mins))
         idx = np.arange(start, grid.size)
     status, value, bracket = detect_threshold(
         grid[idx], mins, lambda x: reduce(np.array([x]))[0], tol
     )
 
     def fill_curve():
-        head_stop, tail = top_down() if monotone else (start, mins)
-        curve = np.concatenate((reduce(grid[:head_stop]), tail))
-        if monotone:
-            full = _grid_verdict(curve, tol)
-            bisected = (status, int(idx[0]) if status == "found" else None)
-            if full != bisected:
-                raise ScanMismatch(
-                    "%s %s: full curve gives %s at grid index %s, "
-                    "index bisection %s at %s"
-                    % ((system.method, op.label) + full + bisected)
-                )
+        if not monotone:
+            return np.column_stack((grid, np.concatenate((reduce(grid[:start]), mins))))
+        rows = coeffs(grid)
+        finite(np.abs(rows).max(axis=1), grid, "largest coefficient")
+        curve, bound = system.eigen.skeleton_min_entries(rows)
+        near = np.abs(curve + tol) <= bound
+        if near.any():
+            curve[near] = reduce(grid[near])
+        full = _grid_verdict(curve, tol)
+        bisected = (status, int(idx[0]) if status == "found" else None)
+        if full != bisected:
+            raise ScanMismatch(
+                "%s %s: full curve gives %s at grid index %s, "
+                "index bisection %s at %s"
+                % ((system.method, op.label) + full + bisected)
+            )
         return np.column_stack((grid, curve))
 
     return ThresholdReport(

@@ -157,6 +157,70 @@ def test_max_norms_block_extremes(get_system):
         )
 
 
+def _first_step_rows(eig, op, grid):
+    # the fully discrete scan's coefficient rows omega_0 / (omega_0 + lambda)
+    omega0 = kernel.char_fn(op, 1.0 / grid)[:, None]
+    return omega0 / (omega0 + eig.eigenvalues)
+
+
+SKELETON_MIN_SYSTEMS = [
+    ("disk_coarse", "fve", {}),
+    ("uniform", "sg", {"m": 10}),
+    ("crossed", "lm", {"m": 5}),
+    ("sliver", "sg", {"m": 10}),
+    ("lshape_coarse", "sg", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, method, kw",
+    SKELETON_MIN_SYSTEMS,
+    ids=["%s%s-%s" % (f, kw.get("m", ""), m) for f, m, kw in SKELETON_MIN_SYSTEMS],
+)
+@pytest.mark.parametrize(
+    "op",
+    [
+        FracOperator.single_term(0.5),
+        FracOperator.multi_term((0.5, 0.2)),
+        FracOperator.distributed("exp"),
+    ],
+    ids=lambda op: op.label,
+)
+def test_skeleton_min_entries_within_stated_bound(get_system, family, method, kw, op):
+    eig = get_system(family, method, **kw).eigen
+    rows = _first_step_rows(eig, op, np.geomspace(1e-8, 1e2, 251))
+    mins, bound = eig.skeleton_min_entries(rows)
+    exact = eig.min_entries(rows)
+    assert np.all(np.abs(mins - exact) <= bound)
+    # the band the threshold scans hold their curves to
+    assert np.abs(mins - exact).max() <= 1e-15
+
+
+def test_skeleton_min_entries_route(get_system):
+    single = FracOperator.single_term(0.5)
+    # disk_coarse fve (N = 135): about 25 skeleton rows per batch of 135
+    eig = get_system("disk_coarse", "fve").eigen
+    rows = _first_step_rows(eig, single, np.geomspace(1e-8, 1e2, 251))
+    assert linalg._skeleton(rows[:eig.size])[0].shape[0] < eig.size // 2
+    mins, bound = eig.skeleton_min_entries(rows)
+    assert np.all(bound > 0.0)
+    assert np.any(mins != eig.min_entries(rows))
+    # a row of ones is the identity, exactly, on either route
+    rows[7] = 1.0
+    mins, bound = eig.skeleton_min_entries(rows)
+    assert mins[7] == 0.0 and bound[7] == 0.0
+    tiny = get_system("uniform", "lm", m=2).eigen
+    assert tiny.skeleton_min_entries(np.ones((2, 1)))[0].tolist() == [1.0, 1.0]
+    # disk_medium sg (N = 583) on 31 points: rank 31, so no product is saved
+    # and every row goes to min_entries
+    eig = get_system("disk_medium", "sg").eigen
+    rows = _first_step_rows(eig, single, np.geomspace(1e-8, 1e-2, 31))
+    assert linalg._skeleton(rows)[0].shape[0] == 31
+    mins, bound = eig.skeleton_min_entries(rows)
+    np.testing.assert_array_equal(mins, eig.min_entries(rows))
+    np.testing.assert_array_equal(bound, 0.0)
+
+
 def _cholesky_route(s, m):
     # the reduction for a general mass: Cholesky factor, then LU solves
     ell = np.linalg.cholesky(m)

@@ -1,6 +1,7 @@
 """Solution operator E(t), min-entry scans, thresholds, and H^-1 structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -188,11 +189,18 @@ KERNEL_CALLS = {"semi": "u_lambda_many", "fully": "char_fn"}
 
 
 def _count_scan_work(monkeypatch, kernel_name):
-    """Count kernel calls and rows, reduced rows and refinement steps."""
+    """Count kernel calls and rows, reduced rows and refinement steps.
+
+    Rows count as reduced once, through min_entries or through
+    skeleton_min_entries, which hands a batch its skeleton does not pay
+    for on to min_entries.
+    """
     counts = {"calls": 0, "rows": 0, "reduced": 0, "bisect": 0}
     kernel_fn = getattr(kernel, kernel_name)
     min_entries = linalg.EigenSystem.min_entries
+    skeleton_min_entries = linalg.EigenSystem.skeleton_min_entries
     detect_threshold = semidiscrete.detect_threshold
+    inside_skeleton = []
 
     def counting_kernel(*args, **kwargs):
         out = kernel_fn(*args, **kwargs)
@@ -201,8 +209,17 @@ def _count_scan_work(monkeypatch, kernel_name):
         return out
 
     def counting_min_entries(self, rows):
-        counts["reduced"] += len(rows)
+        if not inside_skeleton:
+            counts["reduced"] += len(rows)
         return min_entries(self, rows)
+
+    def counting_skeleton_min_entries(self, rows):
+        counts["reduced"] += len(rows)
+        inside_skeleton.append(True)
+        try:
+            return skeleton_min_entries(self, rows)
+        finally:
+            inside_skeleton.pop()
 
     def counting_detect(grid, mins, value_fn, tol):
         def step(x):
@@ -213,6 +230,9 @@ def _count_scan_work(monkeypatch, kernel_name):
 
     monkeypatch.setattr(kernel, kernel_name, counting_kernel)
     monkeypatch.setattr(linalg.EigenSystem, "min_entries", counting_min_entries)
+    monkeypatch.setattr(
+        linalg.EigenSystem, "skeleton_min_entries", counting_skeleton_min_entries
+    )
     monkeypatch.setattr(semidiscrete, "detect_threshold", counting_detect)
     return counts
 
@@ -250,10 +270,54 @@ def test_fully_discrete_scan_bisects_grid_indices(get_system, monkeypatch):
     assert counts["rows"] == counts["reduced"]
     # the ends share one call; every other probe and refinement step is one
     assert counts["calls"] == probes - 1 + counts["bisect"]
-    # reading the curve reduces the whole grid once more, in decades
+    # reading the curve reduces the whole grid once more
     assert rep.curve is rep.curve
     assert counts["reduced"] == points + probes + counts["bisect"]
     assert counts["rows"] == counts["reduced"]
+
+
+def test_curve_rereads_skeleton_points_near_the_floor(get_system, monkeypatch):
+    # N = 135: min_entries reduces one row per product, so the bisection,
+    # the re-read and the full grid read the same bits at every point
+    sys = get_system("disk_coarse", "fve")
+    scan = ScanSpec()
+    points = scan.grid().size
+    curve = fullydiscrete.fd_positivity_threshold(sys, SINGLE).curve
+    # the last negative point sits exactly on the floor
+    tol = -curve[np.flatnonzero(curve[:, 1] < 0.0)[-1], 1]
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["fully"])
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
+    decided = counts["reduced"]
+    verdict, full = _full_grid_threshold(sys, SINGLE, "fully", scan, tol)
+    assert rep.found
+    assert (rep.status, rep.value, rep.bracket) == verdict
+    assert rep.curve.shape == (points, 2)
+    assert counts["reduced"] - decided > points
+    np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
+
+
+def test_curve_rejects_non_finite_rows_between_probes():
+    sys = fem.system_from_matrices(np.eye(3), np.diag([1.0, 2.0, 3.0]))
+    coeffs = _sign_coeffs(sys.size, lambda x: x < 1e-4)
+    probed = []
+
+    def recording(xs):
+        probed.extend(xs)
+        return coeffs(xs)
+
+    assert semidiscrete.scan_threshold(sys, SINGLE, recording, monotone=True).found
+    grid = ScanSpec().grid()
+    bad = float(grid[~np.isin(grid, probed)][100])
+
+    def poisoned(xs):
+        rows = coeffs(xs)
+        rows[xs == bad] = np.nan
+        return rows
+
+    rep = semidiscrete.scan_threshold(sys, SINGLE, poisoned, monotone=True)
+    assert rep.found
+    with pytest.raises(NumericalError, match="x = %s$" % re.escape(repr(bad))):
+        rep.curve
 
 
 def _sign_coeffs(size, negative):
