@@ -37,7 +37,7 @@ __all__ = [
 # float64 entries of one block of EigenSystem.min_entries' wide product
 BLOCK_ENTRIES = 2 ** 15
 
-# largest residual row 2-norm max_norms leaves outside its skeleton rows
+# largest residual entry a skeleton of coefficient rows leaves unfitted
 SKELETON_TOL = 1e-15
 
 
@@ -185,22 +185,24 @@ def _skeleton(rows):
     Greedy row-pivoted Gram-Schmidt: take the row whose residual has the
     largest 2-norm, orthogonalise it against the basis again, then remove
     the new direction from every residual twice; stop once no residual
-    2-norm exceeds SKELETON_TOL.  X is the least-squares fit in the basis,
-    coef @ coef[S]^-1 with coef = rows @ basis^T.  The fit is checked a
-    posteriori, entrywise: |c_n - X_n rows[S]| <= SKELETON_TOL plus
-    (|S| + 1) eps (|c_n|_2 + |X_n| |rows[S]|), the rounding of the
-    projections (which spreads over the whole row, hence its 2-norm) and
-    of the check itself.  A zero row gets a zero row of X; rows must be
-    finite.  The third value is each row's largest residual entry.
+    entry exceeds SKELETON_TOL.  The stop is entrywise, like the check
+    below: a residual row's 2-norm is up to sqrt(N) times its largest
+    entry, so stopping on it would keep rows that only chase roundoff.
+    X is the least-squares fit in the basis, coef @ coef[S]^-1 with
+    coef = rows @ basis^T.  The fit is checked a posteriori, entrywise:
+    |c_n - X_n rows[S]| <= SKELETON_TOL plus (|S| + 1) eps (|c_n|_2 +
+    |X_n| |rows[S]|), the rounding of the projections (which spreads over
+    the whole row, hence its 2-norm) and of the check itself.  A zero row
+    gets a zero row of X; rows must be finite.  The third value is each
+    row's largest residual entry.
     """
     res = rows.copy()
     picked = []
     basis = np.empty((0, rows.shape[1]))
     for _ in range(min(rows.shape)):
-        sq = np.einsum("ij,ij->i", res, res)
-        p = int(np.argmax(sq))
-        if not np.sqrt(sq[p]) > SKELETON_TOL:
+        if not np.abs(res).max() > SKELETON_TOL:
             break
+        p = int(np.argmax(np.einsum("ij,ij->i", res, res)))
         q = res[p] - basis.T @ (basis @ res[p])
         basis = np.vstack([basis, q / np.linalg.norm(q)])
         for _ in range(2):
