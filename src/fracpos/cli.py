@@ -182,13 +182,17 @@ def _outdir(args):
     return out
 
 
-def _write_csv(path, columns, rows, parts, trailer=()):
+def _csv_text(columns, rows, parts, trailer=()):
+    """Header comment, column names, one line per row, then the trailer lines."""
     lines = [_header_line(parts), ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     lines.extend(trailer)
+    return "\n".join(lines)
+
+
+def _write_csv(path, columns, rows, parts, trailer=()):
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv_text(columns, rows, parts, trailer) + "\n")
 
 
 def _fmt(x):
@@ -228,12 +232,11 @@ def _resolve_mesh(args):
     family = _FAMILY_ALIASES.get(args.family, args.family)
     if args.M is None:
         raise UsageError("--family needs --M")
-    kw = {}
-    if family == "sliver":
-        kw["eps"] = 1e-3 if args.eps is None else args.eps
-    elif args.eps is not None:
+    if args.eps is None:
+        return meshmod.FAMILIES[family](args.M)
+    if family != "sliver":
         raise UsageError("--eps (mesh.eps) only applies to the sliver family")
-    return meshmod.FAMILIES[family](args.M, **kw)
+    return meshmod.FAMILIES[family](args.M, eps=args.eps)
 
 
 def _resolve_operator(args):
@@ -325,10 +328,7 @@ def cmd_kernel_ulambda(args):
     op = _resolve_operator(args)
     values = [kernel.u_lambda(op, args.lam, t) for t in args.t]
     parts = {"cmd": "ulambda", "op": op.label, "lambda": repr(args.lam)}
-    print(_header_line(parts))
-    print("t,u_lambda")
-    for t, u in zip(args.t, values):
-        print("%s,%s" % (_fmt(t), _fmt(u)))
+    print(_csv_text(("t", "u_lambda"), zip(args.t, values), parts))
     return 0
 
 
@@ -336,10 +336,7 @@ def cmd_kernel_weights(args):
     op = _resolve_operator(args)
     w = kernel.cq_weights(op, args.tau, args.n)
     parts = {"cmd": "weights", "op": op.label, "tau": repr(args.tau), "n": args.n}
-    print(_header_line(parts))
-    print("j,omega_j")
-    for j, wj in enumerate(w):
-        print("%d,%s" % (j, _fmt(wj)))
+    print(_csv_text(("j", "omega_j"), enumerate(w), parts))
     return 0
 
 
@@ -349,10 +346,7 @@ def cmd_kernel_mittag(args):
     alpha = args.alpha[0]
     values = [kernel.mittag_leffler(alpha, x) for x in args.x]
     parts = {"cmd": "mittag", "alpha": repr(alpha)}
-    print(_header_line(parts))
-    print("x,E_alpha")
-    for x, e in zip(args.x, values):
-        print("%s,%s" % (_fmt(x), _fmt(e)))
+    print(_csv_text(("x", "E_alpha"), zip(args.x, values), parts))
     return 0
 
 
@@ -527,46 +521,38 @@ _OPS = {
 _FIVE_OPS = ("single-0.5", "single-0.75", "multi-0.5-0.2", "multi-0.75-0.2", "dist-exp")
 _THREE_OPS = ("single-0.5", "multi-0.5-0.2", "dist-exp")
 
+# levels run coarse to fine; the first is the default and the last needs
+# --long-run
 _TABLES = {
     1: {
         "family": "uniform",
         "methods": ("sg", "fve"),
         "ops": _FIVE_OPS,
         "levels": (10, 20, 40),
-        "default": (10,),
-        "gated": (40,),
     },
     2: {
         "family": "crossed",
         "methods": ("sg", "lm", "fve"),
         "ops": _THREE_OPS,
         "levels": (5, 10, 20),
-        "default": (5,),
-        "gated": (20,),
     },
     3: {
         "bundled": "lshape",
         "methods": ("sg", "fve"),
         "ops": _FIVE_OPS,
         "levels": ("coarse", "medium", "fine"),
-        "default": ("coarse",),
-        "gated": ("fine",),
     },
     4: {
         "bundled": "disk",
         "methods": ("sg", "fve"),
         "ops": _FIVE_OPS,
         "levels": ("coarse", "medium", "fine"),
-        "default": ("coarse",),
-        "gated": ("fine",),
     },
     5: {
         "family": "sliver",
         "methods": ("sg", "fve"),
         "ops": _THREE_OPS,
         "levels": (10, 20, 40),
-        "default": (10,),
-        "gated": (40,),
     },
 }
 
@@ -605,7 +591,7 @@ def _reproduce_table(args):
     if args.table not in _TABLES:
         raise UsageError("--table takes 1..5")
     spec = _TABLES[args.table]
-    levels = args.levels if args.levels else [str(x) for x in spec["default"]]
+    levels = args.levels if args.levels else [str(spec["levels"][0])]
     parsed = []
     for lvl in levels:
         value = int(lvl) if lvl.isdigit() else lvl
@@ -613,7 +599,7 @@ def _reproduce_table(args):
             raise UsageError(
                 "level %r not in table %d (%s)" % (lvl, args.table, spec["levels"])
             )
-        if value in spec["gated"] and not args.long_run:
+        if value == spec["levels"][-1] and not args.long_run:
             raise UsageError("level %r needs --long-run" % (lvl,))
         parsed.append(value)
     scan = _resolve_scan(args)

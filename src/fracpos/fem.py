@@ -9,8 +9,8 @@ Methods:
        joined to edge midpoints), local matrix |K|/108 * (15 I + 7 ones)
 
 Homogeneous Dirichlet conditions: assembly keeps only the contributions
-between interior nodes, which the interior-first node ordering places in
-the leading block (interior_only=False assembles over all nodes).
+between the N interior nodes, which the interior-first node ordering
+places in the leading block.
 """
 
 from dataclasses import dataclass
@@ -26,9 +26,6 @@ __all__ = [
     "FemSystem",
     "assemble_stiffness",
     "assemble_mass",
-    "assemble_mass_sg",
-    "assemble_mass_lm",
-    "assemble_mass_fve",
     "build_fem_system",
     "system_from_matrices",
     "is_stieltjes",
@@ -37,36 +34,31 @@ __all__ = [
 
 METHODS = ("sg", "lm", "fve")
 
-_SG_LOCAL = (np.eye(3) + np.ones((3, 3))) / 12.0
-_FVE_LOCAL = (15.0 * np.eye(3) + 7.0 * np.ones((3, 3))) / 108.0
+# local mass matrices over |K|; lm is the diagonal of sg's row sums
+_LOCAL = {
+    "sg": (np.eye(3) + np.ones((3, 3))) / 12.0,
+    "fve": (15.0 * np.eye(3) + 7.0 * np.ones((3, 3))) / 108.0,
+}
 
 
 def _geometry(mesh):
+    """Triangle corners, triangle areas and the number N of interior nodes."""
     areas = triangle_areas(mesh.nodes, mesh.triangles)
     if np.any(areas < 1e-14):
         raise DegenerateTriangle(
             "triangle area below 1e-14 at index %d" % int(np.argmin(areas))
         )
-    return mesh.nodes[mesh.triangles], areas
-
-
-def _side(mesh, interior_only):
-    """Side of the assembled matrix: the interior block or all nodes."""
-    if not interior_only:
-        return mesh.n_nodes
     n = mesh.interior_count
     if n == 0:
         raise InvalidParameter("mesh has no interior nodes")
-    return n
+    return mesh.nodes[mesh.triangles], areas, n
 
 
-def _scatter(mesh, local_blocks, interior_only):
+def _scatter(n, tri, local_blocks):
     # entries that touch a boundary node are dropped before the scatter;
     # add.at keeps the order of the remaining contributions, so the
     # interior block is the same to the bit as a slice of the full matrix
-    n = _side(mesh, interior_only)
     out = np.zeros((n, n))
-    tri = mesh.triangles
     for a in range(3):
         for b in range(3):
             keep = (tri[:, a] < n) & (tri[:, b] < n)
@@ -74,13 +66,13 @@ def _scatter(mesh, local_blocks, interior_only):
     return out
 
 
-def assemble_stiffness(mesh, interior_only=True):
+def assemble_stiffness(mesh):
     """Stiffness matrix of the Dirichlet Laplacian (P1 elements).
 
     Row sums over all nodes vanish; the interior block is SPD whenever the
     mesh has at least one interior node.
     """
-    p, areas = _geometry(mesh)
+    p, areas, n = _geometry(mesh)
     # gradients of barycentric coordinates: rotated opposite edges / (2|K|)
     edges = np.stack(
         [p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1
@@ -90,46 +82,24 @@ def assemble_stiffness(mesh, interior_only=True):
     rot[:, :, 1] = edges[:, :, 0]
     grads = rot / (2.0 * areas)[:, None, None]
     local = np.einsum("tad,tbd->tab", grads, grads) * areas[:, None, None]
-    return _scatter(mesh, local, interior_only)
+    return _scatter(n, mesh.triangles, local)
 
 
-def assemble_mass_sg(mesh, interior_only=True):
-    """Consistent L2 mass matrix."""
-    _, areas = _geometry(mesh)
-    local = _SG_LOCAL[None, :, :] * areas[:, None, None]
-    return _scatter(mesh, local, interior_only)
+def assemble_mass(mesh, method):
+    """Mass matrix of one method over the interior nodes.
 
-
-def assemble_mass_lm(mesh, interior_only=True):
-    """Lumped (diagonal) mass matrix; equals the row sums of the sg mass."""
-    _, areas = _geometry(mesh)
-    diag = np.zeros(mesh.n_nodes)
-    np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
-    return np.diag(diag[: _side(mesh, interior_only)])
-
-
-def assemble_mass_fve(mesh, interior_only=True):
-    """Control-volume mass matrix over the barycentric dual mesh.
-
-    Symmetric with row sum |V_i| (the control volume area), and the same
-    sparsity as the sg mass.
+    sg is the consistent L2 mass.  lm is diagonal and equals the row sums
+    of the sg mass.  fve is symmetric with row sum |V_i| (the control
+    volume area) and the sparsity of the sg mass.
     """
-    _, areas = _geometry(mesh)
-    local = _FVE_LOCAL[None, :, :] * areas[:, None, None]
-    return _scatter(mesh, local, interior_only)
-
-
-_MASS = {
-    "sg": assemble_mass_sg,
-    "lm": assemble_mass_lm,
-    "fve": assemble_mass_fve,
-}
-
-
-def assemble_mass(mesh, method, interior_only=True):
-    if method not in _MASS:
+    if method not in METHODS:
         raise InvalidParameter("unknown method %r (have %s)" % (method, METHODS))
-    return _MASS[method](mesh, interior_only)
+    _, areas, n = _geometry(mesh)
+    if method == "lm":
+        diag = np.zeros(mesh.n_nodes)
+        np.add.at(diag, mesh.triangles.ravel(), np.repeat(areas / 3.0, 3))
+        return np.diag(diag[:n])
+    return _scatter(n, mesh.triangles, _LOCAL[method][None, :, :] * areas[:, None, None])
 
 
 def is_stieltjes(a):
@@ -161,12 +131,11 @@ class FemSystem:
     mass: np.ndarray
     stiffness: np.ndarray
     eigen: linalg.EigenSystem
-    interior_count: int
     mesh: object = None
 
     @property
     def size(self):
-        return self.interior_count
+        return self.mass.shape[0]
 
 
 def build_fem_system(mesh, method):
@@ -180,11 +149,4 @@ def system_from_matrices(mass, stiffness, method="sg", mesh=None):
     mass = np.asarray(mass, dtype=float)
     stiffness = np.asarray(stiffness, dtype=float)
     eigen = linalg.gen_sym_eigen(stiffness, mass)
-    return FemSystem(
-        method=method,
-        mass=mass,
-        stiffness=stiffness,
-        eigen=eigen,
-        interior_count=mass.shape[0],
-        mesh=mesh,
-    )
+    return FemSystem(method=method, mass=mass, stiffness=stiffness, eigen=eigen, mesh=mesh)

@@ -86,15 +86,15 @@ class ContractivityReport:
     contractive: bool
 
 
-def max_norm_contractivity_check(system, op, taus, n_max=100, slack=1e-10):
+def max_norm_contractivity_check(system, op, taus, n_max=100):
     """Max-norm of E_{n,tau} over n = 0..n_max for each step size.
 
     For the lumped mass method with a diagonally dominant stiffness matrix
-    the norms must never exceed 1 (up to slack).  The rows r_{n,tau}(lambda)
-    of the scalar recursion for n = 1..n_max go to EigenSystem.max_norms,
-    which reads E_{n,tau} through a skeleton of those rows: each entry is
-    off by at most linalg.SKELETON_TOL * (|back| |forward|)_ij plus
-    roundoff, far below slack = 1e-10.  E_{0,tau} = I, so norms[0] = 1
+    the norms must never exceed 1 (up to a slack of 1e-10).  The rows
+    r_{n,tau}(lambda) of the scalar recursion for n = 1..n_max go to
+    EigenSystem.max_norms, which reads E_{n,tau} through a skeleton of
+    those rows: each entry is off by at most linalg.SKELETON_TOL *
+    (|back| |forward|)_ij plus roundoff, far below that slack.  E_{0,tau} = I, so norms[0] = 1
     exactly, and n_max = 0 gives norms = [1.0].  A row that is not finite
     (tau so small that the weights overflow) raises NumericalError naming
     its step count.
@@ -121,7 +121,7 @@ def max_norm_contractivity_check(system, op, taus, n_max=100, slack=1e-10):
                 tau=tau,
                 max_norm=max_norm,
                 norms=norms,
-                contractive=max_norm <= 1.0 + slack,
+                contractive=max_norm <= 1.0 + 1e-10,
             )
         )
     return out

@@ -141,6 +141,33 @@ def _finalize(nodes, triangles, boundary=None, family="", h0=None):
 # generators
 
 
+def _lattice(nx, ny):
+    """Index lattice of (nx + 1) x (ny + 1) nodes, row by row from the bottom.
+
+    Returns the grid indices i and j of every node, its boundary flags, and
+    the corners (bl, br, tr, tl) of the nx * ny cells in the same row-major
+    order.
+    """
+    j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    boundary = (i == 0) | (i == nx) | (j == 0) | (j == ny)
+    cell_j, cell_i = np.divmod(np.arange(nx * ny), nx)
+    bl = cell_j * (nx + 1) + cell_i
+    tl = bl + nx + 1
+    return i, j, boundary, (bl, bl + 1, tl + 1, tl)
+
+
+def _triangles(*corners):
+    """Triangles cell by cell, one per corner triple in the given order."""
+    return np.stack([np.stack(t, axis=1) for t in corners], axis=1).reshape(-1, 3)
+
+
+def _unit_square(m):
+    """Nodes, boundary flags and triangles of the uniform mesh, h0 = 1/m."""
+    h0 = 1.0 / m
+    i, j, boundary, (a, b, c, d) = _lattice(m, m)
+    return np.column_stack([i * h0, j * h0]), boundary, _triangles((a, b, c), (a, c, d))
+
+
 def gen_uniform_square(m):
     """Uniform right-triangle mesh of the unit square, h0 = 1/m.
 
@@ -149,20 +176,8 @@ def gen_uniform_square(m):
     """
     if m < 2:
         raise InvalidParameter("need m >= 2, got %r" % (m,))
-    h0 = 1.0 / m
-    idx = lambda i, j: j * (m + 1) + i
-    nodes = [(i * h0, j * h0) for j in range(m + 1) for i in range(m + 1)]
-    boundary = [
-        i in (0, m) or j in (0, m) for j in range(m + 1) for i in range(m + 1)
-    ]
-    tris = []
-    for j in range(m):
-        for i in range(m):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-    return _finalize(nodes, tris, boundary, family="uniform(M=%d)" % m, h0=h0)
+    nodes, boundary, tris = _unit_square(m)
+    return _finalize(nodes, tris, boundary, family="uniform(M=%d)" % m, h0=1.0 / m)
 
 
 def gen_crossed_rectangles(m):
@@ -177,21 +192,17 @@ def gen_crossed_rectangles(m):
     if m < 2:
         raise InvalidParameter("need m >= 2, got %r" % (m,))
     h0 = 0.5 / m
-    nx, ny = 2 * m, m
-    idx = lambda i, j: j * (nx + 1) + i
-    nodes = [(i * h0, j * 2.0 * h0) for j in range(ny + 1) for i in range(nx + 1)]
-    boundary = [
-        i in (0, nx) or j in (0, ny) for j in range(ny + 1) for i in range(nx + 1)
-    ]
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            c = len(nodes)
-            nodes.append((i * h0 + 0.5 * h0, j * 2.0 * h0 + h0))
-            boundary.append(False)
-            bl, br = idx(i, j), idx(i + 1, j)
-            tr, tl = idx(i + 1, j + 1), idx(i, j + 1)
-            tris += [(bl, br, c), (br, tr, c), (tr, tl, c), (tl, bl, c)]
+    i, j, boundary, (bl, br, tr, tl) = _lattice(2 * m, m)
+    # the centers follow the lattice nodes in cell order
+    centers = i.size + np.arange(bl.size)
+    nodes = np.concatenate([
+        np.column_stack([i * h0, j * 2.0 * h0]),
+        np.column_stack([i[bl] * h0 + 0.5 * h0, j[bl] * 2.0 * h0 + h0]),
+    ])
+    boundary = np.concatenate([boundary, np.zeros(bl.size, dtype=bool)])
+    tris = _triangles(
+        (bl, br, centers), (br, tr, centers), (tr, tl, centers), (tl, bl, centers)
+    )
     return _finalize(nodes, tris, boundary, family="crossed(M=%d)" % m, h0=h0)
 
 
@@ -210,39 +221,19 @@ def gen_sliver_square(m, eps=1e-3):
     if not 0.0 < eps < 0.25:
         raise InvalidParameter("eps must lie in (0, 1/4), got %r" % (eps,))
     h0 = 1.0 / m
-    idx = lambda i, j: j * (m + 1) + i
-    nodes = [(i * h0, j * h0) for j in range(m + 1) for i in range(m + 1)]
-    boundary = [
-        i in (0, m) or j in (0, m) for j in range(m + 1) for i in range(m + 1)
-    ]
-    i0 = m // 2
-    target = (idx(i0, 0), idx(i0 + 1, 0), idx(i0 + 1, 1))
-    tris = []
-    for j in range(m):
-        for i in range(m):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            if (a, b, c) != target:
-                tris.append((a, b, c))
-            tris.append((a, c, d))
-    na, nb, nc = target
-    p = len(nodes)
-    nodes.append((0.5 + 0.5 * h0, 0.0))
-    boundary.append(True)
-    q = len(nodes)
-    nodes.append((0.5 + 0.25 * h0, eps * h0))
-    boundary.append(False)
-    r = len(nodes)
-    nodes.append((0.5 + 0.75 * h0, eps * h0))
-    boundary.append(False)
-    tris += [
-        (na, p, q),
-        (p, r, q),
-        (p, nb, r),
-        (nb, nc, r),
-        (q, r, nc),
-        (na, q, nc),
-    ]
+    nodes, boundary, tris = _unit_square(m)
+    # ABC is the lower triangle of cell (m/2, 0), row m of the uniform mesh
+    a, b, c = tris[m]
+    p, q, r = range(nodes.shape[0], nodes.shape[0] + 3)
+    nodes = np.concatenate([
+        nodes,
+        [(0.5 + 0.5 * h0, 0.0), (0.5 + 0.25 * h0, eps * h0), (0.5 + 0.75 * h0, eps * h0)],
+    ])
+    boundary = np.concatenate([boundary, [True, False, False]])
+    tris = np.concatenate([
+        np.delete(tris, m, axis=0),
+        [(a, p, q), (p, r, q), (p, b, r), (b, c, r), (q, r, c), (a, q, c)],
+    ])
     return _finalize(
         nodes, tris, boundary, family="sliver(M=%d,eps=%g)" % (m, eps), h0=h0
     )
@@ -253,24 +244,10 @@ def gen_equilateral_rhombus(m):
     if m < 2:
         raise InvalidParameter("need m >= 2, got %r" % (m,))
     h0 = 1.0 / m
-    rt3 = math.sqrt(3.0)
-    idx = lambda i, j: j * (m + 1) + i
-    nodes = [
-        ((i + 0.5 * j) * h0, 0.5 * rt3 * j * h0)
-        for j in range(m + 1)
-        for i in range(m + 1)
-    ]
-    boundary = [
-        i in (0, m) or j in (0, m) for j in range(m + 1) for i in range(m + 1)
-    ]
-    tris = []
-    for j in range(m):
-        for i in range(m):
-            tris.append((idx(i, j), idx(i + 1, j), idx(i, j + 1)))
-            tris.append((idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)))
-    return _finalize(
-        nodes, tris, boundary, family="equilateral(M=%d)" % m, h0=h0
-    )
+    i, j, boundary, (a, b, c, d) = _lattice(m, m)
+    nodes = np.column_stack([(i + 0.5 * j) * h0, 0.5 * math.sqrt(3.0) * j * h0])
+    tris = _triangles((a, b, d), (b, c, d))
+    return _finalize(nodes, tris, boundary, family="equilateral(M=%d)" % m, h0=h0)
 
 
 # generated families by name; each takes the level m (sliver also eps=)

@@ -125,17 +125,18 @@ def _grid_verdict(mins, tol):
     return "found", int(np.nonzero(neg)[0][-1])
 
 
-def detect_threshold(grid, mins, value_fn, tol, rel_width=1e-3):
+def detect_threshold(grid, mins, value_fn, tol):
     """Last sign change of min-entry data, bisected to three digits.
 
-    value_fn(t) re-evaluates the smallest entry during bisection.  Returns
+    value_fn(t) re-evaluates the smallest entry during bisection, until the
+    bracket's ends are within a relative 2e-3 of each other.  Returns
     (status, value, bracket).
     """
     status, last = _grid_verdict(mins, tol)
     if last is None:
         return status, None, None
     lo, hi = grid[last], grid[last + 1]
-    while hi / lo > 1.0 + 2.0 * rel_width:
+    while hi / lo > 1.0 + 2e-3:
         mid = math.sqrt(lo * hi)
         if value_fn(mid) < -tol:
             lo = mid
@@ -272,13 +273,11 @@ def h_inverse_positive(system):
     return _strictly_positive(hinv)
 
 
-def h_eventually_positive(system, max_power=8):
-    """Smallest k <= max_power with H^{-k} > 0 entrywise, else None."""
-    if not 1 <= max_power <= 8:
-        raise InvalidParameter("max_power must lie in 1..8")
+def h_eventually_positive(system):
+    """Smallest k <= 8 with H^{-k} > 0 entrywise, else None."""
     hinv = system.eigen.matrix_function(1.0 / system.eigen.eigenvalues)
     power = hinv
-    for k in range(1, max_power + 1):
+    for k in range(1, 9):
         ok, _ = _strictly_positive(power)
         if ok:
             return k

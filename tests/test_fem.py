@@ -48,12 +48,23 @@ def fve_mass_by_quadrature(m):
     return out
 
 
+def all_interior(m):
+    """The mesh with every node flagged interior: assembly covers all nodes."""
+    return mesh.TriMesh(
+        nodes=m.nodes, triangles=m.triangles, boundary=np.zeros(m.n_nodes, dtype=bool)
+    )
+
+
+def mass_of(method):
+    return lambda m: fem.assemble_mass(m, method)
+
+
 # stiffness
 
 
 def test_stiffness_uniform_stencil():
     m = mesh.gen_uniform_square(4)
-    s = fem.assemble_stiffness(m, interior_only=False)
+    s = fem.assemble_stiffness(all_interior(m))
     np.testing.assert_allclose(s.sum(axis=1), 0.0, atol=1e-12)
     n = m.interior_count
     for i in range(n):
@@ -73,7 +84,7 @@ def test_stiffness_uniform_stencil():
 
 def test_stiffness_equilateral_couplings():
     m = mesh.gen_equilateral_rhombus(4)
-    s = fem.assemble_stiffness(m, interior_only=False)
+    s = fem.assemble_stiffness(all_interior(m))
     np.testing.assert_allclose(s.sum(axis=1), 0.0, atol=1e-12)
     inv_rt3 = 1.0 / math.sqrt(3.0)
     n = m.interior_count
@@ -88,13 +99,16 @@ def test_stiffness_rejects_degenerate_triangle():
     m = mesh.TriMesh(
         nodes=nodes,
         triangles=np.array([[0, 1, 2]]),
-        boundary=np.ones(3, dtype=bool),
+        boundary=np.zeros(3, dtype=bool),
     )
     with pytest.raises(DegenerateTriangle):
-        fem.assemble_stiffness(m, interior_only=False)
+        fem.assemble_stiffness(m)
 
 
-@pytest.mark.parametrize("assemble", [fem.assemble_stiffness, fem.assemble_mass_lm])
+@pytest.mark.parametrize("assemble", [
+    pytest.param(fem.assemble_stiffness, id="assemble_stiffness"),
+    pytest.param(mass_of("lm"), id="assemble_mass-lm"),
+])
 def test_interior_assembly_needs_an_interior_node(assemble):
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = mesh.TriMesh(
@@ -102,12 +116,15 @@ def test_interior_assembly_needs_an_interior_node(assemble):
         triangles=np.array([[0, 1, 2]]),
         boundary=np.ones(3, dtype=bool),
     )
-    assert assemble(m, interior_only=False).shape == (3, 3)
+    assert assemble(all_interior(m)).shape == (3, 3)
     with pytest.raises(InvalidParameter):
         assemble(m)
 
 
-@pytest.mark.parametrize("assemble", [fem.assemble_mass_sg, fem.assemble_stiffness])
+@pytest.mark.parametrize("assemble", [
+    pytest.param(mass_of("sg"), id="assemble_mass-sg"),
+    pytest.param(fem.assemble_stiffness, id="assemble_stiffness"),
+])
 def test_assembly_allocates_only_the_interior_block(assemble):
     # uniform M=40: N = 1521 unknowns among 1681 nodes; an all-node matrix
     # would be 1.22 times the N x N block
@@ -151,9 +168,9 @@ def test_interior_diagonals_on_uniform_mesh():
 
 
 def test_lm_equals_row_lumped_sg():
-    m = mesh.gen_sliver_square(4)
-    sg = fem.assemble_mass_sg(m, interior_only=False)
-    lm = fem.assemble_mass_lm(m, interior_only=False)
+    m = all_interior(mesh.gen_sliver_square(4))
+    sg = fem.assemble_mass(m, "sg")
+    lm = fem.assemble_mass(m, "lm")
     np.testing.assert_allclose(np.diag(lm), sg.sum(axis=1), rtol=1e-12)
     assert np.allclose(lm, np.diag(np.diag(lm)))
 
@@ -164,16 +181,16 @@ def test_lm_equals_row_lumped_sg():
     lambda: mesh.gen_crossed_rectangles(3),
 ])
 def test_fve_matches_control_volume_quadrature(make):
-    m = make()
-    fve = fem.assemble_mass_fve(m, interior_only=False)
+    m = all_interior(make())
+    fve = fem.assemble_mass(m, "fve")
     oracle = fve_mass_by_quadrature(m)
     np.testing.assert_allclose(fve, oracle, atol=1e-14)
 
 
 def test_fve_structure():
     m = mesh.gen_uniform_square(6)
-    fve = fem.assemble_mass_fve(m, interior_only=False)
-    lm = fem.assemble_mass_lm(m, interior_only=False)
+    fve = fem.assemble_mass(all_interior(m), "fve")
+    lm = fem.assemble_mass(all_interior(m), "lm")
     assert np.abs(fve - fve.T).max() < 1e-15
     # row sums are the control volume areas, which is what lm lumps
     np.testing.assert_allclose(fve.sum(axis=1), np.diag(lm), rtol=1e-12)
@@ -185,7 +202,7 @@ def test_fve_structure():
 
 def test_sg_mass_nondiagonal():
     m = mesh.gen_uniform_square(6)
-    sg = fem.assemble_mass_sg(m, interior_only=False)
+    sg = fem.assemble_mass(all_interior(m), "sg")
     edges, _ = mesh.edge_table(m.triangles)
     for (a, b) in edges[edges[:, 1] < m.interior_count]:
         assert sg[a, b] > 0.0

@@ -258,7 +258,7 @@ def test_threshold_scans_memory_stays_bounded(get_system):
 def _table_systems():
     """(table, family, method, level kwargs) of every default table system."""
     for num, spec in sorted(cli._TABLES.items()):
-        (level,) = spec["default"]
+        level = spec["levels"][0]
         family = spec.get("family") or "%s_%s" % (spec["bundled"], level)
         kw = {"m": level} if "family" in spec else {}
         for method in spec["methods"]:

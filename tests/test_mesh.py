@@ -1,5 +1,6 @@
 """Mesh generators, Delaunay/normal predicates, and Triangle-format I/O."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -231,6 +232,27 @@ def test_edge_table_obeys_euler(name):
     tri = m.triangles[:, None, :]
     assert np.all((sides[..., :1] == tri).any(-1) & (sides[..., 1:] == tri).any(-1))
     assert not np.any(sides == m.triangles[:, :, None])
+
+
+# node and triangle order: assembly sums in that order, so it fixes the
+# matrix bits
+
+
+@pytest.mark.parametrize("make, digest", [
+    pytest.param(lambda: mesh.gen_uniform_square(10), "22e946d3d17dc996", id="uniform"),
+    pytest.param(lambda: mesh.gen_crossed_rectangles(5), "dbc0e9b343f3a403", id="crossed"),
+    pytest.param(lambda: mesh.gen_sliver_square(10), "9ac6b02585a000cd", id="sliver"),
+    pytest.param(
+        lambda: mesh.gen_sliver_square(10, eps=1e-9), "cfe9ecf78834f258", id="sliver-1e-9"
+    ),
+    pytest.param(
+        lambda: mesh.gen_equilateral_rhombus(6), "74bea3397a945fb0", id="equilateral"
+    ),
+])
+def test_generated_meshes_are_pinned(make, digest):
+    m = make()
+    data = m.nodes.tobytes() + m.triangles.astype("<i8").tobytes() + m.boundary.tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 # Triangle-format I/O

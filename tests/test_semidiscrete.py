@@ -601,11 +601,3 @@ def test_h_eventually_positive(get_system):
 def test_h_eventually_positive_diagonal_counterexample():
     sys = fem.system_from_matrices(np.eye(2), np.diag([1.0, 2.0]))
     assert semidiscrete.h_eventually_positive(sys) is None
-
-
-def test_h_eventually_positive_power_bounds(get_system):
-    sys = get_system("uniform", "sg", m=4)
-    with pytest.raises(InvalidParameter):
-        semidiscrete.h_eventually_positive(sys, max_power=0)
-    with pytest.raises(InvalidParameter):
-        semidiscrete.h_eventually_positive(sys, max_power=9)
