@@ -17,7 +17,12 @@ Three reductions read a batch of coefficient rows without keeping its
 matrices: min_entries (smallest entry, exact products in blocks) and,
 through one loop over a skeleton of the rows, max_norms (max-norm) and
 skeleton_min_entries (smallest entry and its error bound).  A skeleton
-entry moves by at most SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
+entry moves by at most its fit tolerance (SKELETON_TOL unless given)
+times (|back| |forward|)_ij plus roundoff.  skeleton_min_entries uses the
+skeleton only to locate the minimum of a row fitted worse than
+SKELETON_TOL: it evaluates that minimum exactly on the few matrix rows
+that can hold it, so a loose fit (the kernel rows' 1e-12) still gives
+minima within rounding of min_entries.
 """
 
 from dataclasses import dataclass
@@ -37,7 +42,9 @@ __all__ = [
 # float64 entries of one block of EigenSystem.min_entries' wide product
 BLOCK_ENTRIES = 2 ** 15
 
-# largest residual entry a skeleton of coefficient rows leaves unfitted
+# largest residual entry a skeleton of coefficient rows leaves unfitted,
+# unless a caller asks for another; a row fitted worse than this has its
+# smallest entry evaluated exactly (skeleton_min_entries)
 SKELETON_TOL = 1e-15
 
 
@@ -110,87 +117,128 @@ class EigenSystem:
         Read through a skeleton of the rows (_skeleton_reduce): an entry
         moves by at most SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
         """
-        out = np.zeros(len(rows))
-        self._skeleton_reduce(rows, out, lambda block, part: np.maximum(
-            part, np.abs(block, out=block).sum(axis=2).max(axis=1), out=part))
+        rows = np.asarray(rows, dtype=float)
+        out = np.zeros(rows.shape[0])
+        for batch in self._batches(rows):
+            part = out[batch]
+            self._skeleton_reduce(rows[batch], _skeleton(rows[batch]), lambda block, c, i: (
+                np.maximum(part[c], np.abs(block, out=block).sum(axis=2).max(axis=1), out=part[c])))
         return out
 
-    def skeleton_min_entries(self, rows):
+    def skeleton_min_entries(self, rows, tol=SKELETON_TOL):
         """(mins, bound): min_entries through a skeleton, within bound of it.
 
-        The bound is _skeleton_reduce's times max (|back| |forward|), one
-        GEMM of absolute values.  Rows of ones read the identity exactly.
-        """
-        out = np.full(len(rows), np.inf)
-        bound = self._skeleton_reduce(rows, out, lambda block, part: np.minimum(
-            part, block.min(axis=(1, 2)), out=part), exact=self.min_entries)
-        ones = np.all(np.equal(rows, 1.0), axis=1)
-        out[ones], bound[ones] = (1.0 if self.size == 1 else 0.0), 0.0
-        if bound.any():
-            bound *= (np.abs(self.back_transform) @ np.abs(self.forward_transform)).max()
-        return out, bound
-
-    def _skeleton_reduce(self, rows, out, fold, exact=None):
-        """Fold every row's matrix back @ diag(c) @ forward into out.
-
-        Rows go min(k, N) at a time.  Each batch is written as an
-        interpolative decomposition c_n = sum_s X_ns c_s over skeleton rows
-        S (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci. Comput. 26,
-        2005; see _skeleton), so every matrix is sum_s X_ns E_s and only the
-        r = |S| matrices E_s = back diag(c_s) forward are products.  When
-        exact is given, a batch whose skeleton saves no products,
-        r (1 + k/N) >= k, goes to exact(batch) instead.
-
-        E_s is formed for b = N // r rows of back at a time, all r in one
-        (r b) x N by N x N product; against it, k' = N // b rows of X (both
-        at least one) combine into a k' x b x N block, which fold(block,
-        part) folds into their k' entries of out.  No array exceeds N^2.
-
-        Returns each row's error bound in units of max (|back| |forward|):
-        its skeleton residual plus (N + 2r + 2) eps (|c|_inf + |X| |c_S|_inf),
-        the rounding of the products, the combine and that residual; 0 for
-        rows that went to exact.
+        Each batch of rows is fitted to tol (_skeleton); a batch whose
+        skeleton saves no products, r (1 + k/N) >= k, goes to min_entries
+        with bound 0.  Otherwise the bound is _skeleton_reduce's times
+        max (|back| |forward|), one GEMM of absolute values.  A row whose
+        fit residual is above SKELETON_TOL is then evaluated exactly on
+        every matrix row whose skeleton minimum is within twice that bound
+        of the row's skeleton minimum, the only rows that can hold its
+        smallest entry: (row, matrix row) pairs go N at a time through one
+        product (back[i] * c) @ forward.  Its bound becomes the rounding
+        of that product and of min_entries' own, 2 (N + 1) eps |c|_inf
+        times max (|back| |forward|); the value agrees with min_entries to
+        that rounding, not bit for bit.  Rows of ones read the identity
+        exactly.
         """
         rows = np.asarray(rows, dtype=float)
         n = self.size
-        per_batch = max(1, min(rows.shape[0], n))
-        err = np.zeros(rows.shape[0])
-        for first in range(0, rows.shape[0], per_batch):
-            batch = rows[first:first + per_batch]
-            skeleton, x, resid = _skeleton(batch)
-            r = skeleton.shape[0]
-            part = out[first:first + per_batch]
-            if exact is not None and not r * (1 + batch.shape[0] / n) < batch.shape[0]:
-                part[:] = exact(batch)
+        eps = np.finfo(float).eps
+        out = np.empty(rows.shape[0])
+        bound = np.zeros(rows.shape[0])
+        scale = None
+        for batch in self._batches(rows):
+            coeffs, part = rows[batch], out[batch]
+            skel = _skeleton(coeffs, tol)
+            if not skel[0].shape[0] * (1 + coeffs.shape[0] / n) < coeffs.shape[0]:
+                part[:] = self.min_entries(coeffs)
                 continue
-            scale = np.abs(batch).max(axis=1) + np.abs(x) @ np.abs(skeleton).max(axis=1)
-            err[first:first + per_batch] = resid + (n + 2 * r + 2) * np.finfo(float).eps * scale
-            per_block = max(1, n // max(r, 1))
-            per_combine = max(1, n // per_block)
-            for start in range(0, n, per_block):
-                back = self.back_transform[start:start + per_block]
-                # entry [s, i, :] is row i of back diag(c_s) forward
-                wide = ((skeleton[:, None, :] * back).reshape(-1, n)
-                        @ self.forward_transform).reshape(r, back.shape[0] * n)
-                for c0 in range(0, batch.shape[0], per_combine):
-                    block = (x[c0:c0 + per_combine] @ wide).reshape(-1, back.shape[0], n)
-                    fold(block, part[c0:c0 + per_combine])
-                    del block  # before the next one is formed: it sets peak memory
+            if scale is None:  # before row_mins: its temporaries set peak memory
+                scale = (np.abs(self.back_transform) @ np.abs(self.forward_transform)).max()
+            # entry [c, i] is the smallest entry of row i of row c's matrix
+            row_mins = np.empty((coeffs.shape[0], n))
+            err = self._skeleton_reduce(coeffs, skel, lambda block, c, i: np.amin(
+                block, axis=2, out=row_mins[c, i]))
+            part[:] = row_mins.min(axis=1)
+            loose = np.flatnonzero(skel[2] > SKELETON_TOL)
+            if loose.size:
+                reach = part[loose] + 2.0 * scale * err[loose]
+                pair_c, pair_i = np.nonzero(row_mins[loose] <= reach[:, None])
+                pair_c = loose[pair_c]
+                del row_mins
+                exact = np.full(coeffs.shape[0], np.inf)
+                for start in range(0, pair_c.size, n):
+                    c, i = pair_c[start:start + n], pair_i[start:start + n]
+                    scaled = self.back_transform[i]
+                    scaled *= coeffs[c]
+                    np.minimum.at(exact, c, (scaled @ self.forward_transform).min(axis=1))
+                    del scaled
+                part[loose] = exact[loose]
+                err[loose] = 2 * (n + 1) * eps * np.abs(coeffs[loose]).max(axis=1)
+            bound[batch] = err
+        ones = np.all(np.equal(rows, 1.0), axis=1)
+        out[ones], bound[ones] = (1.0 if n == 1 else 0.0), 0.0
+        if scale is not None:
+            bound *= scale
+        return out, bound
+
+    def _batches(self, rows):
+        """Slices of min(k, N) rows, the batches a skeleton is taken over."""
+        per_batch = max(1, min(rows.shape[0], self.size))
+        return [slice(first, first + per_batch) for first in range(0, rows.shape[0], per_batch)]
+
+    def _skeleton_reduce(self, batch, skel, fold):
+        """Fold every row's matrix back @ diag(c) @ forward, from its skeleton.
+
+        skel = _skeleton(batch) writes the batch (at most N rows) as an
+        interpolative decomposition c_n = sum_s X_ns c_s over skeleton rows
+        S (Cheng, Gimbutas, Martinsson & Rokhlin, SIAM J. Sci. Comput. 26,
+        2005), so every matrix is sum_s X_ns E_s and only the r = |S|
+        matrices E_s = back diag(c_s) forward are products.
+
+        E_s is formed for b = N // r rows of back at a time, all r in one
+        (r b) x N by N x N product; against it, k' = N // b rows of X (both
+        at least one) combine into a k' x b x N block, which fold(block, c,
+        i) folds in, for the slices c of batch rows and i of matrix rows it
+        holds.  No array exceeds N^2.
+
+        Returns each row's error bound in units of max (|back| |forward|):
+        its skeleton residual plus (N + 2r + 2) eps (|c|_inf + |X| |c_S|_inf),
+        the rounding of the products, the combine and that residual.
+        """
+        skeleton, x, resid = skel
+        n = self.size
+        r = skeleton.shape[0]
+        scale = np.abs(batch).max(axis=1) + np.abs(x) @ np.abs(skeleton).max(axis=1)
+        err = resid + (n + 2 * r + 2) * np.finfo(float).eps * scale
+        per_block = max(1, n // max(r, 1))
+        per_combine = max(1, n // per_block)
+        for start in range(0, n, per_block):
+            back = self.back_transform[start:start + per_block]
+            # entry [s, i, :] is row i of back diag(c_s) forward
+            wide = ((skeleton[:, None, :] * back).reshape(-1, n)
+                    @ self.forward_transform).reshape(r, back.shape[0] * n)
+            for c0 in range(0, batch.shape[0], per_combine):
+                block = (x[c0:c0 + per_combine] @ wide).reshape(-1, back.shape[0], n)
+                fold(block, slice(c0, c0 + per_combine), slice(start, start + per_block))
+                del block  # before the next one is formed: it sets peak memory
+            del wide  # likewise
         return err
 
 
-def _skeleton(rows):
-    """Skeleton rows S of rows and X with rows = X @ rows[S] to SKELETON_TOL.
+def _skeleton(rows, tol=SKELETON_TOL):
+    """Skeleton rows S of rows and X with rows = X @ rows[S] to tol.
 
     Greedy row-pivoted Gram-Schmidt: take the row whose residual has the
     largest 2-norm, orthogonalise it against the basis again, then remove
     the new direction from every residual twice; stop once no residual
-    entry exceeds SKELETON_TOL.  The stop is entrywise, like the check
+    entry exceeds tol.  The stop is entrywise, like the check
     below: a residual row's 2-norm is up to sqrt(N) times its largest
     entry, so stopping on it would keep rows that only chase roundoff.
     X is the least-squares fit in the basis, coef @ coef[S]^-1 with
     coef = rows @ basis^T.  The fit is checked a posteriori, entrywise:
-    |c_n - X_n rows[S]| <= SKELETON_TOL plus (|S| + 1) eps (|c_n|_2 +
+    |c_n - X_n rows[S]| <= tol plus (|S| + 1) eps (|c_n|_2 +
     |X_n| |rows[S]|), the rounding of the projections (which spreads over
     the whole row, hence its 2-norm) and of the check itself.  A zero row
     gets a zero row of X; rows must be finite.  The third value is each
@@ -200,7 +248,7 @@ def _skeleton(rows):
     picked = []
     basis = np.empty((0, rows.shape[1]))
     for _ in range(min(rows.shape)):
-        if not np.abs(res).max() > SKELETON_TOL:
+        if not np.abs(res).max() > tol:
             break
         p = int(np.argmax(np.einsum("ij,ij->i", res, res)))
         q = res[p] - basis.T @ (basis @ res[p])
@@ -219,7 +267,7 @@ def _skeleton(rows):
     bound = np.abs(x) @ np.abs(skeleton)
     bound += np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     bound *= (len(picked) + 1) * np.finfo(float).eps
-    bound += SKELETON_TOL
+    bound += tol
     if not np.all(err <= bound):
         raise NumericalError(
             "skeleton of %d rows misses a row by %.3e" % (len(picked), err.max())

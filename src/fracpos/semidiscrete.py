@@ -4,14 +4,20 @@ E(t) applies the relaxation kernel mode by mode through the generalized
 eigensystem of (S, M): E(t) = back @ diag(u_{lambda_i}(t)) @ forward.  The
 smallest entry of E(t) decides nonnegativity; its last sign change along a
 logarithmic time grid, refined by bisection, is the reported threshold.
-scan_threshold runs that scan for any per-mode coefficient rows c(x): one
-decade at a time from the top of the grid, it computes the decade's rows
+scan_threshold runs that scan for any per-mode coefficient rows c(x).  On
+a small system (one N x N matrix within linalg.BLOCK_ENTRIES) it goes one
+decade at a time from the top of the grid: it computes the decade's rows
 in one call and EigenSystem.min_entries reduces them, stopping at the
-decade that holds the last negative point; bisection goes point by point.
-When the sign is known to change at most once along the grid, as for the
-fully discrete scheme's E_{1,tau}, it bisects over grid indices instead.
-The rest of the curve is computed and reduced only when a caller reads
-it.  A single dense E(t) is EigenSystem.matrix_function of one such row.
+decade that holds the last negative point.  On a larger one it computes
+the whole grid's rows in one call and reads them through a skeleton
+fitted to the kernel's own accuracy (EigenSystem.skeleton_min_entries
+with KERNEL_SKELETON_TOL), which evaluates each minimum exactly on the
+matrix rows that can hold it; that read is also the curve.  Bisection
+goes point by point.  When the sign is known to change at most once
+along the grid, as for the fully discrete scheme's E_{1,tau}, it bisects
+over grid indices instead.  The rest of a curve is computed and reduced
+only when a caller reads it.  A single dense E(t) is
+EigenSystem.matrix_function of one such row.
 """
 
 import functools
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel
+from . import kernel, linalg
 from .errors import InvalidParameter, NumericalError, ScanMismatch
 
 __all__ = [
@@ -33,6 +39,10 @@ __all__ = [
     "h_inverse_positive",
     "h_eventually_positive",
 ]
+
+# skeleton fit of kernel rows in a whole-grid read: below the contour
+# kernel's own error (about 3.4e-12), so the rows compress
+KERNEL_SKELETON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,8 @@ class ScanSpec:
 
     @property
     def decades(self):
-        return math.log10(self.stop / self.start)
+        # stop / start overflows for ranges beyond about 308 decades
+        return math.log10(self.stop) - math.log10(self.start)
 
     @property
     def points(self):
@@ -171,13 +182,22 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     coeffs(xs) returns one row of per-mode coefficients c(x) per point.
     The scan must cover at least six decades.  Negativity below
     tol = 1e-12 * N is attributed to roundoff; a non-finite smallest
-    entry raises NumericalError naming its x.  The grid goes one decade
-    (per_decade points) at a time from the largest x down: one coeffs call
-    gives the decade's rows and min_entries their smallest entries,
-    stopping after the first decade with a point below -tol.  Only the
+    entry or coefficient raises NumericalError naming its x.  Only the
     last sign change matters, and it is bisected one point at a time.
-    "none-found" thus needs the top decade only, "all-nonnegative" the
-    whole grid.
+
+    While one N x N matrix fits in linalg.BLOCK_ENTRIES (N <= 181), the
+    grid goes one decade (per_decade points) at a time from the largest x
+    down: one coeffs call gives the decade's rows and min_entries their
+    smallest entries, stopping after the first decade with a point below
+    -tol.  "none-found" thus needs the top decade only, "all-nonnegative"
+    the whole grid.  Above that size every point costs a full N^3
+    product, so one coeffs call gives the whole grid's rows, and
+    skeleton_min_entries reads them through a skeleton fitted to
+    KERNEL_SKELETON_TOL, below the kernel's own error: few products, with
+    every poorly fitted row's minimum evaluated exactly on its candidate
+    matrix rows.  Each point within that read's error bound of -tol is
+    re-read exactly with min_entries, so the verdict, value and bracket
+    are those of an exact read of the whole grid.
 
     monotone=True is for curves whose sign changes at most once along the
     grid, from negative to nonnegative.  The scan then reduces the two
@@ -186,8 +206,9 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     change.
 
     The report's curve is computed when first read: a top-down scan
-    reduces its remaining decades, a monotone scan the whole grid (finite
-    rows only) through EigenSystem.skeleton_min_entries, re-reading
+    reduces its remaining decades; a whole-grid read already is the
+    curve; a monotone scan reads the whole grid (finite rows only)
+    through skeleton_min_entries at linalg.SKELETON_TOL, re-reading
     exactly each point within that read's error bound of -tol, and checks
     the curve's verdict against its bisected one (ScanMismatch).
     """
@@ -213,8 +234,21 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     def reduce(xs):
         return finite(min_entries(coeffs(xs)), xs, "smallest entry")
 
+    def read_grid(fit_tol):
+        # the whole grid through a skeleton, each point near -tol re-read exactly
+        rows = coeffs(grid)
+        finite(np.abs(rows).max(axis=1), grid, "largest coefficient")
+        mins, bound = system.eigen.skeleton_min_entries(rows, fit_tol)
+        near = np.abs(mins + tol) <= bound
+        if near.any():
+            mins[near] = reduce(grid[near])
+        return mins
+
+    whole = not monotone and system.size ** 2 > linalg.BLOCK_ENTRIES
     if monotone:
         idx, mins = _bisect_indices(grid, reduce, tol)
+    elif whole:
+        idx, mins = np.arange(grid.size), read_grid(KERNEL_SKELETON_TOL)
     else:
         start, mins = grid.size, np.empty(0)
         while start > 0 and not (mins < -tol).any():
@@ -226,14 +260,11 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     )
 
     def fill_curve():
+        if whole:
+            return np.column_stack((grid, mins))
         if not monotone:
             return np.column_stack((grid, np.concatenate((reduce(grid[:start]), mins))))
-        rows = coeffs(grid)
-        finite(np.abs(rows).max(axis=1), grid, "largest coefficient")
-        curve, bound = system.eigen.skeleton_min_entries(rows)
-        near = np.abs(curve + tol) <= bound
-        if near.any():
-            curve[near] = reduce(grid[near])
+        curve = read_grid(linalg.SKELETON_TOL)
         full = _grid_verdict(curve, tol)
         bisected = (status, int(idx[0]) if status == "found" else None)
         if full != bisected:

@@ -527,6 +527,24 @@ def test_threshold_rejects_bad_tolerance_or_scan_end(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "cmd", [("semi", "threshold"), ("fully", "threshold"), ("semi", "curve")], ids=" ".join
+)
+def test_scan_range_past_the_grid_cap_exits_2(cmd, tmp_path, capsys):
+    # 330 decades at 25 points each is 8251 points, above the 8192 cap,
+    # though stop / start itself overflows to inf
+    rc = run_cli(
+        *cmd, "--family", "uniform", "--M", "6", "--methods", "sg",
+        "--scan-start", "1e-30", "--scan-stop", "1e300", "--outdir", str(tmp_path),
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("error:") == 1
+    assert "8251 points" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fully_converge(tmp_path, capsys):
     rc = run_cli(
         "fully", "converge", "--family", "uniform", "--M", "2", "--methods", "lm",

@@ -246,7 +246,8 @@ def test_threshold_scans_memory_stays_bounded(get_system):
     try:
         semi = semidiscrete.positivity_threshold(sys, SINGLE)
         fully = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
-        # the skeleton read of the whole step-size grid
+        # the skeleton reads of the whole time and step-size grids
+        assert semi.curve.shape == (semidiscrete.ScanSpec().points, 2)
         assert fully.curve.shape == (semidiscrete.ScanSpec().points, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracpos import kernel, linalg
+from fracpos import kernel, linalg, semidiscrete
 from fracpos.errors import NotPositiveDefinite
 from fracpos.kernel import FracOperator
 
@@ -173,6 +173,8 @@ SKELETON_MIN_SYSTEMS = [
         ("lshape_coarse", "sg", {}, ()),
         # N = 583: the exact comparison takes about 1.5 s per operator
         ("disk_medium", "sg", {}, pytest.mark.extended),
+        # a dist(exp) row fits only to 1.0e-14, so it is evaluated exactly
+        ("disk_medium", "fve", {}, pytest.mark.extended),
     ]
 ]
 
@@ -236,6 +238,31 @@ def test_skeleton_min_entries_route(get_system):
     mins, bound = eig.skeleton_min_entries(rows)
     np.testing.assert_array_equal(mins, eig.min_entries(rows))
     np.testing.assert_array_equal(bound, 0.0)
+
+
+@pytest.mark.parametrize("op", FD_OPERATORS, ids=lambda op: op.label)
+def test_loosely_fitted_rows_are_evaluated_exactly(get_system, op):
+    # semidiscrete rows carry the kernel's 3.4e-12 noise: at a fit tolerance
+    # of 1e-12 they compress (about 25-33 of the first 196 rows against
+    # 149-179 at SKELETON_TOL), and every row fitted worse than SKELETON_TOL
+    # is evaluated exactly on the matrix rows that can hold its minimum
+    eig = get_system("uniform", "sg", m=15).eigen
+    n = eig.size
+    rows = kernel.u_lambda_many(op, eig.eigenvalues, np.geomspace(1e-8, 1e2, 251))
+    tol = semidiscrete.KERNEL_SKELETON_TOL
+    _, _, resid = linalg._skeleton(rows[:n], tol)
+    assert linalg._skeleton(rows[:n], tol)[0].shape[0] < linalg._skeleton(rows[:n])[0].shape[0] // 4
+    loose = np.flatnonzero(resid > linalg.SKELETON_TOL)
+    assert loose.size > n // 2
+    mins, bound = eig.skeleton_min_entries(rows, tol)
+    exact = eig.min_entries(rows)
+    assert np.all(np.abs(mins - exact) <= bound)
+    assert np.abs(mins - exact).max() <= 1e-15
+    # an exactly evaluated row's bound is the rounding of two products
+    scale = (np.abs(eig.back_transform) @ np.abs(eig.forward_transform)).max()
+    rounding = 2 * (n + 1) * np.finfo(float).eps * np.abs(rows[loose]).max(axis=1) * scale
+    np.testing.assert_array_equal(bound[loose], rounding)
+    assert bound[loose].max() < 0.1 * tol
 
 
 def _cholesky_route(s, m):

@@ -213,11 +213,11 @@ def _count_scan_work(monkeypatch, kernel_name):
             counts["reduced"] += len(rows)
         return min_entries(self, rows)
 
-    def counting_skeleton_min_entries(self, rows):
+    def counting_skeleton_min_entries(self, rows, *args):
         counts["reduced"] += len(rows)
         inside_skeleton.append(True)
         try:
-            return skeleton_min_entries(self, rows)
+            return skeleton_min_entries(self, rows, *args)
         finally:
             inside_skeleton.pop()
 
@@ -293,6 +293,46 @@ def test_curve_rereads_skeleton_points_near_the_floor(get_system, monkeypatch):
     assert (rep.status, rep.value, rep.bracket) == verdict
     assert rep.curve.shape == (points, 2)
     assert counts["reduced"] - decided > points
+    np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
+
+
+def test_large_system_scan_reads_the_grid_once(get_system, monkeypatch):
+    # N = 196: one matrix exceeds BLOCK_ENTRIES, so the semidiscrete scan
+    # reads the whole grid in one kernel call through a skeleton, and that
+    # read is the curve
+    sys = get_system("uniform", "sg", m=15)
+    assert sys.size ** 2 > linalg.BLOCK_ENTRIES
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
+    rep = semidiscrete.positivity_threshold(sys, SINGLE)
+    points = ScanSpec().grid().size
+    assert rep.found
+    assert counts["bisect"] >= 1
+    assert counts["calls"] == 1 + counts["bisect"]
+    assert counts["rows"] == counts["reduced"] == points + counts["bisect"]
+    decided = dict(counts)
+    assert rep.curve is rep.curve
+    assert rep.curve.shape == (points, 2)
+    # reading the curve computes and reduces no further row
+    assert counts == decided
+
+
+def test_whole_grid_read_rereads_points_near_the_floor(get_system, monkeypatch):
+    # N = 196: min_entries reduces one row per product, so the re-read and
+    # the full grid read the same bits at every point
+    sys = get_system("uniform", "sg", m=15)
+    scan = ScanSpec()
+    curve = semidiscrete.positivity_threshold(sys, SINGLE).curve
+    # the last negative point of the read sits exactly on the floor
+    tol = -curve[np.flatnonzero(curve[:, 1] < 0.0)[-1], 1]
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
+    rep = semidiscrete.positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
+    work = dict(counts)
+    verdict, full = _full_grid_threshold(sys, SINGLE, "semi", scan, tol)
+    assert rep.found
+    assert (rep.status, rep.value, rep.bracket) == verdict
+    # the read, one call for the points near the floor, then the bisection
+    assert work["calls"] == 2 + work["bisect"]
+    assert work["reduced"] > scan.points + work["bisect"]
     np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
 
 
@@ -389,6 +429,8 @@ EQUIVALENCE_CASES = [
         ("uniform", "fve", 10),
         ("crossed", "lm", 5),
         ("sliver", "sg", 10),
+        # N = 196, above the cutover: the semidiscrete grid is one skeleton read
+        ("uniform", "sg", 15),
     )
     for op in (SINGLE, MULTI, DIST)
     for scheme in THRESHOLD_FNS
@@ -527,6 +569,10 @@ def test_scan_spec_validation():
         ScanSpec(per_decade=0)
     with pytest.raises(InvalidParameter):
         ScanSpec(stop=math.inf)
+    # stop / start overflows; the grid size does not
+    wide = ScanSpec(start=1e-30, stop=1e300)
+    assert wide.decades == pytest.approx(330.0, rel=1e-15)
+    assert wide.points == 8251
     grid = ScanSpec(start=1e-4, stop=1e2, per_decade=10).grid()
     assert grid.shape == (61,)
     assert grid[0] == pytest.approx(1e-4)
