@@ -17,12 +17,18 @@ byte-identical files.  Exit codes: 0 success, 1 numerical failure,
 
 import argparse
 import configparser
-import hashlib
 import json
 import os
 import sys
 
 import numpy as np
+
+# SHA-256 from the interpreter's built-in module: hashlib would load
+# OpenSSL's libcrypto (about 3.6 MB resident) for one 12-digit tag
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    from _sha256 import sha256  # Python 3.10-3.11
 
 from . import __version__, fem, fullydiscrete, kernel, semidiscrete
 from . import mesh as meshmod
@@ -169,7 +175,7 @@ def _settle(args):
 
 def _config_hash(parts):
     text = ";".join("%s=%s" % (k, parts[k]) for k in sorted(parts))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hexdigest()[:12]
 
 
 def _header_line(parts):

@@ -6,12 +6,14 @@ factor of M to a standard symmetric problem, so the returned transforms
 are exact inverses of each other up to roundoff:
 
     back_transform    = L^{-T} W        (columns are M-orthonormal eigenvectors)
-    forward_transform = W^T L^T         (its inverse, no matrix inversion needed)
+    forward_transform = W^T L^T         (its inverse, formed as (M back)^T)
 
-The reduction runs on numpy's LAPACK alone (cholesky, solve, eigh), and
-every dense operator, H^{-1} included, is a matrix function through it.
-A diagonal (lumped) M has L = diag(sqrt(m)), and L^{-1} is then a
-scaling of rows by 1/sqrt(m) instead of a solve.
+The reduction runs on numpy alone (cholesky, inv on diagonal blocks of
+L, GEMMs, eigh) and solves no linear system; every dense operator,
+H^{-1} included, is a matrix function through it.  A diagonal (lumped)
+M has L = diag(sqrt(m)), and L^{-1} is then a scaling of rows by
+1/sqrt(m).  The symmetry check and the symmetrization go BLOCK_ROWS
+rows at a time, so they form no N x N temporary.
 
 Three reductions read a batch of coefficient rows without keeping its
 matrices: min_entries (smallest entry, exact products in blocks) and,
@@ -42,6 +44,11 @@ __all__ = [
 # float64 entries of one block of EigenSystem.min_entries' wide product
 BLOCK_ENTRIES = 2 ** 15
 
+# rows of one block of the O(N^2) passes over an N x N matrix (symmetry
+# check, symmetrization, abs-value scale) and the largest diagonal block
+# the triangular inverse hands to np.linalg.inv
+BLOCK_ROWS = 128
+
 # largest residual entry a skeleton of coefficient rows leaves unfitted,
 # unless a caller asks for another; a row fitted worse than this has its
 # smallest entry evaluated exactly (skeleton_min_entries)
@@ -57,9 +64,17 @@ def _check_square(a):
     return a
 
 
+def _row_blocks(n):
+    """Slices of BLOCK_ROWS rows covering range(n)."""
+    return [slice(first, first + BLOCK_ROWS) for first in range(0, n, BLOCK_ROWS)]
+
+
 def _check_symmetric(a, rel=1e-12):
-    scale = max(np.abs(a).max(), 1e-300)
-    skew = np.abs(a - a.T).max()
+    scale = skew = 0.0
+    for rows in _row_blocks(a.shape[0]):
+        scale = max(scale, np.abs(a[rows]).max(initial=0.0))
+        skew = max(skew, np.abs(a[rows] - a[:, rows].T).max(initial=0.0))
+    scale = max(scale, 1e-300)
     if skew > rel * scale:
         raise NotPositiveDefinite(
             "matrix not symmetric: asymmetry %.3e relative to %.3e" % (skew, scale)
@@ -155,7 +170,7 @@ class EigenSystem:
                 part[:] = self.min_entries(coeffs)
                 continue
             if scale is None:  # before row_mins: its temporaries set peak memory
-                scale = (np.abs(self.back_transform) @ np.abs(self.forward_transform)).max()
+                scale = self._abs_scale()
             # entry [c, i] is the smallest entry of row i of row c's matrix
             row_mins = np.empty((coeffs.shape[0], n))
             err = self._skeleton_reduce(coeffs, skel, lambda block, c, i: np.amin(
@@ -182,6 +197,13 @@ class EigenSystem:
         if scale is not None:
             bound *= scale
         return out, bound
+
+    def _abs_scale(self):
+        """max (|back| |forward|), one block of back's rows at a time: the
+        one N x N temporary is |forward|."""
+        forward = np.abs(self.forward_transform)
+        return max((np.abs(self.back_transform[rows]) @ forward).max()
+                   for rows in _row_blocks(self.size))
 
     def _batches(self, rows):
         """Slices of min(k, N) rows, the batches a skeleton is taken over."""
@@ -237,12 +259,14 @@ def _skeleton(rows, tol=SKELETON_TOL):
     below: a residual row's 2-norm is up to sqrt(N) times its largest
     entry, so stopping on it would keep rows that only chase roundoff.
     X is the least-squares fit in the basis, coef @ coef[S]^-1 with
-    coef = rows @ basis^T.  The fit is checked a posteriori, entrywise:
-    |c_n - X_n rows[S]| <= tol plus (|S| + 1) eps (|c_n|_2 +
-    |X_n| |rows[S]|), the rounding of the projections (which spreads over
-    the whole row, hence its 2-norm) and of the check itself.  A zero row
-    gets a zero row of X; rows must be finite.  The third value is each
-    row's largest residual entry.
+    coef = rows @ basis^T, refined twice on its residual: coef[S] can
+    have a condition number near 1/eps, and unrefined X leaves residuals
+    up to 1e-14 on rows the basis fits to 1e-15.  The fit is checked a
+    posteriori, entrywise: |c_n - X_n rows[S]| <= tol plus (|S| + 1) eps
+    (|c_n|_2 + |X_n| |rows[S]|), the rounding of the projections (which
+    spreads over the whole row, hence its 2-norm) and of the check
+    itself.  A zero row gets a zero row of X; rows must be finite.  The
+    third value is each row's largest residual entry.
     """
     res = rows.copy()
     picked = []
@@ -259,8 +283,10 @@ def _skeleton(rows, tol=SKELETON_TOL):
         picked.append(p)
     del res
     coef = rows @ basis.T
-    x = np.linalg.solve(coef[picked].T, coef.T).T
     skeleton = rows[picked]
+    x = np.linalg.solve(coef[picked].T, coef.T).T
+    for _ in range(2):  # coef[S] is ill-conditioned: refine X to rounding
+        x += np.linalg.solve(coef[picked].T, ((rows - x @ skeleton) @ basis.T).T).T
     err = x @ skeleton
     err -= rows
     np.abs(err, out=err)
@@ -303,13 +329,17 @@ def sym_eigen(a):
 def gen_sym_eigen(s, m):
     """Solve S*phi = lambda*M*phi for symmetric S and SPD M.
 
-    Reduces to the standard problem on L^{-1} S L^{-T} where M = L L^T,
-    then maps the orthonormal eigenvectors back.  Eigenvalues must come
-    out strictly positive (S is expected SPD as well).  A diagonal M (the
-    lumped mass) takes L = diag(sqrt(m)) and applies L^{-1} as a product
-    with the reciprocals 1/sqrt(m); under numpy's OpenBLAS that gives the
-    Cholesky route's eigensystem bit for bit, where dividing by sqrt(m)
-    does not.
+    Reduces to the standard problem on C = L^{-1} S L^{-T} where M = L
+    L^T, then maps the orthonormal eigenvectors W back.  Eigenvalues must
+    come out strictly positive (S is expected SPD as well).  A full M is
+    reduced with no solve: L^{-1} by 2 x 2 blocks (_tril_inverse), C as
+    two GEMMs, symmetrized in place, and back = L^{-T} W, forward = (M
+    back)^T as two more.  L itself is freed once inverted, so at eigh the
+    live N x N arrays are S, M, L^{-1} and C, plus eigh's copy of C, its
+    2 N^2 workspace and W: about 8.  A diagonal M (the lumped mass) takes
+    L = diag(sqrt(m)) and applies L^{-1} as a product with the
+    reciprocals 1/sqrt(m); under numpy's OpenBLAS that gives a Cholesky
+    route's eigensystem bit for bit, where dividing by sqrt(m) does not.
     """
     s = _check_square(s)
     m = _check_square(m)
@@ -330,17 +360,49 @@ def gen_sym_eigen(s, m):
         inv = 1.0 / root
         c = (s * inv).T * inv
     else:
-        ell = cholesky(m)
-        c = np.linalg.solve(ell, s)
-        c = np.linalg.solve(ell, c.T)
-    c = 0.5 * (c + c.T)
+        inv = _tril_inverse(cholesky(m))
+        c = inv @ s
+        c = c @ inv.T
+    _symmetrize(c)
     w, vecs = sym_eigen(c)
+    del c
     if w[0] <= 0.0:
         raise NotPositiveDefinite("smallest eigenvalue %.3e is not positive" % w[0])
     if lumped:
         back = vecs * inv
         forward = (root * vecs).T
     else:
-        back = np.linalg.solve(ell.T, vecs)
-        forward = (ell @ vecs).T
+        back = inv.T @ vecs
+        del inv, vecs
+        forward = (m @ back).T
     return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)
+
+
+def _tril_inverse(ell, out=None):
+    """L^{-1} of a nonsingular lower triangular L, by 2 x 2 blocks.
+
+    [[A, 0], [B, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]]:
+    np.linalg.inv (then tril) on diagonal blocks of at most BLOCK_ROWS
+    rows, two GEMMs for each off-diagonal block, all written into out.
+    """
+    if out is None:
+        out = np.zeros_like(ell)
+    n = ell.shape[0]
+    if n <= BLOCK_ROWS:
+        out[...] = np.tril(np.linalg.inv(ell))
+        return out
+    h = n // 2
+    _tril_inverse(ell[:h, :h], out[:h, :h])
+    _tril_inverse(ell[h:, h:], out[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (ell[h:, :h] @ out[:h, :h]))
+    return out
+
+
+def _symmetrize(c):
+    """c <- (c + c^T) / 2 in place, one block of rows at a time."""
+    for rows in _row_blocks(c.shape[0]):
+        tail = slice(rows.start, None)
+        avg = c[rows, tail] + c[tail, rows].T
+        avg *= 0.5
+        c[rows, tail] = avg
+        c[tail, rows] = avg.T

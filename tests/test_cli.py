@@ -358,6 +358,14 @@ def test_identical_runs_are_byte_identical(tmp_path, capsys):
     assert first.startswith(b"# fracpos 0.1.0 config=")
 
 
+def test_config_hash_is_sha256():
+    import hashlib
+
+    parts = {"method": "sg", "scan": (1e-4, 1.0, 5), "family": "uniform"}
+    text = "family=uniform;method=sg;scan=(0.0001, 1.0, 5)"
+    assert cli._config_hash(parts) == hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -702,7 +710,8 @@ def test_module_entry_point():
 
 def test_threshold_commands_do_not_import_scipy(tmp_path):
     # scipy serves only the Mittag-Leffler quadrature of kernel mittag;
-    # every other command runs on numpy
+    # every other command runs on numpy.  No command loads OpenSSL
+    # (_hashlib): the config tag's SHA-256 is the interpreter's own
     script = (
         "import sys\n"
         "from fracpos import cli\n"
@@ -720,12 +729,13 @@ def test_threshold_commands_do_not_import_scipy(tmp_path):
         "assert cli.main(['kernel', 'ulambda', '--lambda', '2', '--t', '0.1']) == 0\n"
         "assert cli.main(['kernel', 'weights', '--mu', 'exp', '--tau', '0.1', '--n', '4']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('_hashlib' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
 def test_scipy_is_imported_only_by_the_mittag_leffler_quadrature():

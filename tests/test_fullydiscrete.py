@@ -225,7 +225,7 @@ def test_fd_threshold_rejects_short_scan(get_system):
 def test_fd_batched_curve_matches_first_step_matrices(get_system, family, method, kw):
     sys = get_system(family, method, **kw)
     rep = fullydiscrete.fd_positivity_threshold(
-        sys, SINGLE, scan=semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=5)
+        sys, SINGLE, scan=semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=4)
     )
     omegas = [kernel.char_fn(SINGLE, 1.0 / tau) for tau in rep.curve[:, 0]]
     each = [
@@ -233,6 +233,11 @@ def test_fd_batched_curve_matches_first_step_matrices(get_system, family, method
         for omega0 in omegas
     ]
     if sys.size * sys.size > linalg.BLOCK_ENTRIES // 2:
+        # disk_medium sg on k = 25 points: rank r = 25, so r (1 + k/N) >= k
+        # and the curve comes from min_entries, one product per point
+        omega0 = np.array(omegas)[:, None]
+        r = linalg._skeleton(omega0 / (omega0 + sys.eigen.eigenvalues))[0].shape[0]
+        assert r * (1 + len(omegas) / sys.size) >= len(omegas)
         np.testing.assert_array_equal(rep.curve[:, 1], each)
     else:
         np.testing.assert_allclose(rep.curve[:, 1], each, rtol=0.0, atol=1e-15)

@@ -1,5 +1,7 @@
 """Dense symmetric linear algebra: factorizations, eigensystems, reductions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,10 +231,10 @@ def test_skeleton_min_entries_route(get_system):
     assert mins[7] == 0.0 and bound[7] == 0.0
     tiny = get_system("uniform", "lm", m=2).eigen
     assert tiny.skeleton_min_entries(np.ones((2, 1)))[0].tolist() == [1.0, 1.0]
-    # disk_medium sg (N = 583) on k = 31 points: rank r = 30, and r (1 + k/N)
+    # disk_medium sg (N = 583) on k = 25 points: rank r = 25, and r (1 + k/N)
     # >= k, so no product is saved and every row goes to min_entries
     eig = get_system("disk_medium", "sg").eigen
-    rows = _first_step_rows(eig, single, np.geomspace(1e-8, 1e-2, 31))
+    rows = _first_step_rows(eig, single, np.geomspace(1e-8, 1e-2, 25))
     r = linalg._skeleton(rows)[0].shape[0]
     assert r * (1 + rows.shape[0] / eig.size) >= rows.shape[0]
     mins, bound = eig.skeleton_min_entries(rows)
@@ -300,21 +302,39 @@ def test_lumped_mass_rejects_nonpositive_entry(entry):
         linalg.gen_sym_eigen(np.eye(3), np.diag([1.0, entry, 2.0]))
 
 
-class _SolveCalled(Exception):
+class _FactorCalled(Exception):
     pass
 
 
 def test_lumped_mass_takes_no_solve(get_system, monkeypatch):
+    # the lumped route factors nothing; a full mass is Cholesky-factored
     lm = get_system("uniform", "lm", m=6)
     sg = get_system("uniform", "sg", m=6)
 
     def refuse(*args, **kw):
-        raise _SolveCalled
+        raise _FactorCalled
 
+    monkeypatch.setattr(linalg.np.linalg, "cholesky", refuse)
     monkeypatch.setattr(linalg.np.linalg, "solve", refuse)
     linalg.gen_sym_eigen(lm.stiffness, lm.mass)
-    with pytest.raises(_SolveCalled):
+    with pytest.raises(_FactorCalled):
         linalg.gen_sym_eigen(sg.stiffness, sg.mass)
+
+
+@pytest.mark.parametrize("method", ["sg", "fve", "lm"])
+def test_gen_sym_eigen_peak_memory(get_system, method):
+    # next to S and M, the reduction holds C and L^{-1} (a vector when M is
+    # lumped), then eigh's eigenvectors and the two transforms: a
+    # numpy-visible peak of about 3 N x N matrices on either route
+    sys = get_system("disk_medium", method)
+    n = sys.size
+    tracemalloc.start()
+    try:
+        linalg.gen_sym_eigen(sys.stiffness, sys.mass)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * n * 8
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 50])
