@@ -51,8 +51,9 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
     between the two grid points around the change.  The coefficient rows
     omega_0 / (omega_0 + lambda), with omega_0 = P(1/tau), take one
     char_fn call per point.  Reading the report's curve reduces the whole
-    grid through a skeleton of these Cauchy-matrix rows (rank 30 of 251 on
-    disk_medium sg) and raises ScanMismatch if it contradicts the bisection.
+    grid through the scanner's one reader (on disk_medium sg a skeleton of
+    these Cauchy-matrix rows, rank 30 of 251) and raises ScanMismatch if
+    it contradicts the bisection.
     """
     lams = system.eigen.eigenvalues
 

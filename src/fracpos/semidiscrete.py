@@ -4,20 +4,16 @@ E(t) applies the relaxation kernel mode by mode through the generalized
 eigensystem of (S, M): E(t) = back @ diag(u_{lambda_i}(t)) @ forward.  The
 smallest entry of E(t) decides nonnegativity; its last sign change along a
 logarithmic time grid, refined by bisection, is the reported threshold.
-scan_threshold runs that scan for any per-mode coefficient rows c(x).  On
-a small system (one N x N matrix within linalg.BLOCK_ENTRIES) it goes one
-decade at a time from the top of the grid: it computes the decade's rows
-in one call and EigenSystem.min_entries reduces them, stopping at the
-decade that holds the last negative point.  On a larger one it computes
-the whole grid's rows in one call and reads them through a skeleton
-fitted to the kernel's own accuracy (EigenSystem.skeleton_min_entries
-with KERNEL_SKELETON_TOL), which evaluates each minimum exactly on the
-matrix rows that can hold it; that read is also the curve.  Bisection
-goes point by point.  When the sign is known to change at most once
-along the grid, as for the fully discrete scheme's E_{1,tau}, it bisects
-over grid indices instead.  The rest of a curve is computed and reduced
-only when a caller reads it.  A single dense E(t) is
-EigenSystem.matrix_function of one such row.
+scan_threshold runs that scan for any per-mode coefficient rows c(x).
+Every curve and scan reads its minima through one reader, _read_mins:
+exact EigenSystem.min_entries on a small system (_exact_size), a
+skeleton of the rows (EigenSystem.skeleton_min_entries) above.  A small
+system's scan goes one decade at a time from the top of the grid; a
+large one reads the whole grid at once through a skeleton fitted to the
+kernel's own accuracy (KERNEL_SKELETON_TOL), and that read is the curve.
+When the sign changes at most once along the grid, as for the fully
+discrete scheme's E_{1,tau}, the scan bisects over grid indices instead.
+A single dense E(t) is EigenSystem.matrix_function of one such row.
 """
 
 import functools
@@ -81,12 +77,24 @@ def _kernel_rows(system, op, ts):
     return kernel.u_lambda_many(op, system.eigen.eigenvalues, np.where(ts > 1e-14, ts, 0.0))
 
 
+def _exact_size(system):
+    """Whether one N x N matrix fits in linalg.BLOCK_ENTRIES (N <= 181)."""
+    return system.size ** 2 <= linalg.BLOCK_ENTRIES
+
+
+def _read_mins(system, rows, fit_tol):
+    """(mins, bound): exact min_entries (bound 0) on a system of
+    _exact_size, else skeleton_min_entries with the rows fitted to fit_tol."""
+    if _exact_size(system):
+        return system.eigen.min_entries(rows), np.zeros(len(rows))
+    return system.eigen.skeleton_min_entries(rows, fit_tol)
+
+
 def min_entry_curve(system, op, grid):
-    """Smallest entry of the solution matrix along a time grid, as (t, min)."""
+    """Smallest entry of E(t) along a time grid, as (t, min), read like a scan."""
     grid = np.asarray(grid, dtype=float)
-    return np.column_stack(
-        (grid, system.eigen.min_entries(_kernel_rows(system, op, grid)))
-    )
+    rows = _kernel_rows(system, op, grid)
+    return np.column_stack((grid, _read_mins(system, rows, KERNEL_SKELETON_TOL)[0]))
 
 
 @dataclass(eq=False)
@@ -181,23 +189,19 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
 
     coeffs(xs) returns one row of per-mode coefficients c(x) per point.
     The scan must cover at least six decades.  Negativity below
-    tol = 1e-12 * N is attributed to roundoff; a non-finite smallest
-    entry or coefficient raises NumericalError naming its x.  Only the
-    last sign change matters, and it is bisected one point at a time.
+    tol = 1e-12 * N is attributed to roundoff; a non-finite coefficient
+    or smallest entry raises NumericalError naming its x.  Only the last
+    sign change matters, and it is bisected one point at a time.
 
-    While one N x N matrix fits in linalg.BLOCK_ENTRIES (N <= 181), the
-    grid goes one decade (per_decade points) at a time from the largest x
-    down: one coeffs call gives the decade's rows and min_entries their
-    smallest entries, stopping after the first decade with a point below
-    -tol.  "none-found" thus needs the top decade only, "all-nonnegative"
-    the whole grid.  Above that size every point costs a full N^3
-    product, so one coeffs call gives the whole grid's rows, and
-    skeleton_min_entries reads them through a skeleton fitted to
-    KERNEL_SKELETON_TOL, below the kernel's own error: few products, with
-    every poorly fitted row's minimum evaluated exactly on its candidate
-    matrix rows.  Each point within that read's error bound of -tol is
-    re-read exactly with min_entries, so the verdict, value and bracket
-    are those of an exact read of the whole grid.
+    Every read goes through _read_mins, and each point it puts within its
+    error bound of -tol is re-read exactly from the rows already at hand,
+    so the verdict, value and bracket are those of an exact read of the
+    whole grid.  On a system of _exact_size the grid goes one decade at a
+    time from the largest x down, stopping after the first decade with a
+    point below -tol: "none-found" needs the top decade only,
+    "all-nonnegative" the whole grid.  Above that size one coeffs call
+    gives the whole grid's rows, read through a skeleton fitted to
+    KERNEL_SKELETON_TOL, and that read is the curve.
 
     monotone=True is for curves whose sign changes at most once along the
     grid, from negative to nonnegative.  The scan then reduces the two
@@ -206,11 +210,9 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     change.
 
     The report's curve is computed when first read: a top-down scan
-    reduces its remaining decades; a whole-grid read already is the
-    curve; a monotone scan reads the whole grid (finite rows only)
-    through skeleton_min_entries at linalg.SKELETON_TOL, re-reading
-    exactly each point within that read's error bound of -tol, and checks
-    the curve's verdict against its bisected one (ScanMismatch).
+    reduces its remaining decades; a monotone scan reads the whole grid
+    (fitted to linalg.SKELETON_TOL above _exact_size) and checks the
+    curve's verdict against its bisected one (ScanMismatch).
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
@@ -219,7 +221,6 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
         tol = 1e-12 * system.size
     elif not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParameter("tol must be finite and nonnegative, got %r" % tol)
-    min_entries = system.eigen.min_entries
     grid = scan.grid()
 
     def finite(values, xs, what):
@@ -231,24 +232,20 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
             )
         return values
 
-    def reduce(xs):
-        return finite(min_entries(coeffs(xs)), xs, "smallest entry")
-
-    def read_grid(fit_tol):
-        # the whole grid through a skeleton, each point near -tol re-read exactly
-        rows = coeffs(grid)
-        finite(np.abs(rows).max(axis=1), grid, "largest coefficient")
-        mins, bound = system.eigen.skeleton_min_entries(rows, fit_tol)
+    def reduce(xs, fit_tol=linalg.SKELETON_TOL):
+        rows = coeffs(xs)
+        finite(np.abs(rows).max(axis=1), xs, "largest coefficient")
+        mins, bound = _read_mins(system, rows, fit_tol)
         near = np.abs(mins + tol) <= bound
         if near.any():
-            mins[near] = reduce(grid[near])
-        return mins
+            mins[near] = system.eigen.min_entries(rows[near])
+        return finite(mins, xs, "smallest entry")
 
-    whole = not monotone and system.size ** 2 > linalg.BLOCK_ENTRIES
+    whole = not monotone and not _exact_size(system)
     if monotone:
         idx, mins = _bisect_indices(grid, reduce, tol)
     elif whole:
-        idx, mins = np.arange(grid.size), read_grid(KERNEL_SKELETON_TOL)
+        idx, mins = np.arange(grid.size), reduce(grid, KERNEL_SKELETON_TOL)
     else:
         start, mins = grid.size, np.empty(0)
         while start > 0 and not (mins < -tol).any():
@@ -264,7 +261,7 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
             return np.column_stack((grid, mins))
         if not monotone:
             return np.column_stack((grid, np.concatenate((reduce(grid[:start]), mins))))
-        curve = read_grid(linalg.SKELETON_TOL)
+        curve = reduce(grid)
         full = _grid_verdict(curve, tol)
         bisected = (status, int(idx[0]) if status == "found" else None)
         if full != bisected:

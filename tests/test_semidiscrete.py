@@ -160,10 +160,14 @@ def test_batched_curve_matches_per_point_matrices(get_system, family, method, kw
         sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, t)).min()
         for t in grid
     ]
+    exact = sys.eigen.min_entries(kernel.u_lambda_many(SINGLE, lams, grid))
     if sys.size * sys.size > linalg.BLOCK_ENTRIES // 2:
-        np.testing.assert_array_equal(curve[:, 1], each)
+        np.testing.assert_array_equal(exact, each)
     else:
-        np.testing.assert_allclose(curve[:, 1], each, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(exact, each, rtol=0.0, atol=1e-15)
+    # above the size rule the curve is a skeleton read, held to the band
+    # threshold curves are held to
+    np.testing.assert_allclose(curve[:, 1], each, rtol=0.0, atol=1e-15)
 
 
 def test_batched_curve_identity_rows_on_scalar_system(get_system):
@@ -296,6 +300,23 @@ def test_curve_rereads_skeleton_points_near_the_floor(get_system, monkeypatch):
     np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
 
 
+def test_large_fully_discrete_curve_rereads_points_near_the_floor(get_system, monkeypatch):
+    # N = 196: above the size rule the curve is a skeleton read, and the
+    # points it puts near the floor are re-read exactly
+    sys = get_system("uniform", "sg", m=15)
+    scan = ScanSpec()
+    curve = fullydiscrete.fd_positivity_threshold(sys, SINGLE).curve
+    tol = -curve[np.flatnonzero(curve[:, 1] < 0.0)[-1], 1]
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["fully"])
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
+    decided = counts["reduced"]
+    rep.curve
+    assert counts["reduced"] - decided > scan.points
+    verdict, full = _full_grid_threshold(sys, SINGLE, "fully", scan, tol)
+    assert (rep.status, rep.value, rep.bracket) == verdict
+    np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
+
+
 def test_large_system_scan_reads_the_grid_once(get_system, monkeypatch):
     # N = 196: one matrix exceeds BLOCK_ENTRIES, so the semidiscrete scan
     # reads the whole grid in one kernel call through a skeleton, and that
@@ -316,6 +337,37 @@ def test_large_system_scan_reads_the_grid_once(get_system, monkeypatch):
     assert counts == decided
 
 
+def test_large_system_curve_is_one_skeleton_read(get_system, monkeypatch):
+    # N = 196: min_entry_curve reads like the scan, all rows in one
+    # skeleton read, none through min_entries on its own
+    sys = get_system("uniform", "sg", m=15)
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
+    skeleton_min_entries = linalg.EigenSystem.skeleton_min_entries
+    skeleton_reads = []
+
+    def recording(self, rows, *args):
+        skeleton_reads.append(len(rows))
+        return skeleton_min_entries(self, rows, *args)
+
+    monkeypatch.setattr(linalg.EigenSystem, "skeleton_min_entries", recording)
+    grid = ScanSpec().grid()
+    curve = semidiscrete.min_entry_curve(sys, SINGLE, grid)
+    assert curve.shape == (grid.size, 2)
+    assert skeleton_reads == [grid.size]
+    assert counts["calls"] == 1
+    assert counts["reduced"] == grid.size
+
+
+@pytest.mark.parametrize("method", fem.METHODS)
+def test_small_system_fully_discrete_curve_is_exact(get_system, method):
+    # N = 81: below the size rule a curve is min_entries itself
+    sys = get_system("uniform", method, m=10)
+    scan = ScanSpec()
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan)
+    _, full = _full_grid_threshold(sys, SINGLE, "fully", scan, rep.tolerance)
+    np.testing.assert_array_equal(rep.curve, full)
+
+
 def test_whole_grid_read_rereads_points_near_the_floor(get_system, monkeypatch):
     # N = 196: min_entries reduces one row per product, so the re-read and
     # the full grid read the same bits at every point
@@ -330,8 +382,8 @@ def test_whole_grid_read_rereads_points_near_the_floor(get_system, monkeypatch):
     verdict, full = _full_grid_threshold(sys, SINGLE, "semi", scan, tol)
     assert rep.found
     assert (rep.status, rep.value, rep.bracket) == verdict
-    # the read, one call for the points near the floor, then the bisection
-    assert work["calls"] == 2 + work["bisect"]
+    # the read, whose rows the near-floor re-read reuses, then the bisection
+    assert work["calls"] == 1 + work["bisect"]
     assert work["reduced"] > scan.points + work["bisect"]
     np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
 
