@@ -425,8 +425,8 @@ def cmd_semi_certify(args):
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         stieltjes = fem.is_stieltjes(system.stiffness)
-        hinv_pos, hinv_min = semidiscrete.h_inverse_positive(system)
-        power = semidiscrete.h_eventually_positive(system)
+        power, hinv_min = semidiscrete.h_inverse_positivity(system)
+        hinv_pos = power == 1
         if method == "lm" and delaunay:
             verdict = "nonnegative for every t and tau (delaunay mesh)"
         elif hinv_pos:

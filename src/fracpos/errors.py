@@ -42,10 +42,6 @@ class DegenerateTriangle(NumericalError):
     """A triangle encountered during assembly has near-zero area."""
 
 
-class BranchCut(NumericalError):
-    """Symbol evaluated on the negative real axis where it is not analytic."""
-
-
 class ContourFailure(NumericalError):
     """Contour quadrature lost conjugate symmetry; result untrustworthy."""
 

@@ -49,19 +49,20 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
     the module docstring), so the scan bisects over grid indices: the two
     ends, then one point per halving of the index range, then bisection
     between the two grid points around the change.  The coefficient rows
-    omega_0 / (omega_0 + lambda), with omega_0 = P(1/tau), take one
-    char_fn call per point.  Reading the report's curve reduces the whole
-    grid through the scanner's one reader (on disk_medium sg a skeleton of
-    these Cauchy-matrix rows, rank 30 of 251) and raises ScanMismatch if
-    it contradicts the bisection.
+    omega_0 / (omega_0 + lambda) take omega_0 = P(1/tau) from
+    kernel.cq_weights, the stepper's own first-step formula.  Reading the
+    report's curve reduces the whole grid through the scanner's one
+    reader (on disk_medium sg a skeleton of these Cauchy-matrix rows,
+    rank 30 of 251) and raises ScanMismatch if it contradicts the
+    bisection.
     """
     lams = system.eigen.eigenvalues
 
     def coeffs(taus):
-        # a tau whose reciprocal overflows gives a nan row, which the scan
-        # rejects as a NumericalError
+        # a tau so small that some tau^{-a_k} overflows gives a nan row,
+        # which the scan rejects as a NumericalError
         with np.errstate(over="ignore", invalid="ignore"):
-            omega0 = kernel.char_fn(op, 1.0 / taus)[:, None]
+            omega0 = kernel.cq_weights(op, taus, 0)
             return omega0 / (omega0 + lams)
 
     return scan_threshold(system, op, coeffs, scan, tol, monotone=True)

@@ -7,8 +7,10 @@ Every time operator has one symbol form, a finite sum of weighted powers
 A single- or multi-term operator gives its own exponents and weights; a
 distributed operator int_0^1 z^a mu(a) da gives the Gauss-Legendre nodes
 a_k with weights w_k mu(a_k).  FracOperator.terms holds (a, b) from
-construction on, so the symbol and the convolution weights have one
-formula each.  The relaxation kernel
+construction on, and the symbol has one formula over them on the
+contour below and one on the positive axis: the leading convolution
+weight omega_0 = P(1/tau) = sum_k b_k tau^{-a_k} of cq_weights, in real
+arithmetic.  The relaxation kernel
 
     u_lambda(t) = (1 / 2 pi i) int_Gamma e^{zt} P(z) / (z (P(z) + lambda)) dz
 
@@ -36,17 +38,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BranchCut,
-    ContourFailure,
-    DomainError,
-    InvalidParameter,
-)
+from .errors import ContourFailure, DomainError, InvalidParameter
 
 __all__ = [
     "FracOperator",
     "MU_FUNCTIONS",
-    "char_fn",
     "u_lambda",
     "u_lambda_many",
     "mittag_leffler",
@@ -63,7 +59,7 @@ MU_FUNCTIONS = {
 }
 
 # entries of one chunk of u_lambda_many's quotient table and of the
-# symbol's power tables
+# symbol's table on the contour
 CHUNK_ENTRIES = 2 ** 14
 
 # the contour: 2K trapezoid nodes, step, scale times t, angle
@@ -184,44 +180,6 @@ class FracOperator:
 def _leggauss01(order):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _char_fn_vec(op, z):
-    """P(z) on an array of complex points off the negative real axis."""
-    exponents, weights = op.terms
-    logz = np.log(np.asarray(z, dtype=complex))
-    # (terms, rows, K) table of z^{a_k}, a few rows of points at a time; an
-    # empty array gives no rows
-    rows = logz.reshape(-1, max(1, logz.shape[-1]))
-    out = np.empty(rows.shape, dtype=complex)
-    per_chunk = max(1, CHUNK_ENTRIES // (exponents.shape[0] * rows.shape[1]))
-    for start in range(0, rows.shape[0], per_chunk):
-        part = slice(start, start + per_chunk)
-        out[part] = np.tensordot(
-            weights, np.exp(np.multiply.outer(exponents, rows[part])), axes=1
-        )
-    return out.reshape(logz.shape)
-
-
-def char_fn(op, z):
-    """Symbol P(z); real positive arguments give a float back.
-
-    An array of real positive arguments gives a float array back (its
-    entries may differ from the scalar calls in the last bit when the sum
-    has several terms).  Raises BranchCut on the negative real axis
-    (including 0) where the principal fractional powers are not analytic.
-    """
-    if np.ndim(z):
-        z = np.asarray(z, dtype=float)
-        if not np.all(z > 0.0):
-            raise BranchCut("symbol evaluated on the branch cut")
-        return _char_fn_vec(op, z).real
-    zc = complex(z)
-    if zc.imag == 0.0:
-        if zc.real <= 0.0:
-            raise BranchCut("symbol evaluated at %r on the branch cut" % (z,))
-        return float(_char_fn_vec(op, np.array([zc]))[0].real)
-    return complex(_char_fn_vec(op, np.array([zc]))[0])
 
 
 def _contour_nodes(t):
@@ -420,9 +378,11 @@ def cq_weights(op, tau, n):
 
     Generating function: sum_j omega_j xi^j = P((1 - xi) / tau), so each
     term b_k z^{a_k} adds b_k tau^{-a_k} (-1)^j binom(a_k, j).  The leading
-    weight equals P(1/tau); all later weights are negative.
+    weight equals P(1/tau); all later weights are negative.  A 1-D array
+    of step sizes gives one row of weights per tau.
     """
-    if not 0.0 < tau < math.inf:
+    taus = np.asarray(tau, dtype=float)
+    if not np.all((taus > 0.0) & (taus < math.inf)):
         raise InvalidParameter("tau must be positive and finite")
     if n < 0:
         raise InvalidParameter("n must be nonnegative")
@@ -431,7 +391,7 @@ def cq_weights(op, tau, n):
     rows[:, 0] = 1.0
     for j in range(1, n + 1):
         rows[:, j] = rows[:, j - 1] * (j - 1.0 - exponents) / j
-    return (weights * tau ** -exponents) @ rows
+    return (weights * taus[..., None] ** -exponents) @ rows
 
 
 def _r_rows(op, lams, tau, n):

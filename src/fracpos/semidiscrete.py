@@ -7,12 +7,12 @@ logarithmic time grid, refined by bisection, is the reported threshold.
 scan_threshold runs that scan for any per-mode coefficient rows c(x).
 Every curve and scan reads its minima through one reader, _read_mins:
 exact EigenSystem.min_entries on a small system (_exact_size), a
-skeleton of the rows (EigenSystem.skeleton_min_entries) above.  A small
-system's scan goes one decade at a time from the top of the grid; a
-large one reads the whole grid at once through a skeleton fitted to the
-kernel's own accuracy (KERNEL_SKELETON_TOL), and that read is the curve.
-When the sign changes at most once along the grid, as for the fully
-discrete scheme's E_{1,tau}, the scan bisects over grid indices instead.
+skeleton of the rows (EigenSystem.skeleton_min_entries) above.  A scan
+reads blocks from the top of the grid: one decade at a time on a small
+system, the whole grid at once on a large one, its kernel rows fitted
+to the kernel's own accuracy (KERNEL_SKELETON_TOL).  When the sign
+changes at most once along the grid, as for the fully discrete scheme's
+E_{1,tau}, the scan bisects over grid indices instead.
 A single dense E(t) is EigenSystem.matrix_function of one such row.
 """
 
@@ -32,8 +32,7 @@ __all__ = [
     "positivity_threshold",
     "scan_threshold",
     "detect_threshold",
-    "h_inverse_positive",
-    "h_eventually_positive",
+    "h_inverse_positivity",
 ]
 
 # skeleton fit of kernel rows in a whole-grid read: below the contour
@@ -196,12 +195,13 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     Every read goes through _read_mins, and each point it puts within its
     error bound of -tol is re-read exactly from the rows already at hand,
     so the verdict, value and bracket are those of an exact read of the
-    whole grid.  On a system of _exact_size the grid goes one decade at a
-    time from the largest x down, stopping after the first decade with a
-    point below -tol: "none-found" needs the top decade only,
-    "all-nonnegative" the whole grid.  Above that size one coeffs call
-    gives the whole grid's rows, read through a skeleton fitted to
-    KERNEL_SKELETON_TOL, and that read is the curve.
+    whole grid.  The grid goes one block at a time from the largest x
+    down, stopping after the first block with a point below -tol:
+    "none-found" needs the top block only, "all-nonnegative" the whole
+    grid.  A block is one decade on a system of _exact_size and the whole
+    grid above it, one coeffs call read through a skeleton.  Skeletons of
+    the top-down scan's rows are fitted to KERNEL_SKELETON_TOL, those of a
+    monotone scan to linalg.SKELETON_TOL.
 
     monotone=True is for curves whose sign changes at most once along the
     grid, from negative to nonnegative.  The scan then reduces the two
@@ -210,9 +210,8 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     change.
 
     The report's curve is computed when first read: a top-down scan
-    reduces its remaining decades; a monotone scan reads the whole grid
-    (fitted to linalg.SKELETON_TOL above _exact_size) and checks the
-    curve's verdict against its bisected one (ScanMismatch).
+    reduces the rest of its grid; a monotone scan reads the whole grid and
+    checks the curve's verdict against its bisected one (ScanMismatch).
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
@@ -232,7 +231,10 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
             )
         return values
 
-    def reduce(xs, fit_tol=linalg.SKELETON_TOL):
+    fit_tol = linalg.SKELETON_TOL if monotone else KERNEL_SKELETON_TOL
+    block = scan.per_decade if _exact_size(system) else grid.size
+
+    def reduce(xs):
         rows = coeffs(xs)
         finite(np.abs(rows).max(axis=1), xs, "largest coefficient")
         mins, bound = _read_mins(system, rows, fit_tol)
@@ -241,15 +243,12 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
             mins[near] = system.eigen.min_entries(rows[near])
         return finite(mins, xs, "smallest entry")
 
-    whole = not monotone and not _exact_size(system)
     if monotone:
         idx, mins = _bisect_indices(grid, reduce, tol)
-    elif whole:
-        idx, mins = np.arange(grid.size), reduce(grid, KERNEL_SKELETON_TOL)
     else:
         start, mins = grid.size, np.empty(0)
         while start > 0 and not (mins < -tol).any():
-            stop, start = start, max(0, start - scan.per_decade)
+            stop, start = start, max(0, start - block)
             mins = np.concatenate((reduce(grid[start:stop]), mins))
         idx = np.arange(start, grid.size)
     status, value, bracket = detect_threshold(
@@ -257,10 +256,9 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     )
 
     def fill_curve():
-        if whole:
-            return np.column_stack((grid, mins))
         if not monotone:
-            return np.column_stack((grid, np.concatenate((reduce(grid[:start]), mins))))
+            rest = reduce(grid[:start]) if start else np.empty(0)
+            return np.column_stack((grid, np.concatenate((rest, mins))))
         curve = reduce(grid)
         full = _grid_verdict(curve, tol)
         bisected = (status, int(idx[0]) if status == "found" else None)
@@ -291,23 +289,18 @@ def positivity_threshold(system, op, scan=None, tol=None):
 
 
 def _strictly_positive(a):
-    tol = 1e-14 * np.abs(a).max()
-    return bool(a.min() > tol), float(a.min())
+    return bool(a.min() > 1e-14 * np.abs(a).max())
 
 
-def h_inverse_positive(system):
-    """Whether H^{-1} = S^{-1} M is entrywise (strictly) positive."""
+def h_inverse_positivity(system):
+    """(power, smallest entry of H^{-1}): power is the smallest k <= 8 with
+    H^{-k} = (S^{-1} M)^k entrywise (strictly) positive, else None, so
+    H^{-1} > 0 exactly when power is 1."""
     hinv = system.eigen.matrix_function(1.0 / system.eigen.eigenvalues)
-    return _strictly_positive(hinv)
-
-
-def h_eventually_positive(system):
-    """Smallest k <= 8 with H^{-k} > 0 entrywise, else None."""
-    hinv = system.eigen.matrix_function(1.0 / system.eigen.eigenvalues)
+    smallest = float(hinv.min())
     power = hinv
     for k in range(1, 9):
-        ok, _ = _strictly_positive(power)
-        if ok:
-            return k
+        if _strictly_positive(power):
+            return k, smallest
         power = power @ hinv
-    return None
+    return None, smallest

@@ -82,7 +82,7 @@ def test_lumped_mass_delaunay_dichotomy(get_system):
         mins = semidiscrete.min_entry_curve(sys, SINGLE, grid)[:, 1]
         assert mins.min() >= -1e-12 * sys.size
         for tau in grid:
-            omega0 = kernel.char_fn(SINGLE, 1.0 / tau)
+            omega0 = kernel.cq_weights(SINGLE, tau, 0)[0]
             e1 = sys.eigen.matrix_function(omega0 / (omega0 + sys.eigen.eigenvalues))
             assert e1.min() >= -1e-13
     for family, kw in (("crossed", {"m": 5}), ("sliver", {"m": 10})):
@@ -90,7 +90,7 @@ def test_lumped_mass_delaunay_dichotomy(get_system):
         lams = sys.eigen.eigenvalues
         small_t = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, 1e-8))
         assert small_t.min() < -1e-12 * sys.size
-        omega0 = kernel.char_fn(SINGLE, 1e8)
+        omega0 = kernel.cq_weights(SINGLE, 1e-8, 0)[0]
         e1 = sys.eigen.matrix_function(omega0 / (omega0 + lams))
         assert e1.min() < -1e-12 * sys.size
     assert time.monotonic() - start < 5 * 60.0
@@ -106,7 +106,7 @@ def test_small_time_failure(get_system):
             lams = sys.eigen.eigenvalues
             small_t = sys.eigen.matrix_function(kernel.u_lambda_many(SINGLE, lams, 1e-8))
             assert small_t.min() < -1e-12 * sys.size
-            omega0 = kernel.char_fn(SINGLE, 1e8)
+            omega0 = kernel.cq_weights(SINGLE, 1e-8, 0)[0]
             e1 = sys.eigen.matrix_function(omega0 / (omega0 + lams))
             assert e1.min() < -1e-12 * sys.size
     assert time.monotonic() - start < 2 * 60.0
@@ -193,9 +193,9 @@ def test_threshold_scaling_law():
 def test_sliver_anomaly(get_system):
     start = time.monotonic()
     sys = get_system("sliver", "lm", m=10)
-    h_inv_ok, h_inv_min = semidiscrete.h_inverse_positive(sys)
-    assert not h_inv_ok and h_inv_min < 0.0
-    assert semidiscrete.h_eventually_positive(sys) == 3
+    power, h_inv_min = semidiscrete.h_inverse_positivity(sys)
+    assert h_inv_min < 0.0
+    assert power == 3
     grid = semidiscrete.ScanSpec(start=1e-8, stop=1e3, per_decade=25).grid()
     mins = semidiscrete.min_entry_curve(sys, SINGLE, grid)[:, 1]
     negative = mins < -1e-12 * sys.size

@@ -255,12 +255,14 @@ def test_fully_threshold_rejects_non_finite_weights(bad, tmp_path, capsys):
 
 
 def test_fully_threshold_exits_1_when_one_over_tau_overflows(tmp_path, capsys):
-    # 1/tau overflows below tau = 5.6e-309, so every first-step row is nan
+    # omega_0 = 1/tau for the heat symbol overflows below tau = 5.6e-309,
+    # so every first-step row is nan
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run_cli(
             "fully", "threshold", "--family", "uniform", "--M", "4", "--methods", "sg",
-            "--scan-start", "1e-320", "--scan-stop", "1e-310", "--outdir", str(tmp_path),
+            "--alpha", "1", "--scan-start", "1e-320", "--scan-stop", "1e-310",
+            "--outdir", str(tmp_path),
         )
     assert rc == 1
     assert caught == []
@@ -268,6 +270,21 @@ def test_fully_threshold_exits_1_when_one_over_tau_overflows(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "all-nonnegative" not in out
     assert "numerical failure" in err and "nan at x = 1e-320" in err
+
+
+def test_fully_threshold_takes_tiny_steps_through_real_powers(tmp_path, capsys):
+    # omega_0 = tau^{-1/2} stays finite (1e160 at tau = 1e-320) where 1/tau
+    # has overflowed, and E_{1,tau} is then nearly the identity
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli(
+            "fully", "threshold", "--family", "uniform", "--M", "4", "--methods", "sg",
+            "--scan-start", "1e-320", "--scan-stop", "1e-310", "--outdir", str(tmp_path),
+        )
+    assert rc == 0
+    assert caught == []
+    out, _ = capsys.readouterr()
+    assert out.startswith("sg single(0.5): all-nonnegative")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

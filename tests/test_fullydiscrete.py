@@ -97,13 +97,36 @@ def test_first_step_matrix_identities(get_system):
         sys = get_system(family, method, **kw)
         lams = sys.eigen.eigenvalues
         for tau in (1e-6, 0.3, 100.0):
-            omega0 = kernel.char_fn(SINGLE, 1.0 / tau)
+            omega0 = kernel.cq_weights(SINGLE, tau, 0)[0]
             got = sys.eigen.matrix_function(omega0 / (omega0 + lams))
             factor = scipy.linalg.cho_factor(omega0 * sys.mass + sys.stiffness)
             want = omega0 * scipy.linalg.cho_solve(factor, sys.mass)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
             modal = sys.eigen.matrix_function(kernel.r_scalar_many(SINGLE, lams, tau, 1))
             np.testing.assert_allclose(got, modal, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.label)
+def test_scan_first_step_rows_are_the_steppers(get_system, monkeypatch, op):
+    # the scan's omega_0 / (omega_0 + lambda) is r_{1,tau}: one formula for
+    # omega_0, a row of cq_weights per step size
+    sys = get_system("uniform", "sg", m=6)
+    seen = []
+
+    def recording(system, op, coeffs, *args, **kwargs):
+        seen.append(coeffs)
+        return semidiscrete.scan_threshold(system, op, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(fullydiscrete, "scan_threshold", recording)
+    fullydiscrete.fd_positivity_threshold(sys, op)
+    grid = semidiscrete.ScanSpec().grid()
+    rows = seen[0](grid)
+    lams = sys.eigen.eigenvalues
+    each = [kernel._r_rows(op, lams, tau, 1)[1] for tau in grid]
+    if len(op.terms[0]) == 1:
+        np.testing.assert_array_equal(rows, each)
+    else:
+        np.testing.assert_allclose(rows, each, rtol=1e-15)
 
 
 def test_first_step_bound_equilateral_sharp(get_system):
@@ -227,7 +250,7 @@ def test_fd_batched_curve_matches_first_step_matrices(get_system, family, method
     rep = fullydiscrete.fd_positivity_threshold(
         sys, SINGLE, scan=semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=4)
     )
-    omegas = [kernel.char_fn(SINGLE, 1.0 / tau) for tau in rep.curve[:, 0]]
+    omegas = [kernel.cq_weights(SINGLE, tau, 0)[0] for tau in rep.curve[:, 0]]
     each = [
         sys.eigen.matrix_function(omega0 / (omega0 + sys.eigen.eigenvalues)).min()
         for omega0 in omegas
@@ -284,8 +307,8 @@ def test_one_first_step_omega_per_table_system(get_system, table, family, method
         rep = fullydiscrete.fd_positivity_threshold(sys, op)
         assert rep.found
         tau_lo, tau_hi = rep.bracket
-        lo = max(lo, kernel.char_fn(op, 1.0 / tau_hi))
-        hi = min(hi, kernel.char_fn(op, 1.0 / tau_lo))
+        lo = max(lo, kernel.cq_weights(op, tau_hi, 0)[0])
+        hi = min(hi, kernel.cq_weights(op, tau_lo, 0)[0])
     assert lo <= hi
     omega = oracles.first_step_omega(sys)
     assert lo * (1.0 - 2e-3) <= omega <= hi * (1.0 + 2e-3)

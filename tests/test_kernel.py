@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fracpos import kernel
-from fracpos.errors import BranchCut, ContourFailure, DomainError, InvalidParameter
+from fracpos.errors import ContourFailure, DomainError, InvalidParameter
 from fracpos.kernel import FracOperator
 
 ML_REFERENCE = {
@@ -73,38 +73,36 @@ def test_non_finite_weights_rejected(bad):
 
 def test_heat_limit_exponent_allowed():
     op = FracOperator.single_term(1.0)
-    assert kernel.char_fn(op, 3.0) == pytest.approx(3.0)
+    assert kernel.cq_weights(op, 1.0 / 3.0, 0)[0] == pytest.approx(3.0)
 
 
-# symbol evaluation
+# symbol evaluation on the positive axis: P(1/tau) is the leading
+# convolution weight omega_0
 
 
 def test_char_fn_single():
-    assert kernel.char_fn(SINGLE, 4.0) == pytest.approx(2.0, rel=1e-14)
+    assert kernel.cq_weights(SINGLE, 0.25, 0)[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_char_fn_multi():
-    assert kernel.char_fn(MULTI, 1.0) == pytest.approx(2.0, rel=1e-14)
+    assert kernel.cq_weights(MULTI, 1.0, 0)[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_char_fn_distributed_closed_form():
     # int_0^1 exp(a) * e^a da = (e^2 - 1) / 2
     want = (math.e**2 - 1.0) / 2.0
-    assert kernel.char_fn(DIST, math.e) == pytest.approx(want, rel=1e-12)
+    assert kernel.cq_weights(DIST, 1.0 / math.e, 0)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_char_fn_branch_cut():
+    # z = 1/tau on the branch cut (z <= 0) is a step tau <= 0 or inf,
+    # rejected in an array as it is alone
     for op in ALL_OPS:
-        with pytest.raises(BranchCut):
-            kernel.char_fn(op, -1.0)
-        with pytest.raises(BranchCut):
-            kernel.char_fn(op, 0.0)
-
-
-def test_char_fn_complex_argument():
-    z = 1.0 + 2.0j
-    val = kernel.char_fn(SINGLE, z)
-    assert val == pytest.approx(z**0.5, rel=1e-14)
+        for bad in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameter):
+                kernel.cq_weights(op, bad, 0)
+            with pytest.raises(InvalidParameter):
+                kernel.cq_weights(op, np.array([1.0, bad]), 0)
 
 
 # Mittag-Leffler
@@ -254,11 +252,6 @@ def _terms_written_out(op):
     return a, 0.5 * w * np.exp(a)
 
 
-def _symbol_written_out(op, z):
-    a, b = _terms_written_out(op)
-    return b @ np.exp(np.outer(a, np.log(z.astype(complex))))
-
-
 def _cq_written_out(op, tau, n):
     a, b = _terms_written_out(op)
     rows = []
@@ -272,8 +265,8 @@ def _cq_written_out(op, tau, n):
 
 @pytest.mark.parametrize("op", (SINGLE, DIST), ids=lambda o: o.label)
 def test_kernel_is_bitwise_the_sum_of_weighted_powers(get_system, op):
-    z = np.geomspace(1e-6, 1e8, 57)
-    np.testing.assert_array_equal(kernel.char_fn(op, z), _symbol_written_out(op, z).real)
+    for tau in 1.0 / np.geomspace(1e-6, 1e8, 57):
+        assert kernel.cq_weights(op, tau, 0)[0] == _cq_written_out(op, tau, 0)[0]
     lams = get_system("uniform", "sg", m=10).eigen.eigenvalues
     grid = np.geomspace(1e-8, 1e2, 11)
     rows = kernel.u_lambda_many(op, lams, grid)
@@ -344,17 +337,18 @@ def test_contour_gate_fires_outside_its_decades(get_system, op):
 
 
 def test_char_fn_array_matches_scalar_calls():
-    z = np.geomspace(1e-6, 1e8, 57)
+    taus = 1.0 / np.geomspace(1e-6, 1e8, 57)
     for op in ALL_OPS:
-        each = [kernel.char_fn(op, x) for x in z]
-        if op.kind == "discrete":
-            np.testing.assert_array_equal(kernel.char_fn(op, z), each)
-        else:
-            # the quadrature sum is one BLAS product, whose rounding may
-            # depend on how many arguments it holds
-            np.testing.assert_allclose(kernel.char_fn(op, z), each, rtol=1e-15)
-        with pytest.raises(BranchCut):
-            kernel.char_fn(op, np.array([1.0, 0.0]))
+        for n in (0, 5):
+            rows = kernel.cq_weights(op, taus, n)
+            assert rows.shape == (taus.size, n + 1)
+            each = [kernel.cq_weights(op, tau, n) for tau in taus]
+            if len(op.terms[0]) == 1:
+                np.testing.assert_array_equal(rows, each)
+            else:
+                # the sum over terms is one BLAS product, whose rounding may
+                # depend on how many step sizes it holds
+                np.testing.assert_allclose(rows, each, rtol=1e-15)
 
 
 def test_u_lambda_rejections():
@@ -368,8 +362,8 @@ def test_u_lambda_rejections():
 
 @pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.label)
 def test_char_fn_empty_array(op):
-    out = kernel.char_fn(op, np.empty(0))
-    assert out.shape == (0,)
+    out = kernel.cq_weights(op, np.empty(0), 0)
+    assert out.shape == (0, 1)
     assert out.dtype == float
 
 
@@ -461,7 +455,10 @@ def test_cq_weights_reject_infinite_tau():
 def test_cq_leading_weight_is_symbol_value():
     for op in ALL_OPS:
         w = kernel.cq_weights(op, 0.2, 0)
-        assert w[0] == pytest.approx(kernel.char_fn(op, 5.0), rel=1e-12)
+        # P(5) = sum_k b_k exp(a_k log 5)
+        exponents, weights = op.terms
+        want = weights @ np.exp(exponents * math.log(5.0))
+        assert w[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_cq_partial_sums_positive():
@@ -504,8 +501,9 @@ def test_cq_generating_function():
     powers = xi ** np.arange(n + 1)
     for op in ALL_OPS:
         total = kernel.cq_weights(op, tau, n) @ powers
+        # P((1 - xi) / tau) is the leading weight of the step tau / (1 - xi)
         assert total == pytest.approx(
-            kernel.char_fn(op, (1.0 - xi) / tau), rel=1e-10
+            kernel.cq_weights(op, tau / (1.0 - xi), 0)[0], rel=1e-10
         )
 
 

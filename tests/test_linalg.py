@@ -161,7 +161,7 @@ def test_max_norms_block_extremes(get_system):
 
 def _first_step_rows(eig, op, grid):
     # the fully discrete scan's coefficient rows omega_0 / (omega_0 + lambda)
-    omega0 = kernel.char_fn(op, 1.0 / grid)[:, None]
+    omega0 = kernel.cq_weights(op, grid, 0)
     return omega0 / (omega0 + eig.eigenvalues)
 
 

@@ -189,7 +189,7 @@ def test_batched_curve_identity_rows_on_scalar_system(get_system):
 
 
 # the kernel call that computes a scheme's coefficient rows
-KERNEL_CALLS = {"semi": "u_lambda_many", "fully": "char_fn"}
+KERNEL_CALLS = {"semi": "u_lambda_many", "fully": "cq_weights"}
 
 
 def _count_scan_work(monkeypatch, kernel_name):
@@ -281,8 +281,9 @@ def test_fully_discrete_scan_bisects_grid_indices(get_system, monkeypatch):
 
 
 def test_curve_rereads_skeleton_points_near_the_floor(get_system, monkeypatch):
-    # N = 135: min_entries reduces one row per product, so the bisection,
-    # the re-read and the full grid read the same bits at every point
+    # N = 135 reads exactly, with bound 0, so only the point exactly on the
+    # floor is re-read; min_entries reduces one row per product, so the
+    # bisection, the re-read and the full grid read the same bits
     sys = get_system("disk_coarse", "fve")
     scan = ScanSpec()
     points = scan.grid().size
@@ -292,11 +293,11 @@ def test_curve_rereads_skeleton_points_near_the_floor(get_system, monkeypatch):
     counts = _count_scan_work(monkeypatch, KERNEL_CALLS["fully"])
     rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
     decided = counts["reduced"]
+    assert rep.curve.shape == (points, 2)
+    assert counts["reduced"] - decided > points
     verdict, full = _full_grid_threshold(sys, SINGLE, "fully", scan, tol)
     assert rep.found
     assert (rep.status, rep.value, rep.bracket) == verdict
-    assert rep.curve.shape == (points, 2)
-    assert counts["reduced"] - decided > points
     np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
 
 
@@ -458,7 +459,7 @@ def _full_grid_threshold(sys, op, scheme, scan, tol):
     else:
 
         def rows(xs):
-            omega0 = kernel.char_fn(op, 1.0 / xs)[:, None]
+            omega0 = kernel.cq_weights(op, xs, 0)
             return omega0 / (omega0 + lams)
 
     grid = scan.grid()
@@ -670,32 +671,30 @@ def test_small_time_expansion_shrinks(get_system):
 
 def test_h_inverse_positive_on_uniform(get_system):
     for method in fem.METHODS:
-        ok, smallest = semidiscrete.h_inverse_positive(
+        power, smallest = semidiscrete.h_inverse_positivity(
             get_system("uniform", method, m=6)
         )
-        assert ok
+        assert power == 1
         assert smallest > 0.0
 
 
 def test_h_inverse_positive_on_crossed(get_system):
     for method in fem.METHODS:
-        ok, _ = semidiscrete.h_inverse_positive(get_system("crossed", method, m=5))
-        assert ok
+        power, _ = semidiscrete.h_inverse_positivity(get_system("crossed", method, m=5))
+        assert power == 1
 
 
 def test_h_inverse_fails_for_sliver_lm(get_system):
-    ok, smallest = semidiscrete.h_inverse_positive(get_system("sliver", "lm", m=10))
-    assert not ok
+    power, smallest = semidiscrete.h_inverse_positivity(get_system("sliver", "lm", m=10))
+    assert power != 1
     assert smallest < 0.0
 
 
 def test_h_eventually_positive(get_system):
-    assert semidiscrete.h_eventually_positive(get_system("uniform", "sg", m=6)) == 1
-    assert (
-        semidiscrete.h_eventually_positive(get_system("sliver", "lm", m=10)) == 3
-    )
+    assert semidiscrete.h_inverse_positivity(get_system("uniform", "sg", m=6))[0] == 1
+    assert semidiscrete.h_inverse_positivity(get_system("sliver", "lm", m=10))[0] == 3
 
 
 def test_h_eventually_positive_diagonal_counterexample():
     sys = fem.system_from_matrices(np.eye(2), np.diag([1.0, 2.0]))
-    assert semidiscrete.h_eventually_positive(sys) is None
+    assert semidiscrete.h_inverse_positivity(sys) == (None, 0.0)
