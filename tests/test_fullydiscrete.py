@@ -113,9 +113,9 @@ def test_scan_first_step_rows_are_the_steppers(get_system, monkeypatch, op):
     sys = get_system("uniform", "sg", m=6)
     seen = []
 
-    def recording(system, op, coeffs, *args, **kwargs):
+    def recording(system, scan_op, coeffs, *args, **kwargs):
         seen.append(coeffs)
-        return semidiscrete.scan_threshold(system, op, coeffs, *args, **kwargs)
+        return semidiscrete.scan_threshold(system, scan_op, coeffs, *args, **kwargs)
 
     monkeypatch.setattr(fullydiscrete, "scan_threshold", recording)
     fullydiscrete.fd_positivity_threshold(sys, op)
