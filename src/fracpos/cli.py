@@ -340,7 +340,12 @@ def cmd_kernel_ulambda(args):
 
 def cmd_kernel_weights(args):
     op = _resolve_operator(args)
-    w = kernel.cq_weights(op, args.tau, args.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = kernel.cq_weights(op, args.tau, args.n)
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        j = bad[0]
+        raise NumericalError("omega_%d = %r at tau = %r" % (j, float(w[j]), args.tau))
     parts = {"cmd": "weights", "op": op.label, "tau": repr(args.tau), "n": args.n}
     print(_csv_text(("j", "omega_j"), enumerate(w), parts))
     return 0

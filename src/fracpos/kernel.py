@@ -25,11 +25,15 @@ its defect |u_0(t) - 1| is the accuracy check (at most 3.5e-12 on the
 default scan grid), and a defect above 1e-6 raises ContourFailure.
 
 For the single-term case u_lambda(t) = E_a(-lambda t^a), evaluated here by
-power series while the terms stay small and otherwise by the completely
-monotone branch-cut representation
+power series for y <= 1 and otherwise by the completely monotone branch-cut
+representation
 
     E_a(-y) = (sin(a pi) / (a pi y)) *
-              int_0^inf exp(-s^{1/a}) / ((s / y)^2 + 2 (s / y) cos(a pi) + 1) ds.
+              int_0^inf exp(-s^{1/a}) / ((s / y)^2 + 2 (s / y) cos(a pi) + 1) ds,
+
+split at s = 1 and at the integrand's peak s = -y cos(a pi) and summed by
+fixed double-exponential rules: within 1.6e-15 of mpmath at a = 0.1,
+0.25, 0.5, 0.75, 0.9, 0.99 and y from 0.01 to 1e300.
 """
 
 import math
@@ -120,7 +124,7 @@ class FracOperator:
             if self.mu_at(0.0) <= 0.0 or self.mu_at(1.0) <= 0.0:
                 raise InvalidParameter("weight function must be positive at 0 and 1")
             x, wq = _leggauss01(self.quad_order)
-            terms = (x, wq * self.mu_values(x))
+            terms = (x, wq * np.asarray(self.weight_fn(x), dtype=float))
         else:
             raise InvalidParameter("unknown operator kind %r" % (self.kind,))
         object.__setattr__(self, "terms", terms)
@@ -168,12 +172,18 @@ class FracOperator:
     def mu_at(self, a):
         return float(np.asarray(self.weight_fn(a), dtype=float))
 
-    def mu_values(self, a):
-        a = np.asarray(a, dtype=float)
-        vals = np.asarray(self.weight_fn(a), dtype=float)
-        if vals.shape != a.shape:
-            vals = np.array([self.mu_at(x) for x in a])
-        return vals
+
+@lru_cache(maxsize=1)
+def _de_rules():
+    """Tanh-sinh nodes, weights on [0, 1] and exp-sinh nodes, weights on [0, inf).
+
+    Double-exponential rules (Takahasi & Mori, Publ. RIMS 9, 1974), step 1/32,
+    |t| <= 5; built on first use, as numpy's sinh adds 0.2 MB to peak RSS.
+    """
+    t = np.arange(-160, 161) / 32.0
+    ts = 1.0 / (1.0 + np.exp(-math.pi * np.sinh(t)))
+    es = np.exp(0.5 * math.pi * np.sinh(t))
+    return ts, math.pi / 32.0 * np.cosh(t) * ts * ts[::-1], es, math.pi / 64.0 * np.cosh(t) * es
 
 
 @lru_cache(maxsize=8)
@@ -280,7 +290,10 @@ def u_lambda(op, lam, t):
 
 
 def _ml_series(alpha, y):
-    """Alternating series for E_alpha(-y); None when roundoff would exceed ~1e-12."""
+    """Power series for E_alpha(-y), 0 < y <= 1; None if 200 terms do not settle.
+
+    No term exceeds 1 / min Gamma ~ 1.13, so roundoff stays near 1e-16.
+    """
     total = 1.0
     term = 1.0
     lg_prev = 0.0
@@ -288,41 +301,30 @@ def _ml_series(alpha, y):
         lg = math.lgamma(alpha * k + 1.0)
         term *= -y * math.exp(lg_prev - lg)
         lg_prev = lg
-        if abs(term) > 1e4:
-            return None
         total += term
-        if abs(term) < 1e-16 * max(abs(total), 1e-30):
-            if -1e-12 <= total <= 1.0 + 1e-12:
-                return total
-            return None
+        if abs(term) < 1e-16 * total:
+            return total
     return None
 
 
 def _ml_branch_cut(alpha, y):
-    import scipy.integrate
-
     c = math.cos(math.pi * alpha)
-    s = math.sin(math.pi * alpha)
-    # the integrand is divided through by y^2, so it stays finite and of
-    # order one for every finite y
-    pref = s / (alpha * math.pi * y)
-    inv_alpha = 1.0 / alpha
-
-    def integrand(sig):
-        return math.exp(-sig ** inv_alpha) / ((sig / y + c) ** 2 + s ** 2)
-
-    upper = 80.0 ** alpha
-    pts = None
+    # 1 - alpha is exact near alpha = 1, where pi * alpha loses s's digits
+    s = math.sin(math.pi * min(alpha, 1.0 - alpha))
+    # tanh-sinh pieces between the breaks, exp-sinh beyond the last one; a
+    # peak beyond 80^alpha sits where exp(-s^(1/alpha)) < e^-80
     peak = -y * c
-    if 0.0 < peak < upper:
-        pts = [peak]
-    head, _ = scipy.integrate.quad(
-        integrand, 0.0, upper, points=pts, limit=200, epsabs=1e-15, epsrel=1e-13
-    )
-    tail, _ = scipy.integrate.quad(
-        integrand, upper, np.inf, limit=200, epsabs=1e-15, epsrel=1e-13
-    )
-    return pref * (head + tail)
+    breaks = np.array(sorted({0.0, 1.0, peak} if 0.0 < peak < 80.0 ** alpha else {0.0, 1.0}))
+    width = np.diff(breaks)[:, None]
+    ts_node, ts_weight, es_node, es_weight = _de_rules()
+    sig = np.concatenate(((breaks[:-1, None] + width * ts_node).ravel(), breaks[-1] + es_node))
+    wts = np.concatenate(((width * ts_weight).ravel(), es_weight))
+    # the integrand is divided through by y^2, so it stays finite and of
+    # order one for every finite y; sig^(1/alpha) may overflow to an
+    # exact zero of the exponential
+    with np.errstate(over="ignore", under="ignore"):
+        f = np.exp(-sig ** (1.0 / alpha)) / ((sig / y + c) ** 2 + s ** 2)
+    return s / (alpha * math.pi * y) * float(wts @ f)
 
 
 def mittag_leffler(alpha, x):
@@ -337,11 +339,8 @@ def mittag_leffler(alpha, x):
         return 1.0
     if alpha == 1.0:
         return math.exp(x)
-    y = -x
-    val = _ml_series(alpha, y)
-    if val is None:
-        val = _ml_branch_cut(alpha, y)
-    return val
+    val = _ml_series(alpha, -x) if x >= -1.0 else None
+    return _ml_branch_cut(alpha, -x) if val is None else val
 
 
 def beta0(op, t):

@@ -191,6 +191,19 @@ def test_kernel_weights_rows(capsys):
     assert lines[4] == "2,-0.125"
 
 
+def test_kernel_weights_exits_1_on_non_finite_weights(capsys):
+    # omega_0 = 1/tau overflows for the heat symbol; omega_1 = -inf and
+    # omega_2 = nan follow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run_cli("kernel", "weights", "--alpha", "1", "--tau", "1e-320", "--n", "2")
+    assert rc == 1
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: omega_0 = inf at tau = 1e-320\n"
+
+
 def test_kernel_mittag(capsys):
     assert run_cli("kernel", "mittag", "--alpha", "0.5", "--x", "-1.0") == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
@@ -199,6 +212,12 @@ def test_kernel_mittag(capsys):
     assert run_cli("kernel", "mittag", "--alpha", "0.5", "--x=-1e155") == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(last.split(",")[1]) == pytest.approx(5.641895835477563e-156, rel=1e-15)
+    # s^(1/alpha) overflows in the branch-cut integrand at small alpha, and
+    # E_alpha(-y) is near its alpha -> 0 limit 1 / (1 + y)
+    assert run_cli("kernel", "mittag", "--alpha", "1e-3", "--x", "-1.0", "-16.0") == 0
+    rows = capsys.readouterr().out.strip().splitlines()[-2:]
+    values = [float(row.split(",")[1]) for row in rows]
+    assert values == pytest.approx([0.5, 1.0 / 17.0], rel=1e-3)
     assert run_cli("kernel", "mittag", "--x", "-1.0") == 2  # alpha required
     assert run_cli("kernel", "mittag", "--alpha", "0.5", "0.2", "--x", "-1.0") == 2
 
@@ -726,8 +745,7 @@ def test_module_entry_point():
 
 
 def test_threshold_commands_do_not_import_scipy(tmp_path):
-    # scipy serves only the Mittag-Leffler quadrature of kernel mittag;
-    # every other command runs on numpy.  No command loads OpenSSL
+    # every command runs on numpy alone.  No command loads OpenSSL
     # (_hashlib): the config tag's SHA-256 is the interpreter's own
     script = (
         "import sys\n"
@@ -745,6 +763,8 @@ def test_threshold_commands_do_not_import_scipy(tmp_path):
         "assert cli.main(['semi', 'certify'] + mesh) == 0\n"
         "assert cli.main(['kernel', 'ulambda', '--lambda', '2', '--t', '0.1']) == 0\n"
         "assert cli.main(['kernel', 'weights', '--mu', 'exp', '--tau', '0.1', '--n', '4']) == 0\n"
+        "assert cli.main(['kernel', 'mittag', '--alpha', '0.5', '--x', '-1', '-16']) == 0\n"
+        "assert cli.main(['kernel', 'mittag', '--alpha', '0.99', '--x', '-0.5', '-10']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print('_hashlib' in sys.modules)\n"
     )
@@ -755,17 +775,11 @@ def test_threshold_commands_do_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
-def test_scipy_is_imported_only_by_the_mittag_leffler_quadrature():
+def test_no_module_imports_scipy():
     src = pathlib.Path(cli.__file__).parent
     found = []
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        # the innermost function around each node (ast.walk goes outside in)
-        owner = {}
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                owner.update((node, fn.name) for node in ast.walk(fn))
-        for node in ast.walk(tree):
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -773,8 +787,8 @@ def test_scipy_is_imported_only_by_the_mittag_leffler_quadrature():
             else:
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
-                found.append((path.stem, owner.get(node)))
-    assert found == [("kernel", "_ml_branch_cut")]
+                found.append(path.stem)
+    assert found == []
 
 
 def test_every_export_resolves():

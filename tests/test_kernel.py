@@ -1,8 +1,10 @@
 """Time-operator symbol, relaxation kernels, and convolution weights.
 
-The Mittag-Leffler reference values were frozen from tools/ml_reference.py
-(mpmath power series at 250 digits, cross-checked against the
-exp(x^2)*erfc(-x) closed form for exponent one half).
+The Mittag-Leffler reference values were frozen from tools/ml_reference.py:
+ML_REFERENCE from the mpmath power series at 250 digits, cross-checked
+against the exp(x^2)*erfc(-x) closed form for exponent one half; ML_GRID,
+E_alpha(-y) at each y of ML_GRID_YS, from the mpmath branch-cut integral at
+60 digits, cross-checked against the series and the closed form.
 """
 
 import math
@@ -23,6 +25,46 @@ ML_REFERENCE = {
     (0.75, -16.0): 0.018401473802565136,
     (0.25, -2.0): 0.2981017936936576,
     (1.0, -2.0): 0.13533528323661269,
+}
+
+ML_GRID_YS = (0.01, 0.3, 0.9, 1.1, 2.0, math.sqrt(10.0), 5.0, 10.0, 16.0, 100.0, 1e4, 1e8)
+ML_GRID = {
+    0.1: (
+        0.9895964392973549, 0.759612531778489, 0.5120067796921973,
+        0.46170940906874486, 0.3200153359597274, 0.22909248864999868,
+        0.15804238235845183, 0.08569695701065469, 0.0553092951829487,
+        0.009272657231311859, 9.356928349141106e-05, 9.357787123235027e-09,
+    ),
+    0.25: (
+        0.9890791332507342, 0.7475917733762234, 0.4908242549365998,
+        0.4396230506223455, 0.2981017936936576, 0.20993684147614358,
+        0.1427989464258737, 0.07623703523972164, 0.04886635242687401,
+        0.008104346228169487, 8.159925228980648e-05, 8.160489334563671e-09,
+    ),
+    0.5: (
+        0.9888154610463425, 0.7345993345676551, 0.456531651323117,
+        0.4017304606364951, 0.25539567631050575, 0.17057771832597265,
+        0.11070463773306863, 0.05614099274382259, 0.03519337782493084,
+        0.005641613782989433, 5.641895807268084e-05, 5.641895835477562e-09,
+    ),
+    0.75: (
+        0.9891941821459879, 0.7319081751102204, 0.42590697909895325,
+        0.36381914610035665, 0.20207848341295445, 0.11809903009990662,
+        0.06792397433264394, 0.030643250976059636, 0.018401473802565137,
+        0.0027866210194390935, 2.7584387485953953e-05, 2.7581566565115725e-09,
+    ),
+    0.9: (
+        0.9896618680353658, 0.7358452766484306, 0.41221099269061034,
+        0.34359263252444916, 0.16352830001693006, 0.07645352143903421,
+        0.03443132480409842, 0.0128206060511021, 0.007369172571101862,
+        0.001068972418287089, 1.0513113058088608e-05, 1.0511370235377687e-09,
+    ),
+    0.99: (
+        0.9900087112892239, 0.7402385014299586, 0.40697769157450436,
+        0.33380424779432355, 0.13821728069806402, 0.04601328576158074,
+        0.009768092139174128, 0.0013478638060832084, 0.000725571430544493,
+        0.00010261344540995125, 1.005904798012872e-06, 1.005706548321507e-10,
+    ),
 }
 
 SINGLE = FracOperator.single_term(0.5)
@@ -63,6 +105,11 @@ def test_constructor_rejections():
         FracOperator.distributed(lambda a: a)  # vanishes at zero
     with pytest.raises(InvalidParameter):
         FracOperator.distributed("exp", quad_order=8)
+
+
+def test_scalar_weight_function_broadcasts_over_the_nodes():
+    two = FracOperator.distributed(lambda a: 2.0).terms[1]
+    assert np.array_equal(two, 2.0 * FracOperator.distributed("one").terms[1])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -113,6 +160,19 @@ def test_mittag_leffler_reference_values():
         assert kernel.mittag_leffler(alpha, x) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", sorted(ML_GRID))
+def test_mittag_leffler_on_the_frozen_grid(alpha):
+    for y, want in zip(ML_GRID_YS, ML_GRID[alpha]):
+        assert kernel.mittag_leffler(alpha, -y) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("y", (0.5, 1.0, 2.0, 1e6))
+def test_mittag_leffler_at_vanishing_alpha(y):
+    # E_a(-y) -> 1 / (1 + y) as a -> 0; s^(1/a) overflows to an exact
+    # zero of the branch-cut integrand beyond s = 1
+    assert kernel.mittag_leffler(1e-300, -y) == pytest.approx(1.0 / (1.0 + y), rel=1e-15)
+
+
 def test_mittag_leffler_edges():
     assert kernel.mittag_leffler(0.5, 0.0) == 1.0
     assert kernel.mittag_leffler(1.0, -2.0) == pytest.approx(math.exp(-2.0))
@@ -125,7 +185,7 @@ def test_mittag_leffler_edges():
 @pytest.mark.parametrize("alpha", (0.25, 0.5, 0.75, 0.9))
 def test_mittag_leffler_at_huge_arguments(alpha):
     # E_a(-y) = 1 / (y Gamma(1 - a)) + O(y^-2); the branch-cut integrand is
-    # scaled by y^2 and so neither overflows nor drops below quad's epsabs
+    # scaled by y^2 and so neither overflows nor underflows
     for y in (1e20, 1e150, 1e155, 1e300):
         want = 1.0 / (y * math.gamma(1.0 - alpha))
         assert kernel.mittag_leffler(alpha, -y) == pytest.approx(want, rel=2e-15)

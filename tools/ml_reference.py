@@ -1,10 +1,26 @@
 """High-precision Mittag-Leffler reference values, used to freeze test oracles.
 
-Computes E_a(x) = sum_k x^k / Gamma(a*k + 1) with mpmath at 250 digits, which
-converges for every argument despite catastrophic cancellation at x << 0
-(the working precision absorbs the ~1e110 intermediate terms at x = -16).
-For a = 1/2 the closed form exp(x^2)*erfc(-x) cross-checks the series; for
-a = 1 the series must reproduce exp(x).  Run:
+Two independent mpmath evaluations of E_a(x), x <= 0:
+
+- the power series E_a(x) = sum_k x^k / Gamma(a*k + 1) at 250 digits, which
+  converges for every argument despite catastrophic cancellation at x << 0
+  (the working precision absorbs the ~1e110 intermediate terms at x = -16),
+  but whose largest term grows like exp(|x|^(1/a)), so it runs only while
+  |x|^(1/a) <= 200;
+- the completely monotone branch-cut integral at 60 digits,
+
+      E_a(-y) = (sin(a pi) / (a pi y)) *
+                int_0^inf exp(-s^(1/a)) / ((s / y)^2 + 2 (s / y) cos(a pi) + 1) ds,
+
+  split at the integrand's peak s = -y cos(a pi), at its width y sin(a pi)
+  and at s = 1, where s^(1/a) turns, and cut where s^(1/a) = 1000.
+
+For a = 1/2 the closed form exp(x^2)*erfc(-x) cross-checks both; for a = 1
+the series must reproduce exp(x).  The script prints the 8 spot values of
+ML_REFERENCE, then the frozen grid ML_GRID of tests/test_kernel.py, E_a(-y)
+from the integral for each a, one value per y of GRID_YS, and last the largest
+relative disagreement of the integral with the series and the closed form
+over the grid.  Run:
 
     python3 tools/ml_reference.py
 
@@ -12,9 +28,14 @@ and paste the printed values into the tests.  This script never imports the
 package under test.
 """
 
-from mpmath import mp, mpf, gamma, exp, erfc
+import math
+
+from mpmath import cos, erfc, exp, gamma, mp, mpf, pi, quad, sin, workdps
 
 mp.dps = 250
+
+GRID_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+GRID_YS = (0.01, 0.3, 0.9, 1.1, 2.0, math.sqrt(10.0), 5.0, 10.0, 16.0, 100.0, 1e4, 1e8)
 
 
 def ml_series(a, x, kmax=6000):
@@ -27,6 +48,30 @@ def ml_series(a, x, kmax=6000):
         if k > 10 and abs(term) < mpf(10) ** (-80) * max(abs(total), mpf(1)):
             return total
     raise RuntimeError("series did not settle for a=%s x=%s" % (a, x))
+
+
+def series_runs(a, y):
+    return y ** (1.0 / a) <= 200.0
+
+
+def ml_branch_cut(a, y):
+    """E_a(-y) from the branch-cut integral at 60 digits; a < 1, y > 0."""
+    with workdps(60):
+        a = mpf(a)
+        y = mpf(y)
+        c = cos(pi * a)
+        s = sin(pi * a)
+        end = mpf(1000) ** a
+        breaks = sorted({mpf(0), mpf(1), y * s, -y * c, end})
+        breaks = [b for b in breaks if 0 <= b <= end]
+
+        # divided through by y^2, so the integrand is of order one and
+        # quad's absolute tolerance holds relative to the result
+        def f(u):
+            v = u / y
+            return exp(-u ** (1 / a)) / ((v + c) ** 2 + s * s)
+
+        return s / (a * pi * y) * quad(f, breaks)
 
 
 def main():
@@ -50,6 +95,26 @@ def main():
     print("closed form  E_1(-2)    = %s" % mp.nstr(exp(mpf(-2)), 17))
     diff = abs(half_16 - ml_series(0.5, -16.0))
     print("series vs closed form   : %s" % mp.nstr(diff, 3))
+
+    print("ML_GRID = {")
+    worst_series = worst_closed = mpf(0)
+    for a in GRID_ALPHAS:
+        vals = [ml_branch_cut(a, y) for y in GRID_YS]
+        print("    %r: (" % (a,))
+        for i in range(0, len(vals), 3):
+            print("        " + " ".join("%r," % float(v) for v in vals[i:i + 3]))
+        print("    ),")
+        for y, val in zip(GRID_YS, vals):
+            if series_runs(a, y):
+                rel = abs(ml_series(a, -y) / val - 1)
+                worst_series = max(worst_series, rel)
+            if a == 0.5:
+                y = mpf(y)
+                rel = abs(exp(y * y) * erfc(y) / val - 1)
+                worst_closed = max(worst_closed, rel)
+    print("}")
+    print("grid: integral vs series      : %s" % mp.nstr(worst_series, 3))
+    print("grid: integral vs closed form : %s" % mp.nstr(worst_closed, 3))
 
 
 if __name__ == "__main__":
