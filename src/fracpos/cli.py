@@ -466,6 +466,8 @@ def cmd_fully_converge(args):
     lo, hi = args.n_exp
     if lo >= hi:
         raise UsageError("--n-exp wants two increasing nonnegative integers")
+    if not 0.0 < args.t < np.inf:
+        raise UsageError("--t wants a positive finite time, got %r" % (args.t,))
     n_list = [2 ** k for k in range(lo, hi + 1)]
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)

@@ -14,6 +14,7 @@ places in the leading block.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,23 +126,41 @@ def is_diagonally_dominant(a):
 
 @dataclass(eq=False)
 class FemSystem:
-    """Interior mass/stiffness pair with its generalized eigensystem."""
+    """A method's generalized eigensystem of the interior pencil (S, M).
+
+    The dense mass and stiffness matrices are not kept: mass and
+    stiffness assemble them from the mesh on first read and cache them,
+    and the threshold scans never read them.  A system built by
+    system_from_matrices holds the pair it was given instead.
+    """
 
     method: str
-    mass: np.ndarray
-    stiffness: np.ndarray
     eigen: linalg.EigenSystem
     mesh: object = None
 
     @property
     def size(self):
-        return self.mass.shape[0]
+        return self.eigen.size
+
+    @cached_property
+    def mass(self):
+        return assemble_mass(self.mesh, self.method)
+
+    @cached_property
+    def stiffness(self):
+        return assemble_stiffness(self.mesh)
 
 
 def build_fem_system(mesh, method):
-    """Assemble interior matrices for a method and factor the pencil."""
-    mass = assemble_mass(mesh, method)
-    return system_from_matrices(mass, assemble_stiffness(mesh), method, mesh)
+    """Factor a method's pencil, assembling each matrix only while needed.
+
+    gen_sym_eigen gets the assemblers, not the matrices, so it frees each
+    one once used; the system holds only the eigensystem, 2 N^2 + N floats.
+    """
+    eigen = linalg.gen_sym_eigen(
+        lambda: assemble_stiffness(mesh), lambda: assemble_mass(mesh, method)
+    )
+    return FemSystem(method=method, eigen=eigen, mesh=mesh)
 
 
 def system_from_matrices(mass, stiffness, method="sg", mesh=None):
@@ -149,4 +168,6 @@ def system_from_matrices(mass, stiffness, method="sg", mesh=None):
     mass = np.asarray(mass, dtype=float)
     stiffness = np.asarray(stiffness, dtype=float)
     eigen = linalg.gen_sym_eigen(stiffness, mass)
-    return FemSystem(method=method, mass=mass, stiffness=stiffness, eigen=eigen, mesh=mesh)
+    system = FemSystem(method=method, eigen=eigen, mesh=mesh)
+    system.mass, system.stiffness = mass, stiffness
+    return system

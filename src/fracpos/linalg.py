@@ -329,39 +329,51 @@ def sym_eigen(a):
 def gen_sym_eigen(s, m):
     """Solve S*phi = lambda*M*phi for symmetric S and SPD M.
 
-    Reduces to the standard problem on C = L^{-1} S L^{-T} where M = L
-    L^T, then maps the orthonormal eigenvectors W back.  Eigenvalues must
-    come out strictly positive (S is expected SPD as well).  A full M is
-    reduced with no solve: L^{-1} by 2 x 2 blocks (_tril_inverse), C as
-    two GEMMs, symmetrized in place, and back = L^{-T} W, forward = (M
-    back)^T as two more.  L itself is freed once inverted, so at eigh the
-    live N x N arrays are S, M, L^{-1} and C, plus eigh's copy of C, its
-    2 N^2 workspace and W: about 8.  A diagonal M (the lumped mass) takes
-    L = diag(sqrt(m)) and applies L^{-1} as a product with the
-    reciprocals 1/sqrt(m); under numpy's OpenBLAS that gives a Cholesky
-    route's eigensystem bit for bit, where dividing by sqrt(m) does not.
+    s and m are the matrices, or zero-argument callables that assemble
+    them.  Reduces to the standard problem on C = L^{-1} S L^{-T} where
+    M = L L^T, then maps the orthonormal eigenvectors W back.
+    Eigenvalues must come out strictly positive (S is expected SPD as
+    well).  A full M is reduced with no solve: L^{-1} by 2 x 2 blocks
+    (_tril_inverse), C as two GEMMs, symmetrized in place, and back =
+    L^{-T} W, forward = (M back)^T as two more.  Each matrix is held only
+    while it is needed: M until L is formed, L until L^{-1}, S until
+    L^{-1} S; M is assembled once more after eigh for forward.  Given
+    assemblers (fem.build_fem_system passes its own), the live N x N
+    arrays at eigh are L^{-1} and C, plus eigh's copy of C, its 2 N^2
+    workspace and W: about 6.  A diagonal M (the lumped mass) takes L =
+    diag(sqrt(m)) and applies L^{-1} as a product with the reciprocals
+    1/sqrt(m); under numpy's OpenBLAS that gives a Cholesky route's
+    eigensystem bit for bit, where dividing by sqrt(m) does not.  M is
+    then assembled only once.
     """
-    s = _check_square(s)
-    m = _check_square(m)
-    if s.shape != m.shape:
-        raise NotPositiveDefinite(
-            "operand shapes differ: %s vs %s" % (s.shape, m.shape)
-        )
-    _check_symmetric(s)
-    diag = np.diagonal(m)
-    lumped = np.count_nonzero(m) == np.count_nonzero(diag)
-    # C = L^{-1} S L^{-T}, symmetrized to kill roundoff skew
+    assemble_s, assemble_m = _assembler(s), _assembler(m)
+    mass = _check_square(assemble_m())
+    n = mass.shape[0]
+    diag = np.diagonal(mass).copy()
+    lumped = np.count_nonzero(mass) == np.count_nonzero(diag)
     if lumped:
+        del mass
         if not np.all(diag > 0.0):
             raise NotPositiveDefinite(
                 "diagonal mass entry %.3e is not positive" % diag.min()
             )
         root = np.sqrt(diag)[:, None]
         inv = 1.0 / root
-        c = (s * inv).T * inv
     else:
-        inv = _tril_inverse(cholesky(m))
-        c = inv @ s
+        ell = cholesky(mass)
+        del mass
+        inv = _tril_inverse(ell)
+        del ell
+    stiff = _check_square(assemble_s())
+    if stiff.shape != (n, n):
+        raise NotPositiveDefinite(
+            "operand shapes differ: %s vs %s" % (stiff.shape, (n, n))
+        )
+    _check_symmetric(stiff)
+    # C = L^{-1} S L^{-T}, symmetrized to kill roundoff skew
+    c = (stiff * inv).T * inv if lumped else inv @ stiff
+    del stiff
+    if not lumped:
         c = c @ inv.T
     _symmetrize(c)
     w, vecs = sym_eigen(c)
@@ -374,8 +386,13 @@ def gen_sym_eigen(s, m):
     else:
         back = inv.T @ vecs
         del inv, vecs
-        forward = (m @ back).T
+        forward = (np.asarray(assemble_m(), dtype=float) @ back).T
     return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)
+
+
+def _assembler(a):
+    """a if it is a zero-argument assembler, else one that returns a."""
+    return a if callable(a) else lambda: a
 
 
 def _tril_inverse(ell, out=None):

@@ -603,6 +603,19 @@ def test_fully_converge(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("t", ["0", "-1", "inf", "nan"])
+def test_fully_converge_holds_t_positive(t, tmp_path, capsys):
+    rc = run_cli(
+        "fully", "converge", "--family", "uniform", "--M", "2", "--methods", "lm",
+        "--t=" + t, "--outdir", str(tmp_path),
+    )
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --t wants a positive finite time, got %r\n" % float(t)
+    assert not list(tmp_path.iterdir())
+
+
 def test_fully_converge_runs_every_method(tmp_path, capsys):
     rc = run_cli(
         "fully", "converge", "--family", "uniform", "--M", "2", "--outdir", str(tmp_path)

@@ -229,12 +229,46 @@ def test_method_spectra_agree_to_a_small_factor():
 
 
 def test_system_from_matrices_wraps_synthetic_pair():
-    sys = fem.system_from_matrices(
-        np.eye(2), np.array([[2.0, -1.0], [-1.0, 2.0]])
-    )
+    mass, stiffness = np.eye(2), np.array([[2.0, -1.0], [-1.0, 2.0]])
+    sys = fem.system_from_matrices(mass, stiffness)
     assert sys.size == 2
     assert sys.mesh is None
+    assert sys.mass is mass and sys.stiffness is stiffness
     np.testing.assert_allclose(sys.eigen.eigenvalues, [1.0, 3.0], rtol=1e-12)
+
+
+# the lean pencil: a built system holds its eigensystem, not (S, M)
+
+
+@pytest.mark.parametrize("method", fem.METHODS)
+def test_built_system_assembles_its_matrices_on_first_read(method):
+    # disk_coarse: N = 135 > linalg.BLOCK_ROWS, so L^{-1} is blocked
+    m = mesh.bundled_mesh("disk_coarse")
+    sys = fem.build_fem_system(m, method)
+    np.testing.assert_array_equal(sys.mass, fem.assemble_mass(m, method))
+    np.testing.assert_array_equal(sys.stiffness, fem.assemble_stiffness(m))
+    assert sys.mass is sys.mass and sys.stiffness is sys.stiffness
+    want = linalg.gen_sym_eigen(sys.stiffness, sys.mass)
+    for name in ("eigenvalues", "back_transform", "forward_transform"):
+        np.testing.assert_array_equal(getattr(sys.eigen, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("method", fem.METHODS)
+def test_built_system_peak_and_held_memory(method):
+    # each matrix lives only while the reduction needs it: a numpy-visible
+    # peak of about 3 N x N arrays, where holding S and M throughout gives
+    # 5, and the system keeps back, forward and the eigenvalues
+    m = mesh.bundled_mesh("disk_medium")
+    n = m.interior_count
+    tracemalloc.start()
+    try:
+        sys = fem.build_fem_system(m, method)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys.size == n
+    assert peak <= 4 * n * n * 8
+    assert held <= (2 * n * n + 8 * n) * 8
 
 
 # predicates

@@ -4,7 +4,9 @@ The Mittag-Leffler reference values were frozen from tools/ml_reference.py:
 ML_REFERENCE from the mpmath power series at 250 digits, cross-checked
 against the exp(x^2)*erfc(-x) closed form for exponent one half; ML_GRID,
 E_alpha(-y) at each y of ML_GRID_YS, from the mpmath branch-cut integral at
-60 digits, cross-checked against the series and the closed form.
+60 digits, cross-checked against the series and the closed form; ML_ENDS,
+the same at the ends of alpha, cross-checked against the series and, near
+alpha = 1, against exp.
 """
 
 import math
@@ -66,6 +68,26 @@ ML_GRID = {
         0.00010261344540995125, 1.005904798012872e-06, 1.005706548321507e-10,
     ),
 }
+
+# the ends of alpha: near 1 the branch-cut integrand's peak is y sin(alpha pi)
+# wide, and near 0 exp(-s^(1/alpha)) drops within about alpha of s = 1
+ML_ENDS_YS = (0.5, 1.005, 2.0, 10.0, 100.0, 1e4)
+ML_ENDS = {
+    0.001: (
+        0.6665384450993809, 0.4986088137740146, 0.33320501459888474,
+        0.09086134278750094, 0.009895325374810193, 9.993222541862735e-05,
+    ),
+    0.999999: (
+        0.6065306142000951, 0.36604470118019977, 0.13533557192272935,
+        4.553039997338509e-05, 1.020625836025005e-08, 1.0002006370985016e-10,
+    ),
+    0.99999999: (
+        0.6065306592575066, 0.3660446354677754, 0.13533528612347434,
+        4.540123446481572e-05, 1.0206252881970959e-10, 1.0002000708202404e-12,
+    ),
+}
+# the accuracy reached there, relative: 6.0e-12, 1.3e-15 and 2.1e-12
+ML_ENDS_RTOL = {0.001: 1e-11, 0.999999: 2e-15, 0.99999999: 5e-12}
 
 SINGLE = FracOperator.single_term(0.5)
 MULTI = FracOperator.multi_term((0.5, 0.2))
@@ -164,6 +186,13 @@ def test_mittag_leffler_reference_values():
 def test_mittag_leffler_on_the_frozen_grid(alpha):
     for y, want in zip(ML_GRID_YS, ML_GRID[alpha]):
         assert kernel.mittag_leffler(alpha, -y) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", sorted(ML_ENDS))
+def test_mittag_leffler_at_the_ends_of_alpha(alpha):
+    for y, want in zip(ML_ENDS_YS, ML_ENDS[alpha]):
+        got = kernel.mittag_leffler(alpha, -y)
+        assert got == pytest.approx(want, rel=ML_ENDS_RTOL[alpha], abs=0.0)
 
 
 @pytest.mark.parametrize("y", (0.5, 1.0, 2.0, 1e6))

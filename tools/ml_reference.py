@@ -12,15 +12,20 @@ Two independent mpmath evaluations of E_a(x), x <= 0:
       E_a(-y) = (sin(a pi) / (a pi y)) *
                 int_0^inf exp(-s^(1/a)) / ((s / y)^2 + 2 (s / y) cos(a pi) + 1) ds,
 
-  split at the integrand's peak s = -y cos(a pi), at its width y sin(a pi)
-  and at s = 1, where s^(1/a) turns, and cut where s^(1/a) = 1000.
+  split at the integrand's peak s = -y cos(a pi), at y sin(a pi) and at
+  that distance either side of the peak (its width, far below 1 near
+  a = 1), and at s = 1, where s^(1/a) turns, and cut where s^(1/a) = 1000.
 
 For a = 1/2 the closed form exp(x^2)*erfc(-x) cross-checks both; for a = 1
 the series must reproduce exp(x).  The script prints the 8 spot values of
 ML_REFERENCE, then the frozen grid ML_GRID of tests/test_kernel.py, E_a(-y)
-from the integral for each a, one value per y of GRID_YS, and last the largest
+from the integral for each a, one value per y of GRID_YS, and the largest
 relative disagreement of the integral with the series and the closed form
-over the grid.  Run:
+over the grid.  Last come ML_ENDS, the same at the ends of a (END_ALPHAS,
+END_YS), checked against the series where it runs and against exp at
+a = 1: (E_a(-y) - exp(-y)) / (1 - a) tends to -d/da E_a(-y) at a = 1, so
+the two values of a near 1 must give quotients that differ by O(1e-6)
+relative (3.1e-6 when last run).  Run:
 
     python3 tools/ml_reference.py
 
@@ -36,9 +41,15 @@ mp.dps = 250
 
 GRID_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
 GRID_YS = (0.01, 0.3, 0.9, 1.1, 2.0, math.sqrt(10.0), 5.0, 10.0, 16.0, 100.0, 1e4, 1e8)
+# the ends of a: the peak narrows to y sin(a pi) as a -> 1, and s^(1/a)
+# turns within about a of s = 1 as a -> 0.  The package takes the series
+# up to y = 1; y = 0.5 is where the series checks the integral at a = 0.001
+END_ALPHAS = (0.001, 1.0 - 1e-6, 1.0 - 1e-8)
+END_YS = (0.5, 1.005, 2.0, 10.0, 100.0, 1e4)
+SERIES_TERMS = 6000
 
 
-def ml_series(a, x, kmax=6000):
+def ml_series(a, x, kmax=SERIES_TERMS):
     a = mpf(a)
     x = mpf(x)
     total = mpf(0)
@@ -51,7 +62,11 @@ def ml_series(a, x, kmax=6000):
 
 
 def series_runs(a, y):
-    return y ** (1.0 / a) <= 200.0
+    # the largest term, about exp(y^(1/a)), stays within the working
+    # precision, and the terms fall below 1e-80 within SERIES_TERMS
+    k = SERIES_TERMS
+    return (math.log(y) / a <= math.log(200.0)
+            and math.lgamma(a * k + 1) > k * math.log(y) + 80 * math.log(10.0))
 
 
 def ml_branch_cut(a, y):
@@ -62,7 +77,8 @@ def ml_branch_cut(a, y):
         c = cos(pi * a)
         s = sin(pi * a)
         end = mpf(1000) ** a
-        breaks = sorted({mpf(0), mpf(1), y * s, -y * c, end})
+        peak = -y * c
+        breaks = sorted({mpf(0), mpf(1), y * s, peak - y * s, peak, peak + y * s, end})
         breaks = [b for b in breaks if 0 <= b <= end]
 
         # divided through by y^2, so the integrand is of order one and
@@ -115,6 +131,27 @@ def main():
     print("}")
     print("grid: integral vs series      : %s" % mp.nstr(worst_series, 3))
     print("grid: integral vs closed form : %s" % mp.nstr(worst_closed, 3))
+
+    print("ML_ENDS = {")
+    worst_series = mpf(0)
+    quotients = {}
+    for a in END_ALPHAS:
+        vals = [ml_branch_cut(a, y) for y in END_YS]
+        print("    %r: (" % (a,))
+        for i in range(0, len(vals), 3):
+            print("        " + " ".join("%r," % float(v) for v in vals[i:i + 3]))
+        print("    ),")
+        for y, val in zip(END_YS, vals):
+            if series_runs(a, y):
+                worst_series = max(worst_series, abs(ml_series(a, -y) / val - 1))
+        if a > 0.5:
+            with workdps(60):
+                quotients[a] = [(v - exp(-mpf(y))) / (1 - mpf(a)) for y, v in zip(END_YS, vals)]
+    print("}")
+    near_one = [quotients[a] for a in END_ALPHAS if a > 0.5]
+    spread = max(abs(q / p - 1) for p, q in zip(*near_one))
+    print("ends: integral vs series      : %s" % mp.nstr(worst_series, 3))
+    print("ends: quotients against exp   : %s" % mp.nstr(spread, 3))
 
 
 if __name__ == "__main__":
