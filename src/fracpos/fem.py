@@ -163,11 +163,11 @@ def build_fem_system(mesh, method):
     return FemSystem(method=method, eigen=eigen, mesh=mesh)
 
 
-def system_from_matrices(mass, stiffness, method="sg", mesh=None):
-    """Wrap explicit matrices (synthetic test systems) as a FemSystem."""
+def system_from_matrices(mass, stiffness):
+    """Wrap explicit matrices (synthetic test systems) as an "sg" FemSystem."""
     mass = np.asarray(mass, dtype=float)
     stiffness = np.asarray(stiffness, dtype=float)
     eigen = linalg.gen_sym_eigen(stiffness, mass)
-    system = FemSystem(method=method, eigen=eigen, mesh=mesh)
+    system = FemSystem(method="sg", eigen=eigen)
     system.mass, system.stiffness = mass, stiffness
     return system

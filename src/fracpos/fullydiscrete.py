@@ -48,7 +48,10 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
     six decades.  The sign of E_{1,tau} changes at most once along it (see
     the module docstring), so the scan bisects over grid indices: the two
     ends, then one point per halving of the index range, then bisection
-    between the two grid points around the change.  The coefficient rows
+    between the two grid points around the change.  As tau -> 0,
+    E_{1,tau} -> I and its negativity sinks under the floor, so a low end
+    that reads nonnegative brackets nothing: the scan then reads the grid
+    top-down, as the semidiscrete one does.  The coefficient rows
     omega_0 / (omega_0 + lambda) take omega_0 = P(1/tau) from
     kernel.cq_weights, the stepper's own first-step formula.  Reading the
     report's curve reduces the whole grid through the scanner's one

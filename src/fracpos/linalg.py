@@ -69,13 +69,13 @@ def _row_blocks(n):
     return [slice(first, first + BLOCK_ROWS) for first in range(0, n, BLOCK_ROWS)]
 
 
-def _check_symmetric(a, rel=1e-12):
+def _check_symmetric(a):
     scale = skew = 0.0
     for rows in _row_blocks(a.shape[0]):
         scale = max(scale, np.abs(a[rows]).max(initial=0.0))
         skew = max(skew, np.abs(a[rows] - a[:, rows].T).max(initial=0.0))
     scale = max(scale, 1e-300)
-    if skew > rel * scale:
+    if skew > 1e-12 * scale:
         raise NotPositiveDefinite(
             "matrix not symmetric: asymmetry %.3e relative to %.3e" % (skew, scale)
         )

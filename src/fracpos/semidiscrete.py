@@ -12,7 +12,8 @@ reads blocks from the top of the grid: one decade at a time on a small
 system, the whole grid at once on a large one, its kernel rows fitted
 to the kernel's own accuracy (KERNEL_SKELETON_TOL).  When the sign
 changes at most once along the grid, as for the fully discrete scheme's
-E_{1,tau}, the scan bisects over grid indices instead.
+E_{1,tau}, and the low end reads below the floor, the scan bisects over
+grid indices instead.
 A single dense E(t) is EigenSystem.matrix_function of one such row.
 """
 
@@ -163,16 +164,17 @@ def detect_threshold(grid, mins, value_fn, tol):
     return "found", math.sqrt(lo * hi), (lo, hi)
 
 
-def _bisect_indices(grid, reduce, tol):
+def _bisect_indices(grid, reduce, tol, ends):
     """Adjacent grid indices, and their smallest entries, around the sign change.
 
     Valid when the curve is below -tol up to one grid index and not below
-    it after: both ends first, then one reduced row per halving of the
-    index range.  The ends alone decide "all-nonnegative" and "none-found".
+    it after, and its low end is below -tol: ends holds the smallest
+    entries at both ends, and one reduced row per halving of the index
+    range follows.  A top end below -tol alone decides "none-found".
     """
     lo, hi = 0, grid.size - 1
-    lo_min, hi_min = reduce(grid[[lo, hi]])
-    if lo_min < -tol <= hi_min:
+    lo_min, hi_min = ends
+    if hi_min >= -tol:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             mid_min = reduce(grid[mid:mid + 1])[0]
@@ -205,12 +207,15 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
 
     monotone=True is for curves whose sign changes at most once along the
     grid, from negative to nonnegative.  The scan then reduces the two
-    ends, then one point per halving of the index range (about log2 of
-    the grid size), and refines between the two grid points around the
-    change.
+    ends.  When the low end reads below -tol it bisects: one point per
+    halving of the index range (about log2 of the grid size), then
+    refinement between the two grid points around the change.  Otherwise
+    the negativity may only have sunk under the floor at the low end, so
+    the ends decide nothing and the scan reads top-down as above, the
+    whole grid in one block.
 
     The report's curve is computed when first read: a top-down scan
-    reduces the rest of its grid; a monotone scan reads the whole grid and
+    reduces the rest of its grid; a bisected scan reads the whole grid and
     checks the curve's verdict against its bisected one (ScanMismatch).
     """
     scan = scan if scan is not None else ScanSpec()
@@ -232,7 +237,7 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
         return values
 
     fit_tol = linalg.SKELETON_TOL if monotone else KERNEL_SKELETON_TOL
-    block = scan.per_decade if _exact_size(system) else grid.size
+    block = scan.per_decade if _exact_size(system) and not monotone else grid.size
 
     def reduce(xs):
         rows = coeffs(xs)
@@ -243,8 +248,12 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
             mins[near] = system.eigen.min_entries(rows[near])
         return finite(mins, xs, "smallest entry")
 
+    bisect = False
     if monotone:
-        idx, mins = _bisect_indices(grid, reduce, tol)
+        ends = reduce(grid[[0, -1]])
+        bisect = bool(ends[0] < -tol)
+    if bisect:
+        idx, mins = _bisect_indices(grid, reduce, tol, ends)
     else:
         start, mins = grid.size, np.empty(0)
         while start > 0 and not (mins < -tol).any():
@@ -256,7 +265,7 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     )
 
     def fill_curve():
-        if not monotone:
+        if not bisect:
             rest = reduce(grid[:start]) if start else np.empty(0)
             return np.column_stack((grid, np.concatenate((rest, mins))))
         curve = reduce(grid)

@@ -306,6 +306,17 @@ def test_fully_threshold_takes_tiny_steps_through_real_powers(tmp_path, capsys):
     assert out.startswith("sg single(0.5): all-nonnegative")
 
 
+def test_fully_threshold_from_a_tiny_scan_start(tmp_path, capsys):
+    # E_{1,tau} -> I as tau -> 0, so the low end reads nonnegative under
+    # the floor; the scan reads top-down and its curve agrees
+    rc = run_cli(
+        "fully", "threshold", "--family", "uniform", "--M", "10", "--methods", "sg",
+        "--scan-start", "1e-30", "--outdir", str(tmp_path),
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("sg single(0.5): 2.78e-05")
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_kernel_weights_rejects_non_finite_weights(bad, capsys):
     rc = run_cli(
@@ -538,8 +549,8 @@ def test_fully_threshold_exits_1_when_curve_contradicts_bisection(
 
 
 def test_fully_threshold_all_nonnegative_distributed_writes_curve(tmp_path, capsys):
-    # reading the curve of an all-nonnegative scan reduces every decade of
-    # the grid, then the rows of an empty head
+    # an all-nonnegative scan reads nonnegative at its low end, so it reads
+    # the whole grid top-down, and its curve is that read
     rc = run_cli(
         "fully", "threshold", "--family", "uniform", "--M", "10", "--methods", "lm",
         "--mu", "exp", "--outdir", str(tmp_path),
@@ -698,6 +709,76 @@ def test_reproduce_table2_default_level(tmp_path, capsys):
     assert float(cell[1]) == pytest.approx(0.1)  # h0 of the M=5 member
     assert float(cell[4]) == pytest.approx(1.17e-4, rel=0.10)
     assert float(cell[5]) == pytest.approx(2.21e-4, rel=0.10)
+
+
+# every row of reproduce --table 1..5 at its default level, as written
+# (method, h0, h, operator, sd_threshold, fd_threshold); a change that
+# moves a cell updates it here and names the cell in CHANGES.md
+TABLE_ROWS = {
+    1: (
+        "sg,0.1,0.14142135623730964,single-0.5,1.96e-04,2.78e-05",
+        "sg,0.1,0.14142135623730964,single-0.75,7.43e-03,9.19e-04",
+        "sg,0.1,0.14142135623730964,multi-0.5-0.2,2.11e-04,3.04e-05",
+        "sg,0.1,0.14142135623730964,multi-0.75-0.2,7.57e-03,9.45e-04",
+        "sg,0.1,0.14142135623730964,dist-exp,1.64e-02,1.99e-03",
+        "fve,0.1,0.14142135623730964,single-0.5,1.46e-04,1.93e-05",
+        "fve,0.1,0.14142135623730964,single-0.75,6.41e-03,7.19e-04",
+        "fve,0.1,0.14142135623730964,multi-0.5-0.2,1.56e-04,2.08e-05",
+        "fve,0.1,0.14142135623730964,multi-0.75-0.2,6.52e-03,7.37e-04",
+        "fve,0.1,0.14142135623730964,dist-exp,1.48e-02,1.60e-03",
+    ),
+    2: (
+        "sg,0.1,0.20000000000000007,single-0.5,2.60e-04,6.21e-04",
+        "sg,0.1,0.20000000000000007,multi-0.5-0.2,2.99e-04,7.73e-04",
+        "sg,0.1,0.20000000000000007,dist-exp,1.09e-02,1.25e-02",
+        "lm,0.1,0.20000000000000007,single-0.5,1.17e-04,2.21e-04",
+        "lm,0.1,0.20000000000000007,multi-0.5-0.2,1.30e-04,2.60e-04",
+        "lm,0.1,0.20000000000000007,dist-exp,7.02e-03,6.72e-03",
+        "fve,0.1,0.20000000000000007,single-0.5,2.26e-04,5.21e-04",
+        "fve,0.1,0.20000000000000007,multi-0.5-0.2,2.59e-04,6.42e-04",
+        "fve,0.1,0.20000000000000007,dist-exp,1.03e-02,1.13e-02",
+    ),
+    3: (
+        "sg,,0.20203050891044214,single-0.5,9.78e-05,1.61e-05",
+        "sg,,0.20203050891044214,single-0.75,5.08e-03,6.38e-04",
+        "sg,,0.20203050891044214,multi-0.5-0.2,1.03e-04,1.73e-05",
+        "sg,,0.20203050891044214,multi-0.75-0.2,5.15e-03,6.53e-04",
+        "sg,,0.20203050891044214,dist-exp,1.23e-02,1.45e-03",
+        "fve,,0.20203050891044214,single-0.5,6.33e-05,9.89e-06",
+        "fve,,0.20203050891044214,single-0.75,3.96e-03,4.61e-04",
+        "fve,,0.20203050891044214,multi-0.5-0.2,6.64e-05,1.05e-05",
+        "fve,,0.20203050891044214,multi-0.75-0.2,4.01e-03,4.70e-04",
+        "fve,,0.20203050891044214,dist-exp,1.02e-02,1.09e-03",
+    ),
+    4: (
+        "sg,,0.19700147151354125,single-0.5,2.27e-04,2.31e-05",
+        "sg,,0.19700147151354125,single-0.75,1.21e-02,8.11e-04",
+        "sg,,0.19700147151354125,multi-0.5-0.2,2.37e-04,2.51e-05",
+        "sg,,0.19700147151354125,multi-0.75-0.2,1.23e-02,8.34e-04",
+        "sg,,0.19700147151354125,dist-exp,2.84e-02,1.78e-03",
+        "fve,,0.19700147151354125,single-0.5,1.26e-04,1.42e-05",
+        "fve,,0.19700147151354125,single-0.75,9.11e-03,5.86e-04",
+        "fve,,0.19700147151354125,multi-0.5-0.2,1.31e-04,1.52e-05",
+        "fve,,0.19700147151354125,multi-0.75-0.2,9.18e-03,5.99e-04",
+        "fve,,0.19700147151354125,dist-exp,2.31e-02,1.34e-03",
+    ),
+    5: (
+        "sg,0.1,0.14142135623730964,single-0.5,1.96e-04,2.78e-05",
+        "sg,0.1,0.14142135623730964,multi-0.5-0.2,2.11e-04,3.04e-05",
+        "sg,0.1,0.14142135623730964,dist-exp,1.64e-02,1.99e-03",
+        "fve,0.1,0.14142135623730964,single-0.5,1.46e-04,1.93e-05",
+        "fve,0.1,0.14142135623730964,multi-0.5-0.2,1.56e-04,2.08e-05",
+        "fve,0.1,0.14142135623730964,dist-exp,1.48e-02,1.60e-03",
+    ),
+}
+
+@pytest.mark.parametrize("table", sorted(TABLE_ROWS))
+def test_reproduce_tables_at_default_levels(table, tmp_path, capsys):
+    assert run_cli("reproduce", "--table", str(table), "--outdir", str(tmp_path)) == 0
+    capsys.readouterr()
+    lines = (tmp_path / ("table%d.csv" % table)).read_text().splitlines()
+    assert lines[1] == "method,h0,h,operator,sd_threshold,fd_threshold"
+    assert tuple(lines[2:]) == TABLE_ROWS[table]
 
 
 def test_reproduce_validation(capsys):

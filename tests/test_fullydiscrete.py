@@ -231,6 +231,20 @@ def test_fd_threshold_crossed_lm_found(get_system):
     assert rep.found
 
 
+def test_fd_threshold_from_a_low_end_under_the_floor(get_system):
+    # at tau = 1e-30 E_{1,tau} is nearly I: its smallest entry, about
+    # -1e-13, reads nonnegative against tol = 8.1e-11, so the ends bracket
+    # nothing and the scan reads top-down to the default grid's threshold
+    sys = get_system("uniform", "sg", m=10)
+    default = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
+    rep = fullydiscrete.fd_positivity_threshold(
+        sys, SINGLE, scan=semidiscrete.ScanSpec(1e-30, 1e2)
+    )
+    assert -rep.tolerance < rep.curve[0, 1] < 0.0
+    assert rep.found
+    assert rep.value == pytest.approx(default.value, rel=2e-3)
+
+
 def test_fd_threshold_rejects_short_scan(get_system):
     with pytest.raises(InvalidParameter):
         fullydiscrete.fd_positivity_threshold(

@@ -85,9 +85,24 @@ ML_ENDS = {
         0.6065306592575066, 0.3660446354677754, 0.13533528612347434,
         4.540123446481572e-05, 1.0206252881970959e-10, 1.0002000708202404e-12,
     ),
+    0.999999999999: (
+        0.6065306597125879, 0.3660446348040818, 0.13533528323690136,
+        4.53999298929522e-05, 1.0206026994973921e-14, 1.0001779338787956e-16,
+    ),
+    0.999999999999999: (
+        0.6065306597126334, 0.36604463480401545, 0.13533528323661298,
+        4.5399929762615216e-05, 1.0198095143190305e-17, 9.994006222831101e-20,
+    ),
 }
-# the accuracy reached there, relative: 6.0e-12, 1.3e-15 and 2.1e-12
-ML_ENDS_RTOL = {0.001: 1e-11, 0.999999: 2e-15, 0.99999999: 5e-12}
+# the accuracy reached there, relative: 4.4e-16, 1.1e-15, 1.8e-15, 3.3e-15
+# and 8.2e-13
+ML_ENDS_RTOL = {
+    0.001: 2e-14,
+    0.999999: 2e-15,
+    0.99999999: 5e-15,
+    0.999999999999: 1e-14,
+    0.999999999999999: 1e-12,
+}
 
 SINGLE = FracOperator.single_term(0.5)
 MULTI = FracOperator.multi_term((0.5, 0.2))
@@ -105,7 +120,7 @@ def test_labels():
 
 
 def test_multi_term_default_weights_are_ones():
-    assert MULTI.weights == (1.0, 1.0)
+    assert MULTI.terms[1].tolist() == [1.0, 1.0]
 
 
 def test_constructor_rejections():

@@ -427,9 +427,10 @@ def _sign_coeffs(size, negative):
     [
         # below -tol up to 1e-6 and again on (0.1, 1): the index bisection
         # lands on the first change, the full curve's last one is at 1
-        (lambda x: (x < 1e-6) | ((x > 0.1) & (x < 1.0)), "found"),
-        # nonnegative at both ends, negative in between
-        (lambda x: (x > 1e-4) & (x < 1e-2), "all-nonnegative"),
+        (lambda x: (x < 1e-6) | ((x > 0.1) & (x < 1.0)), True),
+        # nonnegative at both ends, negative in between: a low end above
+        # -tol brackets nothing, so the monotone scan reads top-down too
+        (lambda x: (x > 1e-4) & (x < 1e-2), False),
     ],
     ids=["two-dips", "inner-dip"],
 )
@@ -437,15 +438,21 @@ def test_monotone_scan_curve_guard(negative, bisected):
     sys = fem.system_from_matrices(np.eye(3), np.diag([1.0, 2.0, 3.0]))
     coeffs = _sign_coeffs(sys.size, negative)
     rep = semidiscrete.scan_threshold(sys, SINGLE, coeffs, monotone=True)
-    assert rep.status == bisected
-    with pytest.raises(ScanMismatch) as exc:
-        rep.curve
-    assert isinstance(exc.value, NumericalError)
     # the top-down scan reads the same rows and takes the last change
-    rep = semidiscrete.scan_threshold(sys, SINGLE, coeffs)
-    assert rep.found
-    assert rep.bracket[0] < (1.0 if bisected == "found" else 1e-2) <= rep.bracket[1]
-    assert rep.curve.shape == (ScanSpec().grid().size, 2)
+    top_down = semidiscrete.scan_threshold(sys, SINGLE, coeffs)
+    assert top_down.found
+    assert top_down.bracket[0] < (1.0 if bisected else 1e-2) <= top_down.bracket[1]
+    assert top_down.curve.shape == (ScanSpec().grid().size, 2)
+    if bisected:
+        assert rep.found and rep.bracket[1] < 1e-5
+        with pytest.raises(ScanMismatch) as exc:
+            rep.curve
+        assert isinstance(exc.value, NumericalError)
+    else:
+        assert (rep.status, rep.value, rep.bracket) == (
+            top_down.status, top_down.value, top_down.bracket
+        )
+        np.testing.assert_array_equal(rep.curve, top_down.curve)
 
 
 def _full_grid_threshold(sys, op, scheme, scan, tol):
