@@ -19,6 +19,7 @@ import argparse
 import configparser
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -201,6 +202,25 @@ def _write_csv(path, columns, rows, parts, trailer=()):
         fh.write(_csv_text(columns, rows, parts, trailer) + "\n")
 
 
+def _write_method_csv(out, stem, method, mesh, parts, columns, rows, trailer=(), scan=None):
+    """Write <stem>_<method>.csv in out and return its path.
+
+    Its config tag is the command's fixed parts plus the method, the mesh
+    and, given one, the scan.
+    """
+    tag = dict(parts, method=method)
+    tag.update({"mesh.nodes": mesh.n_nodes, "mesh.tris": mesh.n_triangles})
+    if mesh.family:
+        tag["mesh.family"] = mesh.family
+    if mesh.h0 is not None:
+        tag["mesh.h0"] = repr(mesh.h0)
+    if scan is not None:
+        tag.update(_scan_parts(scan))
+    path = os.path.join(out, "%s_%s.csv" % (stem, method))
+    _write_csv(path, columns, rows, tag, trailer)
+    return path
+
+
 def _fmt(x):
     if isinstance(x, str):
         return x
@@ -263,15 +283,6 @@ def _resolve_scan(args):
     if scan.points > _DENSE_SIDE:
         raise UsageError("the scan grid has %d points, above %d" % (scan.points, _DENSE_SIDE))
     return scan
-
-
-def _mesh_parts(mesh):
-    parts = {"mesh.nodes": mesh.n_nodes, "mesh.tris": mesh.n_triangles}
-    if mesh.family:
-        parts["mesh.family"] = mesh.family
-    if mesh.h0 is not None:
-        parts["mesh.h0"] = repr(mesh.h0)
-    return parts
 
 
 def _scan_parts(scan):
@@ -371,16 +382,14 @@ def cmd_semi_curve(args):
     scan = _resolve_scan(args)
     out = _outdir(args)
     grid = scan.grid()
+    parts = {"cmd": "semi-curve", "op": op.label}
     written = []
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         curve = semidiscrete.min_entry_curve(system, op, grid)
-        parts = {"cmd": "semi-curve", "op": op.label, "method": method}
-        parts.update(_mesh_parts(mesh))
-        parts.update(_scan_parts(scan))
-        path = os.path.join(out, "semi_curve_%s.csv" % method)
-        _write_csv(path, ("t", "min_entry"), curve, parts)
-        written.append(path)
+        written.append(_write_method_csv(
+            out, "semi_curve", method, mesh, parts, ("t", "min_entry"), curve, scan=scan
+        ))
     print("\n".join(written))
     return 0
 
@@ -407,15 +416,13 @@ def cmd_threshold(args):
         find, column = semidiscrete.positivity_threshold, "t"
     else:
         find, column = fullydiscrete.fd_positivity_threshold, "tau"
+    parts = {"cmd": "%s-threshold" % args.command, "op": op.label}
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         report = find(system, op, scan=scan, tol=args.tol)
-        parts = {"cmd": "%s-threshold" % args.command, "op": op.label, "method": method}
-        parts.update(_mesh_parts(mesh))
-        parts.update(_scan_parts(scan))
-        path = os.path.join(out, "%s_threshold_%s.csv" % (args.command, method))
-        _write_csv(
-            path, (column, "min_entry"), report.curve, parts, _threshold_trailer(report)
+        path = _write_method_csv(
+            out, args.command + "_threshold", method, mesh, parts, (column, "min_entry"),
+            report.curve, _threshold_trailer(report), scan,
         )
         print("%s %s: %s  [%s]" % (method, op.label, report.describe(), path))
     return 0
@@ -427,6 +434,7 @@ def cmd_semi_certify(args):
     delaunay = meshmod.is_delaunay(mesh)
     print("delaunay: %s" % ("true" if delaunay else "false"))
     print("normal: %s" % ("true" if meshmod.is_normal(mesh) else "false"))
+    parts = {"cmd": "certify"}
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         stieltjes = fem.is_stieltjes(system.stiffness)
@@ -445,12 +453,9 @@ def cmd_semi_certify(args):
             % (method, stieltjes, hinv_pos, hinv_min, power, verdict)
         )
         if args.dump_matrices:
-            parts = {"cmd": "certify", "method": method}
-            parts.update(_mesh_parts(mesh))
             for label, matrix in (("mass", system.mass), ("stiffness", system.stiffness)):
-                path = os.path.join(out, "%s_%s.csv" % (label, method))
                 cols = tuple("c%d" % j for j in range(matrix.shape[1]))
-                _write_csv(path, cols, matrix, parts)
+                path = _write_method_csv(out, label, method, mesh, parts, cols, matrix)
                 print("wrote %s" % path)
     return 0
 
@@ -469,19 +474,19 @@ def cmd_fully_converge(args):
     if not 0.0 < args.t < np.inf:
         raise UsageError("--t wants a positive finite time, got %r" % (args.t,))
     n_list = [2 ** k for k in range(lo, hi + 1)]
+    parts = {
+        "cmd": "converge",
+        "op": op.label,
+        "t": repr(args.t),
+        "n": "%d..%d" % (n_list[0], n_list[-1]),
+    }
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         rate, errors = fullydiscrete.convergence_rate(system, op, args.t, n_list)
-        parts = {
-            "cmd": "converge",
-            "op": op.label,
-            "method": method,
-            "t": repr(args.t),
-            "n": "%d..%d" % (n_list[0], n_list[-1]),
-        }
-        parts.update(_mesh_parts(mesh))
-        path = os.path.join(out, "converge_%s.csv" % method)
-        _write_csv(path, ("n", "error"), errors, parts, ("# rate %.4f" % rate,))
+        path = _write_method_csv(
+            out, "converge", method, mesh, parts, ("n", "error"), errors,
+            ("# rate %.4f" % rate,),
+        )
         print("%s %s: rate %.4f  [%s]" % (method, op.label, rate, path))
     return 0
 
@@ -490,24 +495,23 @@ def cmd_fully_contractivity(args):
     mesh = _resolve_mesh(args)
     op = _resolve_operator(args)
     out = _outdir(args)
+    parts = {
+        "cmd": "contractivity",
+        "op": op.label,
+        "tau": " ".join(repr(t) for t in args.tau),
+        "n_max": args.n_max,
+    }
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)
         reports = fullydiscrete.max_norm_contractivity_check(
             system, op, args.tau, n_max=args.n_max
         )
-        parts = {
-            "cmd": "contractivity",
-            "op": op.label,
-            "method": method,
-            "tau": " ".join(repr(t) for t in args.tau),
-            "n_max": args.n_max,
-        }
-        parts.update(_mesh_parts(mesh))
         rows = []
         for rep in reports:
             rows.extend((rep.tau, n, rep.norms[n]) for n in range(rep.norms.shape[0]))
-        path = os.path.join(out, "contractivity_%s.csv" % method)
-        _write_csv(path, ("tau", "n", "max_norm"), rows, parts)
+        path = _write_method_csv(
+            out, "contractivity", method, mesh, parts, ("tau", "n", "max_norm"), rows
+        )
         ok = fem.is_diagonally_dominant(system.stiffness)
         print("stiffness diagonally dominant: %s" % ("true" if ok else "false"))
         for rep in reports:
@@ -577,15 +581,14 @@ def _table_mesh(spec, level):
 
 
 def _table_cell(system, op, scan):
-    try:
-        sd = semidiscrete.positivity_threshold(system, op, scan=scan).describe()
-    except FracposError as exc:
-        sd = ("FAIL(%s)" % exc).replace(",", ";")
-    try:
-        fd = fullydiscrete.fd_positivity_threshold(system, op, scan=scan).describe()
-    except FracposError as exc:
-        fd = ("FAIL(%s)" % exc).replace(",", ";")
-    return sd, fd
+    """The semidiscrete and fully discrete threshold, or FAIL(reason) for each."""
+    cell = []
+    for find in (semidiscrete.positivity_threshold, fullydiscrete.fd_positivity_threshold):
+        try:
+            cell.append(find(system, op, scan=scan).describe())
+        except FracposError as exc:
+            cell.append(("FAIL(%s)" % exc).replace(",", ";"))
+    return cell
 
 
 def cmd_reproduce(args):
@@ -723,16 +726,23 @@ _COMMANDS = (
 )
 
 
+# a word argparse takes for a negative number rather than an option; its
+# own pattern leaves out exponents, so "--x -0.5 -1e8" would fail on -1e8
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fracpos",
         description="nonnegativity experiments for fractional-diffusion finite elements",
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument("--version", action="version", version="fracpos " + __version__)
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
     for path, help_text, handler, names in _COMMANDS:
         parent, _, name = path.rpartition(" ")
         p = subparsers[parent].add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if handler is None:
             subparsers[path] = p.add_subparsers(dest="subcommand", required=True)
             continue

@@ -85,15 +85,14 @@ _REAL_SHIFT_MAX = 1e150
 class FracOperator:
     """Symbol of the time operator, P(z) = sum_k b_k z^{a_k}.
 
-    terms holds the arrays (a, b).  kind "discrete": a single- or
-    multi-term operator, exponents strictly decreasing in (0, 1], leading
-    weight 1.  kind "distributed": P(z) = int_0^1 z^a mu(a) da by
+    terms holds the arrays (a, b).  A single- or multi-term operator has
+    exponents strictly decreasing in (0, 1], leading weight 1, and no
+    mu_ends.  A distributed one has P(z) = int_0^1 z^a mu(a) da by
     Gauss-Legendre quadrature, mu positive at both endpoints, and mu_ends
     = (mu(0), mu(1)).  Build one with single_term, multi_term or
     distributed.
     """
 
-    kind: str
     terms: tuple = field(compare=False, repr=False)
     label: str
     mu_ends: tuple = None
@@ -120,7 +119,7 @@ class FracOperator:
         if any(x <= y for x, y in zip(a, a[1:])):
             raise InvalidParameter("exponents must decrease strictly")
         label = ("single(%s)" if len(a) == 1 else "multi(%s)") % ",".join("%g" % v for v in a)
-        return cls("discrete", (np.array(a), np.array(b)), label)
+        return cls((np.array(a), np.array(b)), label)
 
     @classmethod
     def distributed(cls, weight_fn="exp", quad_order=64):
@@ -142,7 +141,7 @@ class FracOperator:
             raise InvalidParameter("weight function must be positive at 0 and 1")
         x, wq = _leggauss01(order)
         terms = (x, wq * np.asarray(weight_fn(x), dtype=float))
-        return cls("distributed", terms, "dist(%s,%d)" % (name, order), mu_ends)
+        return cls(terms, "dist(%s,%d)" % (name, order), mu_ends)
 
 
 @lru_cache(maxsize=1)
@@ -319,7 +318,7 @@ def beta0(op, t):
     """Small-time scale function: 1 - u_lambda(t) ~ lambda * beta0(t)."""
     if not t > 0.0:
         raise DomainError("t must be positive")
-    if op.kind == "discrete":
+    if op.mu_ends is None:
         a1 = float(op.terms[0][0])
         return t ** a1 / math.gamma(1.0 + a1)
     if t >= 1.0:
@@ -333,7 +332,7 @@ def beta_inf(op, t):
     """Large-time scale function: u_lambda(t) ~ beta_inf(t) / lambda."""
     if not t > 0.0:
         raise DomainError("t must be positive")
-    if op.kind == "discrete":
+    if op.mu_ends is None:
         am = float(op.terms[0][-1])
         bm = float(op.terms[1][-1])
         if am == 1.0:

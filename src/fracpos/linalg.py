@@ -36,7 +36,6 @@ from .errors import NoConvergence, NotPositiveDefinite, NumericalError
 __all__ = [
     "EigenSystem",
     "cholesky",
-    "sym_eigen",
     "gen_sym_eigen",
 ]
 
@@ -315,17 +314,6 @@ def cholesky(a):
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def sym_eigen(a):
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric A."""
-    a = _check_square(a)
-    _check_symmetric(a)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return w, v
-
-
 def gen_sym_eigen(s, m):
     """Solve S*phi = lambda*M*phi for symmetric S and SPD M.
 
@@ -376,7 +364,10 @@ def gen_sym_eigen(s, m):
     if not lumped:
         c = c @ inv.T
     _symmetrize(c)
-    w, vecs = sym_eigen(c)
+    try:
+        w, vecs = np.linalg.eigh(_check_square(c))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
     del c
     if w[0] <= 0.0:
         raise NotPositiveDefinite("smallest eigenvalue %.3e is not positive" % w[0])

@@ -263,8 +263,16 @@ FAMILIES = {
 # Triangle-format files (.node / .ele)
 
 
-def _data_lines(path):
-    out = []
+def _read_table(path, kind, fields, supported, noun):
+    """Header integers and data rows of a Triangle-format file.
+
+    Drops # comments and blank lines and checks the header: `fields`
+    integers, the second equal to supported = (value, what it allows)
+    (the dimension, the nodes per triangle), the first the number of rows
+    (noun) that follow.  Returns the header and each row's (line number,
+    text).
+    """
+    lines = []
     try:
         fh = open(path)
     except OSError as exc:
@@ -273,8 +281,21 @@ def _data_lines(path):
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.split("#", 1)[0].strip()
             if stripped:
-                out.append((lineno, stripped))
-    return out
+                lines.append((lineno, stripped))
+    if not lines:
+        raise ParseError("%s: empty file" % path)
+    lineno, header = lines[0]
+    head = header.split()
+    if len(head) != fields:
+        raise ParseError("%s:%d: %s header needs %d fields" % (path, lineno, kind, fields))
+    head = _ints(head, path, lineno)
+    if head[1] != supported[0]:
+        raise ParseError("%s:%d: only %s supported" % (path, lineno, supported[1]))
+    if len(lines) - 1 != head[0]:
+        raise ParseError(
+            "%s: header says %d %s, found %d" % (path, head[0], noun, len(lines) - 1)
+        )
+    return head, lines[1:]
 
 
 def _ints(tokens, path, lineno):
@@ -286,25 +307,14 @@ def _ints(tokens, path, lineno):
 
 def load_triangle_format(node_path, ele_path):
     """Read a .node/.ele pair; node indices may be 0- or 1-based."""
-    nlines = _data_lines(node_path)
-    if not nlines:
-        raise ParseError("%s: empty file" % node_path)
-    lineno, header = nlines[0]
-    head = header.split()
-    if len(head) != 4:
-        raise ParseError("%s:%d: node header needs 4 fields" % (node_path, lineno))
-    count, dim, nattr, nmark = _ints(head, node_path, lineno)
-    if dim != 2:
-        raise ParseError("%s:%d: only 2-d meshes supported" % (node_path, lineno))
-    if len(nlines) - 1 != count:
-        raise ParseError(
-            "%s: header says %d nodes, found %d" % (node_path, count, len(nlines) - 1)
-        )
+    (count, _, nattr, nmark), rows = _read_table(
+        node_path, "node", 4, (2, "2-d meshes"), "nodes"
+    )
     want = 3 + nattr + (1 if nmark else 0)
     raw_ids = []
     coords = []
     markers = []
-    for lineno, line in nlines[1:]:
+    for lineno, line in rows:
         toks = line.split()
         if len(toks) != want:
             raise ParseError(
@@ -330,22 +340,11 @@ def load_triangle_format(node_path, ele_path):
         if nmark:
             boundary[nid] = markers[pos] != 0
 
-    elines = _data_lines(ele_path)
-    if not elines:
-        raise ParseError("%s: empty file" % ele_path)
-    lineno, header = elines[0]
-    head = header.split()
-    if len(head) != 3:
-        raise ParseError("%s:%d: ele header needs 3 fields" % (ele_path, lineno))
-    tcount, npe, tattr = _ints(head, ele_path, lineno)
-    if npe != 3:
-        raise ParseError("%s:%d: only 3-node triangles supported" % (ele_path, lineno))
-    if len(elines) - 1 != tcount:
-        raise ParseError(
-            "%s: header says %d triangles, found %d" % (ele_path, tcount, len(elines) - 1)
-        )
+    (tcount, _, _), rows = _read_table(
+        ele_path, "ele", 3, (3, "3-node triangles"), "triangles"
+    )
     tris = np.empty((tcount, 3), dtype=np.int64)
-    for row, (lineno, line) in enumerate(elines[1:]):
+    for row, (lineno, line) in enumerate(rows):
         toks = line.split()
         if len(toks) < 4:
             raise ParseError("%s:%d: expected 4 fields" % (ele_path, lineno))

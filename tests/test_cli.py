@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver (in-process via main)."""
 
 import ast
+import errno
 import importlib
 import os
 import pathlib
@@ -11,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracpos import cli, fem, fullydiscrete, kernel, mesh
+from fracpos import cli, fem, fullydiscrete, kernel, mesh, semidiscrete
 from fracpos.errors import NoConvergence
 from fracpos.semidiscrete import ScanSpec
 
@@ -118,6 +119,85 @@ def test_file_mesh_with_wrong_boundary_markers_exits_2(tmp_path, capsys):
     assert "single(0.5)" not in out
     assert "boundary flags disagree with edge topology" in err
     assert not (tmp_path / "semi_threshold_sg.csv").exists()
+
+
+# a valid triangle: three 1-based nodes with boundary markers, one element
+NODE = "3 2 0 1\n1 0 0 1\n2 1 0 1\n3 0 1 1\n"
+ELE = "1 3 0\n1 1 2 3\n"
+MISSING = "cannot open %s: " + os.strerror(errno.ENOENT)
+
+
+@pytest.mark.parametrize("node, ele, message", [
+    pytest.param(None, ELE, MISSING % "{node}", id="node-missing"),
+    pytest.param("# comment only\n\n", ELE, "{node}: empty file", id="node-empty"),
+    pytest.param(
+        "3 2 0\n1 0 0\n2 1 0\n3 0 1\n", ELE, "{node}:1: node header needs 4 fields",
+        id="node-header-fields",
+    ),
+    pytest.param(
+        "# header\n3 2 0 x\n1 0 0 1\n", ELE, "{node}:2: expected integers",
+        id="node-header-integers",
+    ),
+    pytest.param(
+        NODE.replace("3 2", "3 3", 1), ELE, "{node}:1: only 2-d meshes supported", id="node-dim"
+    ),
+    pytest.param(
+        NODE.replace("3 2", "4 2", 1), ELE, "{node}: header says 4 nodes, found 3",
+        id="node-count",
+    ),
+    pytest.param(
+        NODE.replace("1 0 0 1", "1 0 0"), ELE, "{node}:2: expected 4 fields, got 3",
+        id="node-fields",
+    ),
+    pytest.param(
+        NODE.replace("1 0 0 1", "a 0 0 1"), ELE, "{node}:2: expected integers", id="node-id"
+    ),
+    pytest.param(
+        NODE.replace("\n1 0 0 1", "\n\n1 x 0 1"), ELE, "{node}:3: bad coordinate",
+        id="node-coordinate",
+    ),
+    pytest.param(
+        NODE.replace("1 0 0 1", "1 0 0 b"), ELE, "{node}:2: expected integers",
+        id="node-marker",
+    ),
+    pytest.param(
+        "3 2 0 1\n2 0 0 1\n3 1 0 1\n4 0 1 1\n", ELE,
+        "{node}: node indices must start at 0 or 1", id="node-base",
+    ),
+    pytest.param(
+        NODE.replace("2 1 0 1", "1 1 0 1"), ELE, "{node}: node indices must cover 0..2",
+        id="node-cover",
+    ),
+    pytest.param(NODE, None, MISSING % "{ele}", id="ele-missing"),
+    pytest.param(NODE, "\n# nothing\n", "{ele}: empty file", id="ele-empty"),
+    pytest.param(
+        NODE, "1 3\n1 1 2 3\n", "{ele}:1: ele header needs 3 fields", id="ele-header-fields"
+    ),
+    pytest.param(
+        NODE, "1 3 z\n1 1 2 3\n", "{ele}:1: expected integers", id="ele-header-integers"
+    ),
+    pytest.param(
+        NODE, "1 6 0\n1 1 2 3\n", "{ele}:1: only 3-node triangles supported", id="ele-npe"
+    ),
+    pytest.param(
+        NODE, "2 3 0\n1 1 2 3\n", "{ele}: header says 2 triangles, found 1", id="ele-count"
+    ),
+    pytest.param(NODE, "1 3 0\n1 1 2\n", "{ele}:2: expected 4 fields", id="ele-fields"),
+    pytest.param(NODE, "1 3 0\nq 1 2 3\n", "{ele}:2: expected integers", id="ele-id"),
+    pytest.param(
+        NODE, "1 3 0 # one\n1 1 2 x\n", "{ele}:2: expected integers", id="ele-vertex"
+    ),
+    pytest.param(
+        NODE, "1 3 0\n\n1 1 2 9\n", "{ele}:3: node index out of range", id="ele-range"
+    ),
+])
+def test_mesh_info_reports_each_parse_error(node, ele, message, tmp_path, capsys):
+    paths = {"node": str(tmp_path / "t.node"), "ele": str(tmp_path / "t.ele")}
+    for kind, text in (("node", node), ("ele", ele)):
+        if text is not None:
+            pathlib.Path(paths[kind]).write_text(text)
+    assert run_cli("mesh", "info", "--node", paths["node"], "--ele", paths["ele"]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message.format(**paths))
 
 
 def test_mesh_info_has_no_outdir(tmp_path):
@@ -259,6 +339,18 @@ def test_kernel_mittag_reads_alpha_from_config(tmp_path, capsys):
     assert run_cli("kernel", "mittag", "--config", str(cfg), "--x", "-1.0") == 0
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(last.split(",")[1]) == pytest.approx(0.427583576155807, rel=1e-9)
+
+
+def test_kernel_mittag_takes_negative_exponent_values(capsys):
+    # argparse's own pattern reads -1e8 as an unknown option
+    assert run_cli("kernel", "mittag", "--alpha", "0.5", "--x", "-0.5", "-1e8", "-1e20") == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    single = []
+    for x in ("-0.5", "-1e8", "-1e20"):
+        assert run_cli("kernel", "mittag", "--alpha", "0.5", "--x=" + x) == 0
+        single.extend(capsys.readouterr().out.splitlines()[2:])
+    assert len(rows) == 3
+    assert rows == single
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -498,6 +590,27 @@ def test_semi_certify_sliver_lm(capsys):
     out = capsys.readouterr().out
     assert "delaunay: false" in out
     assert "H^-3 > 0 but H^-1 is not; no certificate" in out
+
+
+def test_semi_certify_dumps_the_assembled_matrices(tmp_path, capsys):
+    rc = run_cli(
+        "semi", "certify", "--family", "sliver", "--M", "6", "--dump-matrices",
+        "--outdir", str(tmp_path),
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    m = mesh.gen_sliver_square(6)
+    for method in fem.METHODS:
+        for label, matrix in (
+            ("mass", fem.assemble_mass(m, method)), ("stiffness", fem.assemble_stiffness(m))
+        ):
+            path = tmp_path / ("%s_%s.csv" % (label, method))
+            assert "wrote %s" % path in out
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# fracpos 0.1.0 config=")
+            assert lines[1] == ",".join("c%d" % j for j in range(matrix.shape[1]))
+            dumped = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
+            np.testing.assert_array_equal(dumped, matrix)
 
 
 def test_semi_threshold_writes_report(tmp_path, capsys):
@@ -781,6 +894,27 @@ def test_reproduce_tables_at_default_levels(table, tmp_path, capsys):
     assert tuple(lines[2:]) == TABLE_ROWS[table]
 
 
+@pytest.mark.parametrize("failing", [0, 1], ids=["semi", "fully"])
+def test_reproduce_table_writes_a_failed_cell(failing, tmp_path, capsys, monkeypatch):
+    # a finder's error fills only its own cell; its commas would split the row
+    def fail(*args, **kwargs):
+        raise NoConvergence("no convergence, twice")
+
+    module, name = [
+        (semidiscrete, "positivity_threshold"), (fullydiscrete, "fd_positivity_threshold")
+    ][failing]
+    monkeypatch.setattr(module, name, fail)
+    assert run_cli("reproduce", "--table", "2", "--outdir", str(tmp_path)) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "table2.csv").read_text().splitlines()[2:]
+    assert len(rows) == len(TABLE_ROWS[2])
+    for row, want in zip(rows, TABLE_ROWS[2]):
+        cells, want = row.split(","), want.split(",")
+        assert len(cells) == 6
+        want[4 + failing] = "FAIL(no convergence; twice)"
+        assert cells == want
+
+
 def test_reproduce_validation(capsys):
     assert run_cli("reproduce") == 2  # neither table nor figure
     assert run_cli("reproduce", "--table", "1", "--figure", "2") == 2
@@ -825,6 +959,21 @@ def test_reproduce_figure3_smoke(tmp_path, capsys):
     assert min(heat) < -1e-3 and min(frac) < -1e-3 and min(fully) < -1e-3
     assert abs(heat[-1]) < 1e-12
     assert frac[-1] < -1e-9
+
+
+def test_reproduce_figure2(tmp_path, capsys):
+    assert run_cli("reproduce", "--figure", "2", "--outdir", str(tmp_path)) == 0
+    assert capsys.readouterr().out == "wrote %s\n" % (tmp_path / "figure2.csv")
+    lines = (tmp_path / "figure2.csv").read_text().splitlines()
+    assert lines[0].startswith("# fracpos 0.1.0 config=")
+    assert lines[1] == "t," + ",".join(
+        "%s_%s" % (op, method)
+        for op in ("single-0.5", "multi-0.5-0.2", "dist-exp")
+        for method in fem.METHODS
+    )
+    rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
+    assert rows.shape == (251, 10)  # the default grid, 1e-8..1e2 at 25 per decade
+    np.testing.assert_array_equal(rows[:, 0], ScanSpec().grid())
 
 
 def test_module_entry_point():
@@ -896,3 +1045,18 @@ def test_every_export_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), "%s.__all__: %r" % (module.__name__, name)
+
+
+def _readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## command line", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("fracpos ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
+    # commands without --outdir write into the working directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRACPOS_OUTDIR", raising=False)
+    assert run_cli(*argv) == 0
+    capsys.readouterr()

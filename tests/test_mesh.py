@@ -280,6 +280,44 @@ def test_load_reorders_interior_first(tmp_path):
     assert m.n_triangles == 2
 
 
+# the unit square cut into four triangles at its center (0-based ids)
+SQUARE_NODES = "0 0 0\n1 1 0\n2 1 1\n3 0 1\n4 0.5 0.5\n"
+SQUARE_CCW = "0 0 1 4\n1 1 2 4\n2 2 3 4\n3 3 0 4\n"
+
+
+def _load(tmp_path, name, node, ele):
+    (tmp_path / (name + ".node")).write_text(node)
+    (tmp_path / (name + ".ele")).write_text(ele)
+    return mesh.load_triangle_format(tmp_path / (name + ".node"), tmp_path / (name + ".ele"))
+
+
+def test_load_without_markers_takes_the_boundary_from_the_edges(tmp_path):
+    marked = "".join(
+        line + (" 0\n" if line.startswith("4") else " 1\n")
+        for line in SQUARE_NODES.splitlines()
+    )
+    want = _load(tmp_path, "marked", "5 2 0 1\n" + marked, "4 3 0\n" + SQUARE_CCW)
+    m = _load(tmp_path, "bare", "5 2 0 0\n" + SQUARE_NODES, "4 3 0\n" + SQUARE_CCW)
+    assert m.interior_count == 1
+    np.testing.assert_array_equal(m.nodes[0], [0.5, 0.5])
+    np.testing.assert_array_equal(m.boundary, [False, True, True, True, True])
+    np.testing.assert_array_equal(m.nodes, want.nodes)
+    np.testing.assert_array_equal(m.triangles, want.triangles)
+
+
+def test_load_flips_clockwise_triangles(tmp_path):
+    want = _load(tmp_path, "ccw", "5 2 0 0\n" + SQUARE_NODES, "4 3 0\n" + SQUARE_CCW)
+    # the same triangles listed clockwise, each with one attribute
+    clockwise = "".join(
+        "%s %s %s %s 7\n" % (t, a, c, b)
+        for t, a, b, c in (line.split() for line in SQUARE_CCW.splitlines())
+    )
+    m = _load(tmp_path, "cw", "5 2 0 0\n" + SQUARE_NODES, "4 3 1\n" + clockwise)
+    assert np.all(mesh.triangle_areas(m.nodes, m.triangles) > 0.0)
+    np.testing.assert_array_equal(m.triangles, want.triangles)
+    np.testing.assert_array_equal(m.nodes, want.nodes)
+
+
 def test_load_rejects_out_of_range_index(tmp_path):
     (tmp_path / "b.node").write_text(
         "3 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1\n3 0.0 1.0 1\n"
