@@ -430,7 +430,7 @@ def cmd_threshold(args):
 
 def cmd_semi_certify(args):
     mesh = _resolve_mesh(args)
-    out = _outdir(args)
+    out = _outdir(args) if args.dump_matrices else None
     delaunay = meshmod.is_delaunay(mesh)
     print("delaunay: %s" % ("true" if delaunay else "false"))
     print("normal: %s" % ("true" if meshmod.is_normal(mesh) else "false"))

@@ -324,15 +324,16 @@ def gen_sym_eigen(s, m):
     well).  A full M is reduced with no solve: L^{-1} by 2 x 2 blocks
     (_tril_inverse), C as two GEMMs, symmetrized in place, and back =
     L^{-T} W, forward = (M back)^T as two more.  Each matrix is held only
-    while it is needed: M until L is formed, L until L^{-1}, S until
-    L^{-1} S; M is assembled once more after eigh for forward.  Given
-    assemblers (fem.build_fem_system passes its own), the live N x N
-    arrays at eigh are L^{-1} and C, plus eigh's copy of C, its 2 N^2
-    workspace and W: about 6.  A diagonal M (the lumped mass) takes L =
-    diag(sqrt(m)) and applies L^{-1} as a product with the reciprocals
-    1/sqrt(m); under numpy's OpenBLAS that gives a Cholesky route's
-    eigensystem bit for bit, where dividing by sqrt(m) does not.  M is
-    then assembled only once.
+    while it is needed: M until L is formed, L^{-1} (inverted in place
+    over L) until C, S until L^{-1} S.  eigh never reads L^{-1}, so after
+    it M is assembled again and L^{-1} rebuilt by the same operations,
+    bit for bit, then M once more for forward.  Given assemblers
+    (fem.build_fem_system passes its own), the live N x N arrays at eigh
+    are C, eigh's copy of it, its 2 N^2 workspace and W: about 5.  A
+    diagonal M (the lumped mass) takes L = diag(sqrt(m)) and applies
+    L^{-1} as a product with the reciprocals 1/sqrt(m); under numpy's
+    OpenBLAS that gives a Cholesky route's eigensystem bit for bit, where
+    dividing by sqrt(m) does not.  M is then assembled only once.
     """
     assemble_s, assemble_m = _assembler(s), _assembler(m)
     mass = _check_square(assemble_m())
@@ -350,7 +351,7 @@ def gen_sym_eigen(s, m):
     else:
         ell = cholesky(mass)
         del mass
-        inv = _tril_inverse(ell)
+        inv = _tril_inverse(ell, out=ell)
         del ell
     stiff = _check_square(assemble_s())
     if stiff.shape != (n, n):
@@ -363,6 +364,7 @@ def gen_sym_eigen(s, m):
     del stiff
     if not lumped:
         c = c @ inv.T
+        del inv
     _symmetrize(c)
     try:
         w, vecs = np.linalg.eigh(_check_square(c))
@@ -375,8 +377,9 @@ def gen_sym_eigen(s, m):
         back = vecs * inv
         forward = (root * vecs).T
     else:
-        back = inv.T @ vecs
-        del inv, vecs
+        ell = cholesky(assemble_m())
+        back = _tril_inverse(ell, out=ell).T @ vecs
+        del ell, vecs
         forward = (np.asarray(assemble_m(), dtype=float) @ back).T
     return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)
 
@@ -392,6 +395,9 @@ def _tril_inverse(ell, out=None):
     [[A, 0], [B, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]]:
     np.linalg.inv (then tril) on diagonal blocks of at most BLOCK_ROWS
     rows, two GEMMs for each off-diagonal block, all written into out.
+    out may be ell itself: each off-diagonal block's right-hand side
+    reads B before the block is written, so inverting a factor from
+    cholesky (zero above the diagonal) in place gives the same bits.
     """
     if out is None:
         out = np.zeros_like(ell)

@@ -269,8 +269,8 @@ def _read_table(path, kind, fields, supported, noun):
     Drops # comments and blank lines and checks the header: `fields`
     integers, the second equal to supported = (value, what it allows)
     (the dimension, the nodes per triangle), the first the number of rows
-    (noun) that follow.  Returns the header and each row's (line number,
-    text).
+    (noun, at least 1) that follow.  Returns the header and each row's
+    (line number, text).
     """
     lines = []
     try:
@@ -291,6 +291,10 @@ def _read_table(path, kind, fields, supported, noun):
     head = _ints(head, path, lineno)
     if head[1] != supported[0]:
         raise ParseError("%s:%d: only %s supported" % (path, lineno, supported[1]))
+    if head[0] < 1:
+        raise ParseError(
+            "%s:%d: header says %d %s, need at least 1" % (path, lineno, head[0], noun)
+        )
     if len(lines) - 1 != head[0]:
         raise ParseError(
             "%s: header says %d %s, found %d" % (path, head[0], noun, len(lines) - 1)

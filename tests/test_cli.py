@@ -146,6 +146,9 @@ MISSING = "cannot open %s: " + os.strerror(errno.ENOENT)
         id="node-count",
     ),
     pytest.param(
+        "0 2 0 0\n", ELE, "{node}:1: header says 0 nodes, need at least 1", id="node-zero"
+    ),
+    pytest.param(
         NODE.replace("1 0 0 1", "1 0 0"), ELE, "{node}:2: expected 4 fields, got 3",
         id="node-fields",
     ),
@@ -181,6 +184,9 @@ MISSING = "cannot open %s: " + os.strerror(errno.ENOENT)
     ),
     pytest.param(
         NODE, "2 3 0\n1 1 2 3\n", "{ele}: header says 2 triangles, found 1", id="ele-count"
+    ),
+    pytest.param(
+        NODE, "0 3 0\n", "{ele}:1: header says 0 triangles, need at least 1", id="ele-zero"
     ),
     pytest.param(NODE, "1 3 0\n1 1 2\n", "{ele}:2: expected 4 fields", id="ele-fields"),
     pytest.param(NODE, "1 3 0\nq 1 2 3\n", "{ele}:2: expected integers", id="ele-id"),
@@ -590,6 +596,14 @@ def test_semi_certify_sliver_lm(capsys):
     out = capsys.readouterr().out
     assert "delaunay: false" in out
     assert "H^-3 > 0 but H^-1 is not; no certificate" in out
+
+
+def test_semi_certify_without_dump_creates_no_outdir(tmp_path, capsys):
+    out = tmp_path / "newdir"
+    rc = run_cli("semi", "certify", "--family", "uniform", "--M", "3", "--outdir", str(out))
+    assert rc == 0
+    assert "wrote" not in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_semi_certify_dumps_the_assembled_matrices(tmp_path, capsys):

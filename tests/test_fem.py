@@ -271,6 +271,29 @@ def test_built_system_peak_and_held_memory(method):
     assert held <= (2 * n * n + 8 * n) * 8
 
 
+@pytest.mark.parametrize("method", ["sg", "fve"])
+def test_full_mass_holds_only_c_at_eigh(method, monkeypatch):
+    # eigh never reads L^{-1}, so it is dropped once C is formed and
+    # rebuilt afterwards: C is the one numpy-visible N x N array at eigh
+    m = mesh.bundled_mesh("disk_medium")
+    n = m.interior_count
+    eigh = np.linalg.eigh
+    live = []
+
+    def traced_eigh(a):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return eigh(a)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", traced_eigh)
+    tracemalloc.start()
+    try:
+        fem.build_fem_system(m, method)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1
+    assert live[0] < 1.5 * n * n * 8
+
+
 # predicates
 
 

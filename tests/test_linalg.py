@@ -323,9 +323,10 @@ def test_lumped_mass_takes_no_solve(get_system, monkeypatch):
 
 @pytest.mark.parametrize("method", ["sg", "fve", "lm"])
 def test_gen_sym_eigen_peak_memory(get_system, method):
-    # next to S and M, the reduction holds C and L^{-1} (a vector when M is
-    # lumped), then eigh's eigenvectors and the two transforms: a
-    # numpy-visible peak of about 3 N x N matrices on either route
+    # next to S and M, the reduction holds L^{-1} (a vector when M is
+    # lumped) and C, then C alone at eigh (for a full M), then eigh's
+    # eigenvectors, L^{-1} again and the two transforms: a numpy-visible
+    # peak of about 3 N x N matrices on either route
     sys = get_system("disk_medium", method)
     n = sys.size
     # read before the trace: a system assembles its matrices on first read
@@ -337,6 +338,18 @@ def test_gen_sym_eigen_peak_memory(get_system, method):
     finally:
         tracemalloc.stop()
     assert peak < 3.5 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 129, 300])
+def test_tril_inverse_in_place_matches_out_of_place(n):
+    # sizes on both sides of BLOCK_ROWS, so the blocked recursion runs
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n, n))
+    ell = linalg.cholesky(b @ b.T + n * np.eye(n))
+    want = linalg._tril_inverse(ell)
+    got = linalg._tril_inverse(ell, out=ell)
+    assert got is ell
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [2, 5, 17, 50])
