@@ -185,7 +185,10 @@ def _header_line(parts):
 
 def _outdir(args):
     out = args.outdir if args.outdir is not None else os.environ.get("FRACPOS_OUTDIR", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError("cannot use output directory %r: %s" % (out, exc.strerror)) from exc
     return out
 
 
@@ -440,8 +443,11 @@ def cmd_semi_certify(args):
         stieltjes = fem.is_stieltjes(system.stiffness)
         power, hinv_min = semidiscrete.h_inverse_positivity(system)
         hinv_pos = power == 1
-        if method == "lm" and delaunay:
-            verdict = "nonnegative for every t and tau (delaunay mesh)"
+        if method == "lm" and (delaunay or stieltjes):
+            # a diagonal M and a Stieltjes S keep E(t) and E_{1,tau}
+            # nonnegative; a Delaunay mesh makes S Stieltjes
+            verdict = "nonnegative for every t and tau (%s)" % (
+                "delaunay mesh" if delaunay else "stieltjes stiffness")
         elif hinv_pos:
             verdict = "positivity threshold exists (H^-1 > 0)"
         elif power is not None:

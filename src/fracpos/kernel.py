@@ -207,7 +207,7 @@ def u_lambda_many(op, lams, t):
     time; a lambda above 1e150, whose square may overflow there, is
     recomputed from the complex quotient.  A lambda = 0 column, exactly 1,
     rides along: a defect above 1e-6 (overflow at tiny t, underflow at
-    huge t) raises ContourFailure.
+    huge t) raises ContourFailure naming the first time it fails at.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all((lams > 0.0) & (lams < math.inf)):
@@ -245,9 +245,13 @@ def u_lambda_many(op, lams, t):
             shifted -= cr_pi[part]
             shifted /= denom
             total = shifted.sum(axis=1) / math.pi
-            defect = np.abs(total[:, 0] - 1.0).max()
-            if not defect <= 1e-6:
-                raise ContourFailure("lambda = 0 defect %.3e" % defect)
+            defect = np.abs(total[:, 0] - 1.0)
+            bad = ~(defect <= 1e-6)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ContourFailure(
+                    "lambda = 0 defect %.3e at t = %r" % (defect[k], float(ts[part][k, 0]))
+                )
             rows[live[part]] = total[:, 1:]
             if huge.any():
                 quot = c[part, :, None] / (p[part, :, None] + lams[huge])

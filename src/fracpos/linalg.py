@@ -109,8 +109,7 @@ class EigenSystem:
         wide product back @ [diag(c_1) forward | diag(c_2) forward | ...],
         so a scan costs a few large GEMMs instead of one small GEMM per
         point.  A block of one row is exactly matrix_function's product.
-        A row of ones gives the identity's smallest entry exactly (0, or 1
-        when N = 1), since c = 1 makes the matrix function I.
+        Every row is read alike: a row of ones gives I up to roundoff.
         """
         rows = np.asarray(rows, dtype=float)
         n = self.size
@@ -122,7 +121,6 @@ class EigenSystem:
             scaled = block.T[:, :, None] * self.forward_transform[:, None, :]
             wide = self.back_transform @ scaled.reshape(n, -1)
             out[start:start + block.shape[0]] = wide.reshape(n, -1, n).min(axis=(0, 2))
-        out[(rows == 1.0).all(axis=1)] = 1.0 if n == 1 else 0.0
         return out
 
     def max_norms(self, rows):
@@ -153,8 +151,7 @@ class EigenSystem:
         product (back[i] * c) @ forward.  Its bound becomes the rounding
         of that product and of min_entries' own, 2 (N + 1) eps |c|_inf
         times max (|back| |forward|); the value agrees with min_entries to
-        that rounding, not bit for bit.  Rows of ones read the identity
-        exactly.
+        that rounding, not bit for bit.
         """
         rows = np.asarray(rows, dtype=float)
         n = self.size
@@ -191,8 +188,6 @@ class EigenSystem:
                 part[loose] = exact[loose]
                 err[loose] = 2 * (n + 1) * eps * np.abs(coeffs[loose]).max(axis=1)
             bound[batch] = err
-        ones = np.all(np.equal(rows, 1.0), axis=1)
-        out[ones], bound[ones] = (1.0 if n == 1 else 0.0), 0.0
         if scale is not None:
             bound *= scale
         return out, bound

@@ -144,16 +144,14 @@ def _finalize(nodes, triangles, boundary=None, family="", h0=None):
 def _lattice(nx, ny):
     """Index lattice of (nx + 1) x (ny + 1) nodes, row by row from the bottom.
 
-    Returns the grid indices i and j of every node, its boundary flags, and
-    the corners (bl, br, tr, tl) of the nx * ny cells in the same row-major
-    order.
+    Returns the grid indices i and j of every node and the corners
+    (bl, br, tr, tl) of the nx * ny cells in the same row-major order.
     """
     j, i = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
-    boundary = (i == 0) | (i == nx) | (j == 0) | (j == ny)
     cell_j, cell_i = np.divmod(np.arange(nx * ny), nx)
     bl = cell_j * (nx + 1) + cell_i
     tl = bl + nx + 1
-    return i, j, boundary, (bl, bl + 1, tl + 1, tl)
+    return i, j, (bl, bl + 1, tl + 1, tl)
 
 
 def _triangles(*corners):
@@ -162,10 +160,10 @@ def _triangles(*corners):
 
 
 def _unit_square(m):
-    """Nodes, boundary flags and triangles of the uniform mesh, h0 = 1/m."""
+    """Nodes and triangles of the uniform mesh, h0 = 1/m."""
     h0 = 1.0 / m
-    i, j, boundary, (a, b, c, d) = _lattice(m, m)
-    return np.column_stack([i * h0, j * h0]), boundary, _triangles((a, b, c), (a, c, d))
+    i, j, (a, b, c, d) = _lattice(m, m)
+    return np.column_stack([i * h0, j * h0]), _triangles((a, b, c), (a, c, d))
 
 
 def gen_uniform_square(m):
@@ -176,8 +174,8 @@ def gen_uniform_square(m):
     """
     if m < 2:
         raise InvalidParameter("need m >= 2, got %r" % (m,))
-    nodes, boundary, tris = _unit_square(m)
-    return _finalize(nodes, tris, boundary, family="uniform(M=%d)" % m, h0=1.0 / m)
+    nodes, tris = _unit_square(m)
+    return _finalize(nodes, tris, family="uniform(M=%d)" % m, h0=1.0 / m)
 
 
 def gen_crossed_rectangles(m):
@@ -192,18 +190,17 @@ def gen_crossed_rectangles(m):
     if m < 2:
         raise InvalidParameter("need m >= 2, got %r" % (m,))
     h0 = 0.5 / m
-    i, j, boundary, (bl, br, tr, tl) = _lattice(2 * m, m)
+    i, j, (bl, br, tr, tl) = _lattice(2 * m, m)
     # the centers follow the lattice nodes in cell order
     centers = i.size + np.arange(bl.size)
     nodes = np.concatenate([
         np.column_stack([i * h0, j * 2.0 * h0]),
         np.column_stack([i[bl] * h0 + 0.5 * h0, j[bl] * 2.0 * h0 + h0]),
     ])
-    boundary = np.concatenate([boundary, np.zeros(bl.size, dtype=bool)])
     tris = _triangles(
         (bl, br, centers), (br, tr, centers), (tr, tl, centers), (tl, bl, centers)
     )
-    return _finalize(nodes, tris, boundary, family="crossed(M=%d)" % m, h0=h0)
+    return _finalize(nodes, tris, family="crossed(M=%d)" % m, h0=h0)
 
 
 def gen_sliver_square(m, eps=1e-3):
@@ -221,7 +218,7 @@ def gen_sliver_square(m, eps=1e-3):
     if not 0.0 < eps < 0.25:
         raise InvalidParameter("eps must lie in (0, 1/4), got %r" % (eps,))
     h0 = 1.0 / m
-    nodes, boundary, tris = _unit_square(m)
+    nodes, tris = _unit_square(m)
     # ABC is the lower triangle of cell (m/2, 0), row m of the uniform mesh
     a, b, c = tris[m]
     p, q, r = range(nodes.shape[0], nodes.shape[0] + 3)
@@ -229,14 +226,11 @@ def gen_sliver_square(m, eps=1e-3):
         nodes,
         [(0.5 + 0.5 * h0, 0.0), (0.5 + 0.25 * h0, eps * h0), (0.5 + 0.75 * h0, eps * h0)],
     ])
-    boundary = np.concatenate([boundary, [True, False, False]])
     tris = np.concatenate([
         np.delete(tris, m, axis=0),
         [(a, p, q), (p, r, q), (p, b, r), (b, c, r), (q, r, c), (a, q, c)],
     ])
-    return _finalize(
-        nodes, tris, boundary, family="sliver(M=%d,eps=%g)" % (m, eps), h0=h0
-    )
+    return _finalize(nodes, tris, family="sliver(M=%d,eps=%g)" % (m, eps), h0=h0)
 
 
 def gen_equilateral_rhombus(m):
@@ -244,10 +238,10 @@ def gen_equilateral_rhombus(m):
     if m < 2:
         raise InvalidParameter("need m >= 2, got %r" % (m,))
     h0 = 1.0 / m
-    i, j, boundary, (a, b, c, d) = _lattice(m, m)
+    i, j, (a, b, c, d) = _lattice(m, m)
     nodes = np.column_stack([(i + 0.5 * j) * h0, 0.5 * math.sqrt(3.0) * j * h0])
     tris = _triangles((a, b, d), (b, c, d))
-    return _finalize(nodes, tris, boundary, family="equilateral(M=%d)" % m, h0=h0)
+    return _finalize(nodes, tris, family="equilateral(M=%d)" % m, h0=h0)
 
 
 # generated families by name; each takes the level m (sliver also eps=)
@@ -278,10 +272,13 @@ def _read_table(path, kind, fields, supported, noun):
     except OSError as exc:
         raise ParseError("cannot open %s: %s" % (path, exc.strerror)) from exc
     with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                lines.append((lineno, stripped))
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                stripped = raw.split("#", 1)[0].strip()
+                if stripped:
+                    lines.append((lineno, stripped))
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s: not a text file (%s)" % (path, exc.reason)) from exc
     if not lines:
         raise ParseError("%s: empty file" % path)
     lineno, header = lines[0]
@@ -503,6 +500,9 @@ def validate_mesh(mesh):
         raise InvalidParameter("duplicate nodes within 1e-12")
     if tris.min() < 0 or tris.max() >= nodes.shape[0]:
         raise InvalidParameter("triangle index out of range")
+    unused = np.bincount(tris.ravel(), minlength=nodes.shape[0]) == 0
+    if unused.any():
+        raise InvalidParameter("%d node(s) in no triangle" % np.count_nonzero(unused))
     areas = triangle_areas(nodes, tris)
     if areas.min() < _AREA_TOL:
         raise InvalidParameter("triangle area below 1e-14 or negative orientation")

@@ -15,6 +15,9 @@ changes at most once along the grid, as for the fully discrete scheme's
 E_{1,tau}, and the low end reads below the floor, the scan bisects over
 grid indices instead.
 A single dense E(t) is EigenSystem.matrix_function of one such row.
+Every time reaches kernel.u_lambda_many as given, so E(t) tends to I
+only as the kernel does, and a time below the kernel's lambda = 0 gate
+raises ContourFailure.
 """
 
 import functools
@@ -68,15 +71,6 @@ class ScanSpec:
         return np.geomspace(self.start, self.stop, self.points)
 
 
-def _kernel_rows(system, op, ts):
-    """Per-mode coefficients u_lambda(t) of E(t), one row per time.
-
-    Times at or below 1e-14 give a row of ones (E = I): they reach the
-    kernel as t = 0.
-    """
-    return kernel.u_lambda_many(op, system.eigen.eigenvalues, np.where(ts > 1e-14, ts, 0.0))
-
-
 def _exact_size(system):
     """Whether one N x N matrix fits in linalg.BLOCK_ENTRIES (N <= 181)."""
     return system.size ** 2 <= linalg.BLOCK_ENTRIES
@@ -93,7 +87,7 @@ def _read_mins(system, rows, fit_tol):
 def min_entry_curve(system, op, grid):
     """Smallest entry of E(t) along a time grid, as (t, min), read like a scan."""
     grid = np.asarray(grid, dtype=float)
-    rows = _kernel_rows(system, op, grid)
+    rows = kernel.u_lambda_many(op, system.eigen.eigenvalues, grid)
     return np.column_stack((grid, _read_mins(system, rows, KERNEL_SKELETON_TOL)[0]))
 
 
@@ -292,9 +286,8 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
 
 def positivity_threshold(system, op, scan=None, tol=None):
     """Time beyond which E(t) stays entrywise nonnegative (see scan_threshold)."""
-    return scan_threshold(
-        system, op, functools.partial(_kernel_rows, system, op), scan, tol
-    )
+    rows = functools.partial(kernel.u_lambda_many, op, system.eigen.eigenvalues)
+    return scan_threshold(system, op, rows, scan, tol)
 
 
 def _strictly_positive(a):

@@ -101,11 +101,16 @@ def test_file_mesh_above_the_cap_exits_2_before_assembly(tmp_path, capsys, monke
     assert "interior: 8281" in capsys.readouterr().out
 
 
+def _uniform_m3_files(tmp_path):
+    node, ele = tmp_path / "u3.node", tmp_path / "u3.ele"
+    mesh.save_triangle_format(mesh.gen_uniform_square(3), str(node), str(ele))
+    return node, ele
+
+
 def test_file_mesh_with_wrong_boundary_markers_exits_2(tmp_path, capsys):
     # corner node (0, 0) marked interior: solved as given, the corner would
     # become an unknown of a different problem
-    node, ele = tmp_path / "u3.node", tmp_path / "u3.ele"
-    mesh.save_triangle_format(mesh.gen_uniform_square(3), str(node), str(ele))
+    node, ele = _uniform_m3_files(tmp_path)
     lines = node.read_text().splitlines()
     corner = [k for k, line in enumerate(lines) if line.split()[1:3] == ["0", "0"]]
     assert len(corner) == 1
@@ -119,6 +124,33 @@ def test_file_mesh_with_wrong_boundary_markers_exits_2(tmp_path, capsys):
     assert "single(0.5)" not in out
     assert "boundary flags disagree with edge topology" in err
     assert not (tmp_path / "semi_threshold_sg.csv").exists()
+
+
+def test_file_mesh_that_is_not_text_exits_2(tmp_path, capsys):
+    node, ele = _uniform_m3_files(tmp_path)
+    node.write_bytes(node.read_bytes() + b"\xff")
+    assert run_cli("mesh", "info", "--node", str(node), "--ele", str(ele)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: %s: not a text file (" % node)
+
+
+def test_file_mesh_with_a_node_in_no_triangle_exits_2(tmp_path, capsys):
+    # the extra node lies on no edge, so it would pass as interior, and
+    # its zero mass row would only fail at assembly
+    node, ele = _uniform_m3_files(tmp_path)
+    lines = node.read_text().splitlines()
+    lines[0] = "17 2 0 1"
+    lines.append("17 0.5 0.5 0")
+    node.write_text("\n".join(lines) + "\n")
+    files = ("--node", str(node), "--ele", str(ele))
+    assert run_cli("mesh", "info", *files) == 2
+    assert capsys.readouterr() == ("", "error: 1 node(s) in no triangle\n")
+    rc = run_cli("semi", "threshold", *files, "--methods", "lm", "--outdir", str(tmp_path))
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: 1 node(s) in no triangle\n")
+    assert not (tmp_path / "semi_threshold_lm.csv").exists()
 
 
 # a valid triangle: three 1-based nodes with boundary markers, one element
@@ -415,6 +447,32 @@ def test_fully_threshold_from_a_tiny_scan_start(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("sg single(0.5): 2.78e-05")
 
 
+def test_semi_threshold_reads_the_kernel_at_tiny_times(tmp_path, capsys):
+    # E(t) = I - beta0(t) H + ...: at alpha = 0.1 sg goes negative only
+    # below t = 4.34e-23, where the scan reads the kernel, not E = I
+    rc = run_cli(
+        "semi", "threshold", "--family", "uniform", "--M", "10", "--methods", "sg",
+        "--alpha", "0.1", "--scan-start", "1e-30", "--outdir", str(tmp_path),
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("sg single(0.1): 4.34e-23")
+
+
+def test_semi_threshold_below_the_kernel_gate_exits_1(tmp_path, capsys):
+    # single(0.5)'s contour fails its lambda = 0 check at t <= 1e-203:
+    # the scan names the time and writes no curve
+    rc = run_cli(
+        "semi", "threshold", "--family", "uniform", "--M", "10", "--methods", "sg",
+        "--scan-start", "1e-250", "--outdir", str(tmp_path),
+    )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: lambda = 0 defect") and "at t = " in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_kernel_weights_rejects_non_finite_weights(bad, capsys):
     rc = run_cli(
@@ -577,6 +635,26 @@ def test_outdir_env_fallback(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "env" / "equilateral_M3.node").exists()
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_outdir_that_cannot_be_a_directory_exits_2(sub, via, tmp_path, capsys, monkeypatch):
+    # an existing file, or a path under one
+    afile = tmp_path / "afile"
+    afile.write_text("x\n")
+    out = str(afile / sub) if sub else str(afile)
+    args = ["mesh", "gen", "--family", "uniform", "--M", "3"]
+    if via == "flag":
+        args += ["--outdir", out]
+    else:
+        monkeypatch.setenv("FRACPOS_OUTDIR", out)
+    assert run_cli(*args) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot use output directory %r: " % out)
+    assert afile.read_text() == "x\n"
+
+
 # verdict commands
 
 
@@ -596,6 +674,41 @@ def test_semi_certify_sliver_lm(capsys):
     out = capsys.readouterr().out
     assert "delaunay: false" in out
     assert "H^-3 > 0 but H^-1 is not; no certificate" in out
+
+
+def test_semi_certify_lm_on_a_stieltjes_non_delaunay_mesh(tmp_path, capsys):
+    # equilateral M=8 with boundary node 58 moved 0.675 of the way to the
+    # midpoint of edge (0, 50): that edge, which touches the boundary,
+    # fails the angle test by 0.0218, yet S stays Stieltjes, so lm is
+    # nonnegative at every t and tau
+    base = mesh.gen_equilateral_rhombus(8)
+    nodes = base.nodes.copy()
+    nodes[58] += 0.675 * (0.5 * (nodes[0] + nodes[50]) - nodes[58])
+    moved = mesh.TriMesh(nodes=nodes, triangles=base.triangles, boundary=base.boundary)
+    (bad,) = [e for e in mesh.delaunay_edges(moved) if not e.is_delaunay]
+    assert (bad.node_a, bad.node_b) == (0, 50)
+    assert sum(bad.opposite_angles) - np.pi == pytest.approx(0.0218, abs=1e-4)
+    node, ele = str(tmp_path / "rhombus.node"), str(tmp_path / "rhombus.ele")
+    mesh.save_triangle_format(moved, node, ele)
+    files = ("--node", node, "--ele", ele)
+    assert run_cli("mesh", "info", *files) == 0
+    assert "delaunay: false (1 edges fail)" in capsys.readouterr().out
+    assert run_cli("semi", "certify", *files) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = {line.split(":")[0]: line.split(" -> ")[1] for line in lines[2:]}
+    assert "lm: stiffness stieltjes=True" in lines[3]
+    assert verdicts == {
+        "sg": "positivity threshold exists (H^-1 > 0)",
+        "lm": "nonnegative for every t and tau (stieltjes stiffness)",
+        "fve": "positivity threshold exists (H^-1 > 0)",
+    }
+    for command in ("semi", "fully"):
+        rc = run_cli(
+            command, "threshold", *files, "--methods", "lm", "--scan-start", "1e-30",
+            "--scan-stop", "1e4", "--outdir", str(tmp_path),
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("lm single(0.5): all-nonnegative")
 
 
 def test_semi_certify_without_dump_creates_no_outdir(tmp_path, capsys):

@@ -478,6 +478,13 @@ def test_contour_gate_fails_on_nan_residual():
         kernel.u_lambda_many(SINGLE, [2.0], 1e-300)
 
 
+def test_contour_failure_names_the_first_failing_time():
+    with np.errstate(all="ignore"), pytest.raises(
+        ContourFailure, match=r"^lambda = 0 defect nan at t = 1e-250$"
+    ):
+        kernel.u_lambda_many(SINGLE, [2.0], [1.0, 1e-250, 1e-300])
+
+
 # asymptotic scale functions
 
 
