@@ -137,7 +137,8 @@ def _load_config(path):
             for name, text in parser.items(section)
         ]
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise UsageError("config file %s: %s" % (path, exc)) from exc
+        # configparser spreads its messages over several lines
+        raise UsageError("config file %s: %s" % (path, " ".join(str(exc).split()))) from exc
     by_key = {opt.key: opt for opt in _OPTIONS.values() if opt.key}
     values = {}
     for key, text in entries:
@@ -248,7 +249,6 @@ def _resolve_mesh(args):
         if args.node is None or args.ele is None:
             raise UsageError("--node and --ele go together")
         mesh = meshmod.load_triangle_format(args.node, args.ele)
-        meshmod.validate_mesh(mesh)
         # generated and bundled meshes are held to the cap by --M; the
         # mesh commands build no N x N matrix
         if args.command != "mesh" and mesh.interior_count > _DENSE_SIDE:
@@ -334,9 +334,7 @@ def cmd_mesh_gen(args):
 
 
 def cmd_mesh_info(args):
-    mesh = _resolve_mesh(args)
-    meshmod.validate_mesh(mesh)
-    print(_mesh_report(mesh))
+    print(_mesh_report(_resolve_mesh(args)))
     return 0
 
 

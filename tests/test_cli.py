@@ -75,6 +75,25 @@ def test_mesh_flags_rejected_for_file_sources(extra, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+DISK_COARSE = os.path.join(os.path.dirname(mesh.__file__), "meshes", "disk_coarse")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("kernel", "ulambda", "--alpha", "0.5", "0.2", "--weights", "1", "--lambda", "1",
+      "--t", "1"), "weights and exponents differ in length"),
+    (("mesh", "info", "--node", DISK_COARSE + ".node"), "--node and --ele go together"),
+    (("mesh", "gen", "--node", DISK_COARSE + ".node", "--ele", DISK_COARSE + ".ele"),
+     "mesh gen works on generated families; use mesh info for files"),
+    (("reproduce", "--figure", "4"), "--figure takes 2 or 3"),
+], ids=["alpha-weights", "node-without-ele", "gen-from-files", "figure-4"])
+def test_rules_across_flags_exit_2_with_one_line(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRACPOS_OUTDIR", raising=False)
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("key", ["eps = 0.1", "m = 5"])
 def test_config_mesh_keys_rejected_for_bundled(key, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
@@ -153,6 +172,49 @@ def test_file_mesh_with_a_node_in_no_triangle_exits_2(tmp_path, capsys):
     assert not (tmp_path / "semi_threshold_lm.csv").exists()
 
 
+def test_file_mesh_that_folds_exits_2(tmp_path, capsys):
+    # moving the center node of uniform M=4 past its neighbours inverts one
+    # triangle; reoriented, it overlaps a neighbour along their shared edge
+    base = mesh.gen_uniform_square(4)
+    nodes = base.nodes.copy()
+    center = np.flatnonzero(np.all(nodes == 0.5, axis=1))
+    nodes[center] = (0.81, 0.61)
+    folded = mesh.TriMesh(nodes=nodes, triangles=base.triangles, boundary=base.boundary)
+    node, ele = str(tmp_path / "f.node"), str(tmp_path / "f.ele")
+    mesh.save_triangle_format(folded, node, ele)
+    files = ("--node", node, "--ele", ele)
+    message = (
+        "error: triangles at index 13 and 20 overlap along edge (4, 5) "
+        "(0-based node ids, interior nodes first)\n"
+    )
+    assert run_cli("mesh", "info", *files) == 2
+    assert capsys.readouterr() == ("", message)
+    rc = run_cli("semi", "threshold", *files, "--methods", "sg", "lm", "--outdir", str(tmp_path))
+    assert rc == 2
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "semi_threshold_sg.csv").exists()
+
+
+@pytest.mark.parametrize("row, line, message", [
+    (0, "1 inf 0.33333333333333331 0", "non-finite node coordinates"),
+    (0, "1 -1e308 0.33333333333333331 0", "node coordinate of size 1e+308, above 1e+100"),
+    (7, "8 1e308 0 1", "node coordinate of size 1e+308, above 1e+100"),
+], ids=["inf", "minus-1e308", "boundary-1e308"])
+def test_file_mesh_coordinates_past_the_bound_exit_2(row, line, message, tmp_path, capsys):
+    # rejected before any area is formed: no overflow warning, no h of 309 digits
+    node, ele = _uniform_m3_files(tmp_path)
+    lines = node.read_text().splitlines()
+    assert lines[1 + row].split()[0] == line.split()[0]
+    lines[1 + row] = line
+    node.write_text("\n".join(lines) + "\n")
+    files = ("--node", str(node), "--ele", str(ele))
+    assert run_cli("mesh", "info", *files) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    rc = run_cli("semi", "threshold", *files, "--methods", "sg", "lm", "--outdir", str(tmp_path))
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 # a valid triangle: three 1-based nodes with boundary markers, one element
 NODE = "3 2 0 1\n1 0 0 1\n2 1 0 1\n3 0 1 1\n"
 ELE = "1 3 0\n1 1 2 3\n"
@@ -202,6 +264,14 @@ MISSING = "cannot open %s: " + os.strerror(errno.ENOENT)
     pytest.param(
         NODE.replace("2 1 0 1", "1 1 0 1"), ELE, "{node}: node indices must cover 0..2",
         id="node-cover",
+    ),
+    pytest.param(
+        NODE.replace("1 0 0 1", "1 nan 0 1"), ELE, "non-finite node coordinates",
+        id="node-nan",
+    ),
+    pytest.param(
+        NODE.replace("3 0 1 1", "3 1 0 1"), ELE, "duplicate nodes within 1e-12",
+        id="node-duplicate",
     ),
     pytest.param(NODE, None, MISSING % "{ele}", id="ele-missing"),
     pytest.param(NODE, "\n# nothing\n", "{ele}: empty file", id="ele-empty"),
@@ -609,10 +679,11 @@ def test_config_eps_rejected_for_non_sliver(tmp_path, capsys):
          "config key extra.per_decade: not one of"),
         ("[DEFAULT]\nper_decade = 5\n", ("semi", "curve", "--family", "uniform", "--M", "4"),
          "config key DEFAULT.per_decade: not one of"),
+        ("[mesh]\nm =\n", ("mesh", "info", "--family", "uniform"), "config key mesh.m: no value"),
     ],
     ids=[
         "bad-float", "bad-choice", "above-bound", "malformed", "unknown-key", "unknown-section",
-        "default-section",
+        "default-section", "empty-value",
     ],
 )
 def test_config_values_get_the_flag_checks(
@@ -624,7 +695,8 @@ def test_config_values_get_the_flag_checks(
     monkeypatch.delenv("FRACPOS_OUTDIR", raising=False)
     (tmp_path / "run.ini").write_text(text)
     assert run_cli(*argv, "--config", "run.ini") == 2
-    assert "error: " + message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
 
 

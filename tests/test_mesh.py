@@ -318,6 +318,13 @@ def test_load_flips_clockwise_triangles(tmp_path):
     np.testing.assert_array_equal(m.nodes, want.nodes)
 
 
+def test_load_rejects_triangles_on_one_side_of_an_edge(tmp_path):
+    # both triangles lie above the edge (0, 1), so they overlap next to it
+    node = "4 2 0 0\n0 0 0\n1 1 0\n2 0 1\n3 0.8 0.8\n"
+    with pytest.raises(InvalidParameter, match="overlap along edge"):
+        _load(tmp_path, "fold", node, "2 3 0\n0 0 1 2\n1 0 1 3\n")
+
+
 def test_load_rejects_out_of_range_index(tmp_path):
     (tmp_path / "b.node").write_text(
         "3 2 0 1\n1 0.0 0.0 1\n2 1.0 0.0 1\n3 0.0 1.0 1\n"

@@ -123,7 +123,6 @@ def build(domain, pitch, rng, sweeps=40):
 
 
 def verify(name, domain, mesh, target):
-    meshmod.validate_mesh(mesh)
     if not meshmod.is_delaunay(mesh):
         bad = sum(not e.is_delaunay for e in meshmod.delaunay_edges(mesh))
         raise SystemExit("%s: %d non-delaunay edges" % (name, bad))
