@@ -420,7 +420,7 @@ def cmd_threshold(args):
     parts = {"cmd": "%s-threshold" % args.command, "op": op.label}
     for method in args.methods:
         system = fem.build_fem_system(mesh, method)
-        report = find(system, op, scan=scan, tol=args.tol)
+        report = find(system, op, scan=scan, tol=args.tol, curve=True)
         path = _write_method_csv(
             out, args.command + "_threshold", method, mesh, parts, (column, "min_entry"),
             report.curve, _threshold_trailer(report), scan,
@@ -681,7 +681,7 @@ def _reproduce_figure(args):
         curves = [
             semidiscrete.min_entry_curve(system, heat, grid)[:, 1],
             semidiscrete.min_entry_curve(system, op, grid)[:, 1],
-            fullydiscrete.fd_positivity_threshold(system, op, scan=scan).curve[:, 1],
+            fullydiscrete.fd_positivity_threshold(system, op, scan=scan, curve=True).curve[:, 1],
         ]
     rows = np.column_stack([grid] + curves)
     path = os.path.join(out, "figure%d.csv" % args.figure)

@@ -44,7 +44,3 @@ class DegenerateTriangle(NumericalError):
 
 class ContourFailure(NumericalError):
     """Contour quadrature lost conjugate symmetry; result untrustworthy."""
-
-
-class ScanMismatch(NumericalError):
-    """A threshold scan's full curve contradicts the verdict it was decided by."""

@@ -41,23 +41,22 @@ __all__ = [
 ]
 
 
-def fd_positivity_threshold(system, op, scan=None, tol=None):
+def fd_positivity_threshold(system, op, scan=None, tol=None, curve=False):
     """Step size beyond which E_{1,tau} is entrywise nonnegative.
 
     Scans tau with semidiscrete.scan_threshold on a log grid of at least
     six decades.  The sign of E_{1,tau} changes at most once along it (see
-    the module docstring), so the scan bisects over grid indices: the two
-    ends, then one point per halving of the index range, then bisection
-    between the two grid points around the change.  As tau -> 0,
-    E_{1,tau} -> I and its negativity sinks under the floor, so a low end
-    that reads nonnegative brackets nothing: the scan then reads the grid
-    top-down, as the semidiscrete one does.  The coefficient rows
-    omega_0 / (omega_0 + lambda) take omega_0 = P(1/tau) from
-    kernel.cq_weights, the stepper's own first-step formula.  Reading the
-    report's curve reduces the whole grid through the scanner's one
-    reader (on disk_medium sg a skeleton of these Cauchy-matrix rows,
-    rank 30 of 251) and raises ScanMismatch if it contradicts the
-    bisection.
+    the module docstring), so a scan that only decides bisects over grid
+    indices: the two ends, then one point per halving of the index range,
+    then bisection between the two grid points around the change.  As
+    tau -> 0, E_{1,tau} -> I and its negativity sinks under the floor, so
+    a low end that reads nonnegative brackets nothing: the scan then
+    reads the grid top-down, as the semidiscrete one does.  The
+    coefficient rows omega_0 / (omega_0 + lambda) take omega_0 = P(1/tau)
+    from kernel.cq_weights, the stepper's own first-step formula.
+    curve=True reads the whole grid once through the scanner's one reader
+    (on disk_medium sg a skeleton of these Cauchy-matrix rows, rank 30 of
+    251) and decides from it.
     """
     lams = system.eigen.eigenvalues
 
@@ -68,7 +67,7 @@ def fd_positivity_threshold(system, op, scan=None, tol=None):
             omega0 = kernel.cq_weights(op, taus, 0)
             return omega0 / (omega0 + lams)
 
-    return scan_threshold(system, op, coeffs, scan, tol, monotone=True)
+    return scan_threshold(system, op, coeffs, scan, tol, monotone=True, curve=curve)
 
 
 def convergence_rate(system, op, t, n_list):

@@ -101,8 +101,10 @@ def edge_table(triangles):
     """
     tri = np.asarray(triangles, dtype=np.int64)
     sides = np.sort(np.stack([tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=2), axis=2)
-    edges, of_half = np.unique(sides.reshape(-1, 2), axis=0, return_inverse=True)
-    return edges, of_half.reshape(tri.shape)
+    # a * n + b sorts as the pair (a, b) does, so one 1-d unique gives the row order
+    n = int(tri.max(initial=0)) + 1
+    codes, of_half = np.unique(sides[..., 0] * n + sides[..., 1], return_inverse=True)
+    return np.stack(np.divmod(codes, n), axis=1), of_half.reshape(tri.shape)
 
 
 def _finalize(nodes, triangles, boundary=None, family="", h0=None):

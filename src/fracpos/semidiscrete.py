@@ -8,12 +8,12 @@ scan_threshold runs that scan for any per-mode coefficient rows c(x).
 Every curve and scan reads its minima through one reader, _read_mins:
 exact EigenSystem.min_entries on a small system (_exact_size), a
 skeleton of the rows (EigenSystem.skeleton_min_entries) above.  A scan
-reads blocks from the top of the grid: one decade at a time on a small
-system, the whole grid at once on a large one, its kernel rows fitted
-to the kernel's own accuracy (KERNEL_SKELETON_TOL).  When the sign
-changes at most once along the grid, as for the fully discrete scheme's
-E_{1,tau}, and the low end reads below the floor, the scan bisects over
-grid indices instead.
+asked for its curve reads the whole grid once and decides from it.  A
+scan that only decides reads blocks from the top of the grid: one decade
+at a time on a small system, the whole grid at once on a large one.
+When the sign changes at most once along the grid, as for the fully
+discrete scheme's E_{1,tau}, and the low end reads below the floor, it
+bisects over grid indices instead.
 A single dense E(t) is EigenSystem.matrix_function of one such row.
 Every time reaches kernel.u_lambda_many as given, so E(t) tends to I
 only as the kernel does, and a time below the kernel's lambda = 0 gate
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, linalg
-from .errors import InvalidParameter, NumericalError, ScanMismatch
+from .errors import InvalidParameter, NumericalError
 
 __all__ = [
     "ScanSpec",
@@ -91,32 +91,24 @@ def min_entry_curve(system, op, grid):
     return np.column_stack((grid, _read_mins(system, rows, KERNEL_SKELETON_TOL)[0]))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ThresholdReport:
     """Outcome of a threshold scan.
 
     status is one of "found" (value and bracket set), "all-nonnegative"
     (the smallest entry never drops below -tolerance), or "none-found"
     (still negative at the end of the scan).  curve holds (x, smallest
-    entry) over the whole scan grid; the scan computes and reduces only
-    the rows that decide the status, and the first read of curve does the
-    rest through fill_curve().  After a sign-monotone scan, fill_curve
-    reduces the whole grid and raises ScanMismatch when that curve
-    decides a different status or grid bracket than the bisection did.
+    entry) over the whole scan grid when the scan was asked for it
+    (curve=True), else None.
     """
 
     status: str
     value: float
     bracket: tuple
     tolerance: float
-    fill_curve: object = field(repr=False)
+    curve: object = field(default=None, repr=False)
     method: str = ""
     operator: str = ""
-
-    @functools.cached_property
-    def curve(self):
-        curve, self.fill_curve = self.fill_curve(), None
-        return curve
 
     @property
     def found(self):
@@ -128,16 +120,6 @@ class ThresholdReport:
         return self.status
 
 
-def _grid_verdict(mins, tol):
-    """Status and index of the last point below -tol (None unless "found")."""
-    neg = mins < -tol
-    if not neg.any():
-        return "all-nonnegative", None
-    if neg[-1]:
-        return "none-found", None
-    return "found", int(np.nonzero(neg)[0][-1])
-
-
 def detect_threshold(grid, mins, value_fn, tol):
     """Last sign change of min-entry data, bisected to three digits.
 
@@ -145,9 +127,12 @@ def detect_threshold(grid, mins, value_fn, tol):
     bracket's ends are within a relative 2e-3 of each other.  Returns
     (status, value, bracket).
     """
-    status, last = _grid_verdict(mins, tol)
-    if last is None:
-        return status, None, None
+    neg = mins < -tol
+    if not neg.any():
+        return "all-nonnegative", None, None
+    if neg[-1]:
+        return "none-found", None, None
+    last = int(np.nonzero(neg)[0][-1])
     lo, hi = grid[last], grid[last + 1]
     while hi / lo > 1.0 + 2e-3:
         mid = math.sqrt(lo * hi)
@@ -179,7 +164,7 @@ def _bisect_indices(grid, reduce, tol, ends):
     return np.array([lo, hi]), np.array([lo_min, hi_min])
 
 
-def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
+def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False, curve=False):
     """Threshold of back @ diag(c(x)) @ forward over a log scan of x.
 
     coeffs(xs) returns one row of per-mode coefficients c(x) per point.
@@ -191,26 +176,24 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     Every read goes through _read_mins, and each point it puts within its
     error bound of -tol is re-read exactly from the rows already at hand,
     so the verdict, value and bracket are those of an exact read of the
-    whole grid.  The grid goes one block at a time from the largest x
-    down, stopping after the first block with a point below -tol:
-    "none-found" needs the top block only, "all-nonnegative" the whole
-    grid.  A block is one decade on a system of _exact_size and the whole
-    grid above it, one coeffs call read through a skeleton.  Skeletons of
-    the top-down scan's rows are fitted to KERNEL_SKELETON_TOL, those of a
-    monotone scan to linalg.SKELETON_TOL.
+    whole grid.  Skeletons of a monotone scan's rows are fitted to
+    linalg.SKELETON_TOL, all others to KERNEL_SKELETON_TOL.
+
+    curve=True reads the whole grid in one coeffs call, decides from it
+    and keeps it as the report's curve.  Otherwise the scan reads only
+    what decides, one block at a time from the largest x down, stopping
+    after the first block with a point below -tol: "none-found" needs the
+    top block only, "all-nonnegative" the whole grid.  A block is one
+    decade on a system of _exact_size and the whole grid above it.
 
     monotone=True is for curves whose sign changes at most once along the
-    grid, from negative to nonnegative.  The scan then reduces the two
-    ends.  When the low end reads below -tol it bisects: one point per
-    halving of the index range (about log2 of the grid size), then
-    refinement between the two grid points around the change.  Otherwise
-    the negativity may only have sunk under the floor at the low end, so
-    the ends decide nothing and the scan reads top-down as above, the
-    whole grid in one block.
-
-    The report's curve is computed when first read: a top-down scan
-    reduces the rest of its grid; a bisected scan reads the whole grid and
-    checks the curve's verdict against its bisected one (ScanMismatch).
+    grid, from negative to nonnegative.  A scan that only decides then
+    reduces the two ends.  When the low end reads below -tol it bisects:
+    one point per halving of the index range (about log2 of the grid
+    size), then refinement between the two grid points around the change.
+    Otherwise the negativity may only have sunk under the floor at the low
+    end, so the ends decide nothing and the scan reads top-down as above,
+    the whole grid in one block.
     """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
@@ -231,7 +214,8 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
         return values
 
     fit_tol = linalg.SKELETON_TOL if monotone else KERNEL_SKELETON_TOL
-    block = scan.per_decade if _exact_size(system) and not monotone else grid.size
+    by_decade = _exact_size(system) and not (monotone or curve)
+    block = scan.per_decade if by_decade else grid.size
 
     def reduce(xs):
         rows = coeffs(xs)
@@ -242,11 +226,8 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
             mins[near] = system.eigen.min_entries(rows[near])
         return finite(mins, xs, "smallest entry")
 
-    bisect = False
-    if monotone:
-        ends = reduce(grid[[0, -1]])
-        bisect = bool(ends[0] < -tol)
-    if bisect:
+    ends = reduce(grid[[0, -1]]) if monotone and not curve else None
+    if ends is not None and ends[0] < -tol:
         idx, mins = _bisect_indices(grid, reduce, tol, ends)
     else:
         start, mins = grid.size, np.empty(0)
@@ -257,37 +238,21 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False):
     status, value, bracket = detect_threshold(
         grid[idx], mins, lambda x: reduce(np.array([x]))[0], tol
     )
-
-    def fill_curve():
-        if not bisect:
-            rest = reduce(grid[:start]) if start else np.empty(0)
-            return np.column_stack((grid, np.concatenate((rest, mins))))
-        curve = reduce(grid)
-        full = _grid_verdict(curve, tol)
-        bisected = (status, int(idx[0]) if status == "found" else None)
-        if full != bisected:
-            raise ScanMismatch(
-                "%s %s: full curve gives %s at grid index %s, "
-                "index bisection %s at %s"
-                % ((system.method, op.label) + full + bisected)
-            )
-        return np.column_stack((grid, curve))
-
     return ThresholdReport(
         status=status,
         value=value,
         bracket=bracket,
         tolerance=tol,
-        fill_curve=fill_curve,
+        curve=np.column_stack((grid, mins)) if curve else None,
         method=system.method,
         operator=op.label,
     )
 
 
-def positivity_threshold(system, op, scan=None, tol=None):
+def positivity_threshold(system, op, scan=None, tol=None, curve=False):
     """Time beyond which E(t) stays entrywise nonnegative (see scan_threshold)."""
     rows = functools.partial(kernel.u_lambda_many, op, system.eigen.eigenvalues)
-    return scan_threshold(system, op, rows, scan, tol)
+    return scan_threshold(system, op, rows, scan, tol, curve=curve)
 
 
 def _strictly_positive(a):

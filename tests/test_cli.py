@@ -528,9 +528,17 @@ def test_semi_threshold_reads_the_kernel_at_tiny_times(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("sg single(0.1): 4.34e-23")
 
 
-def test_semi_threshold_below_the_kernel_gate_exits_1(tmp_path, capsys):
+def test_semi_threshold_below_the_kernel_gate_exits_1(tmp_path, capsys, monkeypatch):
     # single(0.5)'s contour fails its lambda = 0 check at t <= 1e-203:
-    # the scan names the time and writes no curve
+    # the scan's one whole-grid read names the time, before any refinement
+    # step, and no curve is written
+    detect_threshold = semidiscrete.detect_threshold
+    steps = []
+
+    def counting_detect(grid, mins, value_fn, tol):
+        return detect_threshold(grid, mins, lambda x: steps.append(x) or value_fn(x), tol)
+
+    monkeypatch.setattr(semidiscrete, "detect_threshold", counting_detect)
     rc = run_cli(
         "semi", "threshold", "--family", "uniform", "--M", "10", "--methods", "sg",
         "--scan-start", "1e-250", "--outdir", str(tmp_path),
@@ -541,6 +549,7 @@ def test_semi_threshold_below_the_kernel_gate_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("numerical failure: lambda = 0 defect") and "at t = " in err
     assert os.listdir(tmp_path) == []
+    assert steps == []
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -825,6 +834,27 @@ def test_semi_threshold_writes_report(tmp_path, capsys):
     assert '"status": "found"' in text
 
 
+
+@pytest.mark.parametrize(
+    "source, method",
+    [(("--family", "uniform", "--M", "10"), m) for m in fem.METHODS]
+    + [(("--bundled", "disk_medium"), "sg")],
+    ids=["uniform10-sg", "uniform10-lm", "uniform10-fve", "disk_medium-sg"],
+)
+def test_semi_threshold_writes_the_semi_curve(source, method, tmp_path, capsys):
+    # a command that writes a curve reads the whole grid once, so the
+    # threshold command's curve is the curve command's, bit for bit
+    for cmd in ("threshold", "curve"):
+        out = str(tmp_path / cmd)
+        assert run_cli("semi", cmd, *source, "--methods", method, "--outdir", out) == 0
+    capsys.readouterr()
+    rows = []
+    for cmd in ("threshold", "curve"):
+        lines = (tmp_path / cmd / ("semi_%s_%s.csv" % (cmd, method))).read_text().splitlines()
+        rows.append([line for line in lines[2:] if not line.startswith("#")])
+    assert len(rows[1]) == ScanSpec().points
+    assert rows[0] == rows[1]
+
 def test_fully_threshold_crossed_lm(tmp_path, capsys):
     rc = run_cli(
         "fully", "threshold", "--family", "crossed", "--M", "3", "--methods", "lm",
@@ -838,26 +868,32 @@ def test_fully_threshold_crossed_lm(tmp_path, capsys):
 def test_fully_threshold_exits_1_when_curve_contradicts_bisection(
     tmp_path, capsys, monkeypatch
 ):
-    # -E_{1,tau} on (0.1, 1): negative again after the bisected change
+    # -E_{1,tau} on (0.1, 1): negative again after the first change.  The
+    # command reads the whole grid once and decides from it, so it reports
+    # the last change, at 1, and its curve holds the dip
     scan_threshold = fullydiscrete.scan_threshold
 
-    def dipping_scan(system, op, coeffs, scan, tol, monotone):
+    def dipping_scan(system, op, coeffs, scan, tol, monotone, curve):
         def dipped(taus):
             flip = np.where((taus > 0.1) & (taus < 1.0), -1.0, 1.0)
             return flip[:, None] * coeffs(taus)
 
-        return scan_threshold(system, op, dipped, scan, tol, monotone=monotone)
+        return scan_threshold(system, op, dipped, scan, tol, monotone=monotone, curve=curve)
 
     monkeypatch.setattr(fullydiscrete, "scan_threshold", dipping_scan)
     rc = run_cli(
         "fully", "threshold", "--family", "uniform", "--M", "4", "--methods", "sg",
         "--outdir", str(tmp_path),
     )
-    assert rc == 1
+    assert rc == 0
     out, err = capsys.readouterr()
-    assert "numerical failure: sg single(0.5): full curve gives found" in err
-    assert out == ""
-    assert not (tmp_path / "fully_threshold_sg.csv").exists()
+    assert err == ""
+    assert out.startswith("sg single(0.5): ")
+    assert float(out.split()[2]) == pytest.approx(1.0, rel=2e-3)
+    data = np.loadtxt(tmp_path / "fully_threshold_sg.csv", delimiter=",", comments="#", skiprows=2)
+    taus, mins = data[:, 0], data[:, 1]
+    assert (mins[(taus > 0.1) & (taus < 1.0)] < 0.0).all()
+    assert (mins[taus > 1.0] >= 0.0).all()
 
 
 def test_fully_threshold_all_nonnegative_distributed_writes_curve(tmp_path, capsys):

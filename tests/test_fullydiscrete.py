@@ -207,7 +207,7 @@ def test_first_step_bound_sliver_lm_none(get_system):
 
 def test_fd_threshold_structure(get_system):
     sys = get_system("uniform", "sg", m=6)
-    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, curve=True)
     assert rep.found
     lo, hi = rep.bracket
     assert lo <= rep.value <= hi
@@ -237,12 +237,14 @@ def test_fd_threshold_from_a_low_end_under_the_floor(get_system):
     # nothing and the scan reads top-down to the default grid's threshold
     sys = get_system("uniform", "sg", m=10)
     default = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
-    rep = fullydiscrete.fd_positivity_threshold(
-        sys, SINGLE, scan=semidiscrete.ScanSpec(1e-30, 1e2)
-    )
-    assert -rep.tolerance < rep.curve[0, 1] < 0.0
+    scan = semidiscrete.ScanSpec(1e-30, 1e2)
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan)
     assert rep.found
     assert rep.value == pytest.approx(default.value, rel=2e-3)
+    # the whole-grid read decides the same
+    read = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, curve=True)
+    assert -read.tolerance < read.curve[0, 1] < 0.0
+    assert (read.status, read.value, read.bracket) == (rep.status, rep.value, rep.bracket)
 
 
 def test_fd_threshold_rejects_short_scan(get_system):
@@ -262,7 +264,8 @@ def test_fd_threshold_rejects_short_scan(get_system):
 def test_fd_batched_curve_matches_first_step_matrices(get_system, family, method, kw):
     sys = get_system(family, method, **kw)
     rep = fullydiscrete.fd_positivity_threshold(
-        sys, SINGLE, scan=semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=4)
+        sys, SINGLE, scan=semidiscrete.ScanSpec(start=1e-8, stop=1e-2, per_decade=4),
+        curve=True,
     )
     omegas = [kernel.cq_weights(SINGLE, tau, 0)[0] for tau in rep.curve[:, 0]]
     each = [
@@ -286,8 +289,8 @@ def test_threshold_scans_memory_stays_bounded(get_system):
     sys = get_system("disk_medium", "sg")
     tracemalloc.start()
     try:
-        semi = semidiscrete.positivity_threshold(sys, SINGLE)
-        fully = fullydiscrete.fd_positivity_threshold(sys, SINGLE)
+        semi = semidiscrete.positivity_threshold(sys, SINGLE, curve=True)
+        fully = fullydiscrete.fd_positivity_threshold(sys, SINGLE, curve=True)
         # the skeleton reads of the whole time and step-size grids
         assert semi.curve.shape == (semidiscrete.ScanSpec().points, 2)
         assert fully.curve.shape == (semidiscrete.ScanSpec().points, 2)

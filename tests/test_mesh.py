@@ -234,6 +234,26 @@ def test_edge_table_obeys_euler(name):
     assert not np.any(sides == m.triangles[:, :, None])
 
 
+EDGE_TABLE_MESHES = [
+    (family, m) for family in ("uniform", "crossed", "equilateral") for m in (2, 5, 20, 40)
+] + [("sliver", 10)] + [(name, None) for name in mesh.bundled_mesh_names()]
+
+
+@pytest.mark.parametrize(
+    "name, m", EDGE_TABLE_MESHES, ids=["%s%s" % (n, m or "") for n, m in EDGE_TABLE_MESHES]
+)
+def test_edge_table_matches_row_unique(name, m):
+    # the reference: unique rows of the sorted node pairs
+    tri = (mesh.FAMILIES[name](m) if m else mesh.bundled_mesh(name)).triangles
+    sides = np.sort(np.stack([tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]], axis=2), axis=2)
+    want_edges, want_of_half = np.unique(sides.reshape(-1, 2), axis=0, return_inverse=True)
+    want_of_half = want_of_half.reshape(tri.shape)
+    edges, of_half = mesh.edge_table(tri)
+    for got, want in ((edges, want_edges), (of_half, want_of_half)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
 # node and triangle order: assembly sums in that order, so it fixes the
 # matrix bits
 

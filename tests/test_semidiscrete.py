@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracpos import fem, fullydiscrete, kernel, linalg, mesh, semidiscrete
-from fracpos.errors import InvalidParameter, NumericalError, ScanMismatch
+from fracpos.errors import InvalidParameter, NumericalError
 from fracpos.kernel import FracOperator
 from fracpos.semidiscrete import ScanSpec
 
@@ -118,7 +118,8 @@ def test_detect_threshold_tolerance_damps_noise():
 
 def test_positivity_threshold_structure(get_system):
     sys = get_system("uniform", "sg", m=6)
-    rep = semidiscrete.positivity_threshold(sys, SINGLE)
+    assert semidiscrete.positivity_threshold(sys, SINGLE).curve is None
+    rep = semidiscrete.positivity_threshold(sys, SINGLE, curve=True)
     assert rep.found
     assert rep.status == "found"
     lo, hi = rep.bracket
@@ -239,6 +240,17 @@ def _count_scan_work(monkeypatch, kernel_name):
     return counts
 
 
+def _reset(counts):
+    counts.update(dict.fromkeys(counts, 0))
+
+
+def _assert_one_grid_read(counts, points):
+    """One call for the whole grid, then one per refinement step."""
+    assert counts["bisect"] >= 1
+    assert counts["calls"] == 1 + counts["bisect"]
+    assert counts["rows"] == counts["reduced"] == points + counts["bisect"]
+
+
 @pytest.mark.parametrize("scheme", ["semi"])
 def test_scan_computes_rows_only_for_the_decades_it_reduces(
     get_system, monkeypatch, scheme
@@ -255,8 +267,11 @@ def test_scan_computes_rows_only_for_the_decades_it_reduces(
     assert grid_rows < scan.grid().size
     assert counts["rows"] == counts["reduced"]
     assert counts["calls"] <= math.ceil(grid_rows / scan.per_decade) + counts["bisect"]
-    assert rep.curve is rep.curve
-    assert counts["rows"] == scan.grid().size + counts["bisect"]
+    assert rep.curve is None
+    _reset(counts)
+    read = THRESHOLD_FNS[scheme](sys, SINGLE, curve=True)
+    assert (read.status, read.value, read.bracket) == (rep.status, rep.value, rep.bracket)
+    _assert_one_grid_read(counts, scan.grid().size)
 
 
 def test_fully_discrete_scan_bisects_grid_indices(get_system, monkeypatch):
@@ -272,10 +287,12 @@ def test_fully_discrete_scan_bisects_grid_indices(get_system, monkeypatch):
     assert counts["rows"] == counts["reduced"]
     # the ends share one call; every other probe and refinement step is one
     assert counts["calls"] == probes - 1 + counts["bisect"]
-    # reading the curve reduces the whole grid once more
-    assert rep.curve is rep.curve
-    assert counts["reduced"] == points + probes + counts["bisect"]
-    assert counts["rows"] == counts["reduced"]
+    assert rep.curve is None
+    # asked for its curve, the scan reads the whole grid instead
+    _reset(counts)
+    read = fullydiscrete.fd_positivity_threshold(sys, SINGLE, curve=True)
+    assert (read.status, read.value, read.bracket) == (rep.status, rep.value, rep.bracket)
+    _assert_one_grid_read(counts, points)
 
 
 def test_curve_rereads_skeleton_points_near_the_floor(get_system, monkeypatch):
@@ -285,18 +302,19 @@ def test_curve_rereads_skeleton_points_near_the_floor(get_system, monkeypatch):
     sys = get_system("disk_coarse", "fve")
     scan = ScanSpec()
     points = scan.grid().size
-    curve = fullydiscrete.fd_positivity_threshold(sys, SINGLE).curve
+    curve = fullydiscrete.fd_positivity_threshold(sys, SINGLE, curve=True).curve
     # the last negative point sits exactly on the floor
     tol = -curve[np.flatnonzero(curve[:, 1] < 0.0)[-1], 1]
     counts = _count_scan_work(monkeypatch, KERNEL_CALLS["fully"])
-    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
-    decided = counts["reduced"]
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol, curve=True)
     assert rep.curve.shape == (points, 2)
-    assert counts["reduced"] - decided > points
+    assert counts["reduced"] > points + counts["bisect"]
     verdict, full = _full_grid_threshold(sys, SINGLE, "fully", scan, tol)
     assert rep.found
     assert (rep.status, rep.value, rep.bracket) == verdict
     np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
+    decided = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
+    assert (decided.status, decided.value, decided.bracket) == verdict
 
 
 def test_large_fully_discrete_curve_rereads_points_near_the_floor(get_system, monkeypatch):
@@ -304,36 +322,35 @@ def test_large_fully_discrete_curve_rereads_points_near_the_floor(get_system, mo
     # points it puts near the floor are re-read exactly
     sys = get_system("uniform", "sg", m=15)
     scan = ScanSpec()
-    curve = fullydiscrete.fd_positivity_threshold(sys, SINGLE).curve
+    curve = fullydiscrete.fd_positivity_threshold(sys, SINGLE, curve=True).curve
     tol = -curve[np.flatnonzero(curve[:, 1] < 0.0)[-1], 1]
     counts = _count_scan_work(monkeypatch, KERNEL_CALLS["fully"])
-    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
-    decided = counts["reduced"]
-    rep.curve
-    assert counts["reduced"] - decided > scan.points
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol, curve=True)
+    assert counts["reduced"] > scan.points + counts["bisect"]
     verdict, full = _full_grid_threshold(sys, SINGLE, "fully", scan, tol)
     assert (rep.status, rep.value, rep.bracket) == verdict
     np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
+    decided = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
+    assert (decided.status, decided.value, decided.bracket) == verdict
 
 
 def test_large_system_scan_reads_the_grid_once(get_system, monkeypatch):
     # N = 196: one matrix exceeds BLOCK_ENTRIES, so the semidiscrete scan
-    # reads the whole grid in one kernel call through a skeleton, and that
-    # read is the curve
+    # reads the whole grid in one kernel call through a skeleton, and
+    # asking for the curve changes no work
     sys = get_system("uniform", "sg", m=15)
     assert sys.size ** 2 > linalg.BLOCK_ENTRIES
     counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
-    rep = semidiscrete.positivity_threshold(sys, SINGLE)
     points = ScanSpec().grid().size
+    reports = []
+    for curve in (False, True):
+        _reset(counts)
+        reports.append(semidiscrete.positivity_threshold(sys, SINGLE, curve=curve))
+        _assert_one_grid_read(counts, points)
+    rep, read = reports
     assert rep.found
-    assert counts["bisect"] >= 1
-    assert counts["calls"] == 1 + counts["bisect"]
-    assert counts["rows"] == counts["reduced"] == points + counts["bisect"]
-    decided = dict(counts)
-    assert rep.curve is rep.curve
-    assert rep.curve.shape == (points, 2)
-    # reading the curve computes and reduces no further row
-    assert counts == decided
+    assert (read.status, read.value, read.bracket) == (rep.status, rep.value, rep.bracket)
+    assert read.curve.shape == (points, 2)
 
 
 def test_large_system_curve_is_one_skeleton_read(get_system, monkeypatch):
@@ -362,7 +379,7 @@ def test_small_system_fully_discrete_curve_is_exact(get_system, method):
     # N = 81: below the size rule a curve is min_entries itself
     sys = get_system("uniform", method, m=10)
     scan = ScanSpec()
-    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan)
+    rep = fullydiscrete.fd_positivity_threshold(sys, SINGLE, scan=scan, curve=True)
     _, full = _full_grid_threshold(sys, SINGLE, "fully", scan, rep.tolerance)
     np.testing.assert_array_equal(rep.curve, full)
 
@@ -372,11 +389,11 @@ def test_whole_grid_read_rereads_points_near_the_floor(get_system, monkeypatch):
     # the full grid read the same bits at every point
     sys = get_system("uniform", "sg", m=15)
     scan = ScanSpec()
-    curve = semidiscrete.positivity_threshold(sys, SINGLE).curve
+    curve = semidiscrete.positivity_threshold(sys, SINGLE, curve=True).curve
     # the last negative point of the read sits exactly on the floor
     tol = -curve[np.flatnonzero(curve[:, 1] < 0.0)[-1], 1]
     counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
-    rep = semidiscrete.positivity_threshold(sys, SINGLE, scan=scan, tol=tol)
+    rep = semidiscrete.positivity_threshold(sys, SINGLE, scan=scan, tol=tol, curve=True)
     work = dict(counts)
     verdict, full = _full_grid_threshold(sys, SINGLE, "semi", scan, tol)
     assert rep.found
@@ -405,10 +422,11 @@ def test_curve_rejects_non_finite_rows_between_probes():
         rows[xs == bad] = np.nan
         return rows
 
-    rep = semidiscrete.scan_threshold(sys, SINGLE, poisoned, monotone=True)
-    assert rep.found
+    # a scan that only decides never reads the poisoned row
+    assert semidiscrete.scan_threshold(sys, SINGLE, poisoned, monotone=True).found
+    # a scan asked for its curve reads every row, and names the bad one
     with pytest.raises(NumericalError, match="x = %s$" % re.escape(repr(bad))):
-        rep.curve
+        semidiscrete.scan_threshold(sys, SINGLE, poisoned, monotone=True, curve=True)
 
 
 def _sign_coeffs(size, negative):
@@ -424,7 +442,7 @@ def _sign_coeffs(size, negative):
     "negative, bisected",
     [
         # below -tol up to 1e-6 and again on (0.1, 1): the index bisection
-        # lands on the first change, the full curve's last one is at 1
+        # lands on the first change, the whole grid's last one is at 1
         (lambda x: (x < 1e-6) | ((x > 0.1) & (x < 1.0)), True),
         # nonnegative at both ends, negative in between: a low end above
         # -tol brackets nothing, so the monotone scan reads top-down too
@@ -436,21 +454,20 @@ def test_monotone_scan_curve_guard(negative, bisected):
     sys = fem.system_from_matrices(np.eye(3), np.diag([1.0, 2.0, 3.0]))
     coeffs = _sign_coeffs(sys.size, negative)
     rep = semidiscrete.scan_threshold(sys, SINGLE, coeffs, monotone=True)
-    # the top-down scan reads the same rows and takes the last change
+    # the top-down scan takes the last change
     top_down = semidiscrete.scan_threshold(sys, SINGLE, coeffs)
     assert top_down.found
     assert top_down.bracket[0] < (1.0 if bisected else 1e-2) <= top_down.bracket[1]
-    assert top_down.curve.shape == (ScanSpec().grid().size, 2)
+    verdict = (top_down.status, top_down.value, top_down.bracket)
     if bisected:
         assert rep.found and rep.bracket[1] < 1e-5
-        with pytest.raises(ScanMismatch) as exc:
-            rep.curve
-        assert isinstance(exc.value, NumericalError)
     else:
-        assert (rep.status, rep.value, rep.bracket) == (
-            top_down.status, top_down.value, top_down.bracket
-        )
-        np.testing.assert_array_equal(rep.curve, top_down.curve)
+        assert (rep.status, rep.value, rep.bracket) == verdict
+    # a scan asked for its curve decides from the whole grid, monotone or not
+    for monotone in (False, True):
+        read = semidiscrete.scan_threshold(sys, SINGLE, coeffs, monotone=monotone, curve=True)
+        assert (read.status, read.value, read.bracket) == verdict
+        assert read.curve.shape == (ScanSpec().grid().size, 2)
 
 
 def _full_grid_threshold(sys, op, scheme, scan, tol):
@@ -473,6 +490,15 @@ def _full_grid_threshold(sys, op, scheme, scan, tol):
         grid, mins, lambda x: sys.eigen.min_entries(rows(np.array([x])))[0], tol
     )
     return verdict, np.column_stack((grid, mins))
+
+
+def _assert_curve_is_the_full_grid(sys, curve, full):
+    """Bit for bit on a system of exact size; a skeleton read holds 1e-15."""
+    np.testing.assert_array_equal(curve[:, 0], full[:, 0])
+    if sys.size ** 2 <= linalg.BLOCK_ENTRIES:
+        np.testing.assert_array_equal(curve, full)
+    else:
+        np.testing.assert_allclose(curve[:, 1], full[:, 1], rtol=0.0, atol=1e-15)
 
 
 THRESHOLD_FNS = {
@@ -509,12 +535,12 @@ def test_top_down_scan_matches_full_grid_scan(
     sys = get_system(family, method, m=m)
     scan = ScanSpec()
     tol = 1e-12 * sys.size
-    rep = THRESHOLD_FNS[scheme](sys, op, scan=scan)
-    (status, value, bracket), curve = _full_grid_threshold(sys, op, scheme, scan, tol)
-    assert (rep.status, rep.value, rep.bracket) == (status, value, bracket)
-    assert rep.tolerance == tol
-    np.testing.assert_array_equal(rep.curve[:, 0], curve[:, 0])
-    np.testing.assert_allclose(rep.curve[:, 1], curve[:, 1], rtol=0.0, atol=1e-15)
+    verdict, full = _full_grid_threshold(sys, op, scheme, scan, tol)
+    for curve in (False, True):
+        rep = THRESHOLD_FNS[scheme](sys, op, scan=scan, curve=curve)
+        assert (rep.status, rep.value, rep.bracket) == verdict
+        assert rep.tolerance == tol
+    _assert_curve_is_the_full_grid(sys, rep.curve, full)
 
 
 @pytest.mark.parametrize(
@@ -532,11 +558,12 @@ def test_top_down_scan_matches_full_grid_without_threshold(
 ):
     sys = get_system("uniform", method, m=10)
     tol = 1e-12 * sys.size
-    rep = THRESHOLD_FNS[scheme](sys, SINGLE, scan=scan, tol=tol)
-    verdict, curve = _full_grid_threshold(sys, SINGLE, scheme, scan, tol)
+    verdict, full = _full_grid_threshold(sys, SINGLE, scheme, scan, tol)
     assert verdict == (status, None, None)
-    assert (rep.status, rep.value, rep.bracket) == verdict
-    np.testing.assert_allclose(rep.curve, curve, rtol=0.0, atol=1e-15)
+    for curve in (False, True):
+        rep = THRESHOLD_FNS[scheme](sys, SINGLE, scan=scan, tol=tol, curve=curve)
+        assert (rep.status, rep.value, rep.bracket) == verdict
+    _assert_curve_is_the_full_grid(sys, rep.curve, full)
 
 
 # the fully discrete scan bisects over grid indices; on this roster it
@@ -596,7 +623,7 @@ def test_lumped_mass_on_delaunay_meshes_stays_nonnegative(get_system, family, kw
     # (smallest entries down to -4e-14 semidiscrete, -7e-16 fully discrete)
     sys = get_system(family, "lm", **kw)
     for op in (SINGLE, MULTI, DIST):
-        rep = THRESHOLD_FNS[scheme](sys, op)
+        rep = THRESHOLD_FNS[scheme](sys, op, curve=True)
         assert rep.status == "all-nonnegative", op.label
         assert rep.curve[:, 1].min() >= -rep.tolerance, op.label
 
@@ -612,10 +639,11 @@ def test_scan_reduces_only_the_deciding_rows_until_curve_is_read(
     assert rep.found
     assert counts["bisect"] >= 1
     assert counts["reduced"] - counts["bisect"] < grid_rows
-    first = rep.curve
-    assert rep.curve is first
-    assert first.shape == (grid_rows, 2)
-    assert counts["reduced"] == grid_rows + counts["bisect"]
+    assert rep.curve is None
+    _reset(counts)
+    read = semidiscrete.positivity_threshold(sys, SINGLE, curve=True)
+    assert read.curve.shape == (grid_rows, 2)
+    _assert_one_grid_read(counts, grid_rows)
 
 
 def test_scan_spec_validation():
