@@ -78,12 +78,15 @@ _OPTIONS = {
     "mu": _Opt("--mu", "operator.mu", help="distributed-order weight name (%s)" % _MU_NAMES),
     "quad_order": _Opt("--quad-order", "operator.quad_order", 64, (0, _DENSE_SIDE), type=int,
                        help="quadrature order for --mu (default 64)"),
-    "scan_start": _Opt("--scan-start", "scan.start", 1e-8, type=float,
-                       help="left end of the log scan (default 1e-8)"),
-    "scan_stop": _Opt("--scan-stop", "scan.stop", 1e2, type=float,
-                      help="right end of the log scan (default 1e2)"),
-    "per_decade": _Opt("--per-decade", "scan.per_decade", 25, (0, _DENSE_SIDE), type=int,
-                       help="grid points per decade (default 25)"),
+    "scan_start": _Opt("--scan-start", "scan.start", semidiscrete.ScanSpec.start, type=float,
+                       help="left end of the log scan (default %g)"
+                       % semidiscrete.ScanSpec.start),
+    "scan_stop": _Opt("--scan-stop", "scan.stop", semidiscrete.ScanSpec.stop, type=float,
+                      help="right end of the log scan (default %g)" % semidiscrete.ScanSpec.stop),
+    "per_decade": _Opt("--per-decade", "scan.per_decade", semidiscrete.ScanSpec.per_decade,
+                       (0, _DENSE_SIDE), type=int,
+                       help="grid points per decade (default %d)"
+                       % semidiscrete.ScanSpec.per_decade),
     "config": _Opt("--config", help="INI file with [mesh]/[operator]/[scan]/[run] sections"),
     "outdir": _Opt("--outdir", "run.outdir", help="output directory (or FRACPOS_OUTDIR)"),
     "methods": _Opt("--methods", "run.methods", fem.METHODS, nargs="+", choices=fem.METHODS,
@@ -310,9 +313,9 @@ def _mesh_report(mesh):
     if mesh.h0 is not None:
         lines.append("h0: %.3f" % mesh.h0)
     lines.append("h: %.3f" % meshmod.mesh_size(mesh))
-    bad = [e for e in meshmod.delaunay_edges(mesh) if not e.is_delaunay]
+    bad = np.count_nonzero(~meshmod.delaunay_edges(mesh)[2])
     if bad:
-        lines.append("delaunay: false (%d edges fail)" % len(bad))
+        lines.append("delaunay: false (%d edges fail)" % bad)
     else:
         lines.append("delaunay: true")
     lines.append("normal: %s" % ("true" if meshmod.is_normal(mesh) else "false"))

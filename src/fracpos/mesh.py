@@ -5,6 +5,8 @@ boundary nodes.  All assembly code relies on this, so every construction
 path funnels through the same finalizer which reorders nodes, orients
 triangles counterclockwise, derives boundary flags from the edge topology
 when no markers are given, and returns only meshes that pass validate_mesh.
+The edge predicates are array operations over one edge table (edge_table);
+delaunay_edges gives each edge's opposite angles and verdict as arrays.
 
 Mesh families built here:
 
@@ -28,7 +30,6 @@ from .errors import InvalidParameter, ParseError
 
 __all__ = [
     "TriMesh",
-    "EdgeInfo",
     "gen_uniform_square",
     "gen_crossed_rectangles",
     "gen_sliver_square",
@@ -396,15 +397,6 @@ def bundled_mesh(name):
 # edge predicates
 
 
-@dataclass(frozen=True)
-class EdgeInfo:
-    node_a: int
-    node_b: int
-    opposite_angles: tuple
-    is_boundary: bool
-    is_delaunay: bool
-
-
 def _edge_counts(triangles):
     """edge_table and the triangles per edge; no edge may border three."""
     edges, of_half = edge_table(triangles)
@@ -418,11 +410,14 @@ def _edge_counts(triangles):
 
 
 def delaunay_edges(mesh):
-    """Classify every edge by the opposite-angle criterion.
+    """Every edge's opposite angles and the angle-sum test, as arrays.
 
-    An edge is Delaunay when the angles opposite to it sum to at most pi
-    (plus 1e-12 slack, so edges of cocircular quads count as Delaunay).
-    Boundary edges see a single angle and pass trivially.
+    Returns (edges, angles, delaunay).  edges is edge_table's.  angles is
+    (E, 2): the angle opposite each edge in each triangle it borders, in
+    triangle order, nan in the second column of a boundary edge.  An edge
+    is Delaunay when its angles sum to at most pi (plus 1e-12 slack, so
+    edges of cocircular quads count as Delaunay); a boundary edge's single
+    angle is below pi, so it always passes.
     """
     edges, of_half, counts = _edge_counts(mesh.triangles)
     # the angle at local vertex k faces half-edge (t, k)
@@ -431,28 +426,20 @@ def delaunay_edges(mesh):
     vb = p[:, [2, 0, 1]] - p
     cross = va[..., 0] * vb[..., 1] - va[..., 1] * vb[..., 0]
     dot = va[..., 0] * vb[..., 0] + va[..., 1] * vb[..., 1]
-    angles = np.arctan2(np.abs(cross), dot).ravel()
-    # each edge's angles in triangle order
-    angles = angles[np.argsort(of_half.ravel(), kind="stable")].tolist()
-    ends = np.cumsum(counts).tolist()
-    out = []
-    for (a, b), start, end in zip(edges.tolist(), [0] + ends, ends):
-        opposite = tuple(angles[start:end])
-        out.append(
-            EdgeInfo(
-                node_a=a,
-                node_b=b,
-                opposite_angles=opposite,
-                is_boundary=len(opposite) == 1,
-                is_delaunay=sum(opposite) <= math.pi + _ANGLE_SUM_TOL,
-            )
-        )
-    return out
+    half = np.arctan2(np.abs(cross), dot).ravel()
+    # the half-edges edge by edge, each edge's in triangle order
+    by_edge = half[np.argsort(of_half.ravel(), kind="stable")]
+    first = np.cumsum(counts) - counts
+    inner = counts == 2
+    angles = np.full((edges.shape[0], 2), np.nan)
+    angles[:, 0] = by_edge[first]
+    angles[inner, 1] = by_edge[first[inner] + 1]
+    return edges, angles, np.nansum(angles, axis=1) <= math.pi + _ANGLE_SUM_TOL
 
 
 def is_delaunay(mesh):
     """True when every interior edge satisfies the angle-sum condition."""
-    return all(e.is_delaunay for e in delaunay_edges(mesh) if not e.is_boundary)
+    return bool(delaunay_edges(mesh)[2].all())
 
 
 def _adjacency(mesh):

@@ -10,7 +10,8 @@ exact EigenSystem.min_entries on a small system (_exact_size), a
 skeleton of the rows (EigenSystem.skeleton_min_entries) above.  A scan
 asked for its curve reads the whole grid once and decides from it.  A
 scan that only decides reads blocks from the top of the grid: one decade
-at a time on a small system, the whole grid at once on a large one.
+at a time on a small system, after its bottom block, and the whole grid
+at once on a large one.
 When the sign changes at most once along the grid, as for the fully
 discrete scheme's E_{1,tau}, and the low end reads below the floor, it
 bisects over grid indices instead.
@@ -184,7 +185,10 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False, curv
     what decides, one block at a time from the largest x down, stopping
     after the first block with a point below -tol: "none-found" needs the
     top block only, "all-nonnegative" the whole grid.  A block is one
-    decade on a system of _exact_size and the whole grid above it.
+    decade on a system of _exact_size and the whole grid above it.  By
+    decades the bottom block (one point on a default grid) is read first,
+    so a time the kernel cannot read fails the scan even when the top
+    decades decide; its minima count only if the blocks reach it.
 
     monotone=True is for curves whose sign changes at most once along the
     grid, from negative to nonnegative.  A scan that only decides then
@@ -230,10 +234,12 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False, curv
     if ends is not None and ends[0] < -tol:
         idx, mins = _bisect_indices(grid, reduce, tol, ends)
     else:
+        bottom = reduce(grid[:(grid.size - 1) % block + 1]) if by_decade else None
         start, mins = grid.size, np.empty(0)
         while start > 0 and not (mins < -tol).any():
             stop, start = start, max(0, start - block)
-            mins = np.concatenate((reduce(grid[start:stop]), mins))
+            read = bottom if start == 0 and by_decade else reduce(grid[start:stop])
+            mins = np.concatenate((read, mins))
         idx = np.arange(start, grid.size)
     status, value, bracket = detect_threshold(
         grid[idx], mins, lambda x: reduce(np.array([x]))[0], tol

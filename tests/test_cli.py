@@ -766,9 +766,10 @@ def test_semi_certify_lm_on_a_stieltjes_non_delaunay_mesh(tmp_path, capsys):
     nodes = base.nodes.copy()
     nodes[58] += 0.675 * (0.5 * (nodes[0] + nodes[50]) - nodes[58])
     moved = mesh.TriMesh(nodes=nodes, triangles=base.triangles, boundary=base.boundary)
-    (bad,) = [e for e in mesh.delaunay_edges(moved) if not e.is_delaunay]
-    assert (bad.node_a, bad.node_b) == (0, 50)
-    assert sum(bad.opposite_angles) - np.pi == pytest.approx(0.0218, abs=1e-4)
+    edges, angles, delaunay = mesh.delaunay_edges(moved)
+    (bad,) = np.flatnonzero(~delaunay)
+    assert tuple(edges[bad]) == (0, 50)
+    assert angles[bad].sum() - np.pi == pytest.approx(0.0218, abs=1e-4)
     node, ele = str(tmp_path / "rhombus.node"), str(tmp_path / "rhombus.ele")
     mesh.save_triangle_format(moved, node, ele)
     files = ("--node", node, "--ele", ele)
@@ -790,6 +791,36 @@ def test_semi_certify_lm_on_a_stieltjes_non_delaunay_mesh(tmp_path, capsys):
         )
         assert rc == 0
         assert capsys.readouterr().out.startswith("lm single(0.5): all-nonnegative")
+
+
+def test_semi_certify_lm_on_a_mesh_with_one_interior_non_delaunay_edge(tmp_path, capsys):
+    # equilateral M=8 with boundary node 51 moved 0.68 of the way to the
+    # midpoint of edge (0, 1): that edge, between two interior nodes, fails
+    # the angle test by 0.035, S loses its Stieltjes sign pattern, and lm
+    # has a positivity threshold in both schemes
+    base = mesh.gen_equilateral_rhombus(8)
+    nodes = base.nodes.copy()
+    nodes[51] += 0.68 * (0.5 * (nodes[0] + nodes[1]) - nodes[51])
+    moved = mesh.TriMesh(nodes=nodes, triangles=base.triangles, boundary=base.boundary)
+    edges, angles, delaunay = mesh.delaunay_edges(moved)
+    (bad,) = np.flatnonzero(~delaunay)
+    assert tuple(edges[bad]) == (0, 1)
+    assert not moved.boundary[edges[bad]].any()
+    assert angles[bad].sum() - np.pi == pytest.approx(0.035, abs=1e-3)
+    node, ele = str(tmp_path / "rhombus.node"), str(tmp_path / "rhombus.ele")
+    mesh.save_triangle_format(moved, node, ele)
+    files = ("--node", node, "--ele", ele)
+    assert run_cli("mesh", "info", *files) == 0
+    assert "delaunay: false (1 edges fail)" in capsys.readouterr().out
+    assert run_cli("semi", "certify", *files, "--methods", "lm") == 0
+    assert capsys.readouterr().out.splitlines()[2] == (
+        "lm: stiffness stieltjes=False H^-1>0=True (min 2.596e-07) eventual_power=1"
+        " -> positivity threshold exists (H^-1 > 0)"
+    )
+    for command, value in (("semi", "1.41e-06"), ("fully", "1.47e-06")):
+        rc = run_cli(command, "threshold", *files, "--methods", "lm", "--outdir", str(tmp_path))
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("lm single(0.5): %s  [" % value)
 
 
 def test_semi_certify_without_dump_creates_no_outdir(tmp_path, capsys):
@@ -1148,6 +1179,23 @@ def test_reproduce_table_writes_a_failed_cell(failing, tmp_path, capsys, monkeyp
         assert len(cells) == 6
         want[4 + failing] = "FAIL(no convergence; twice)"
         assert cells == want
+
+
+def test_reproduce_table_below_the_kernel_gate_fails_every_sd_cell(tmp_path, capsys):
+    # a cell's scan by decades reads its bottom point first, so every
+    # semidiscrete cell fails at 1e-250, as semi threshold does, even
+    # though the top decades decide; the fully discrete cells are the
+    # default window's
+    rc = run_cli(
+        "reproduce", "--table", "3", "--scan-start", "1e-250", "--outdir", str(tmp_path)
+    )
+    assert rc == 0
+    capsys.readouterr()
+    rows = (tmp_path / "table3.csv").read_text().splitlines()[2:]
+    want = [row.split(",") for row in TABLE_ROWS[3]]
+    for cells in want:
+        cells[4] = "FAIL(lambda = 0 defect nan at t = 1e-250)"
+    assert [row.split(",") for row in rows] == want
 
 
 def test_reproduce_validation(capsys):

@@ -81,15 +81,18 @@ def test_crossed_counts():
 def test_crossed_vertical_interior_edges_not_delaunay():
     m = mesh.gen_crossed_rectangles(5)
     assert not mesh.is_delaunay(m)
-    bad = [e for e in mesh.delaunay_edges(m) if not (e.is_boundary or e.is_delaunay)]
-    assert bad, "expected non-Delaunay edges"
-    for e in bad:
-        pa, pb = m.nodes[e.node_a], m.nodes[e.node_b]
+    edges, angles, delaunay = mesh.delaunay_edges(m)
+    bad = ~delaunay
+    assert bad.any(), "expected non-Delaunay edges"
+    # every failing edge is interior: it sees two angles
+    assert not np.isnan(angles[bad]).any()
+    for a, b in edges[bad]:
+        pa, pb = m.nodes[a], m.nodes[b]
         # every failing edge is a vertical rectangle side (the long one)
         assert pa[0] == pytest.approx(pb[0])
         assert abs(pa[1] - pb[1]) == pytest.approx(2.0 * m.h0)
     # all (2m-1) interior grid lines fail along their m segments
-    assert len(bad) == 9 * 5
+    assert np.count_nonzero(bad) == 9 * 5
 
 
 def test_crossed_normality_edge_case():
@@ -133,24 +136,26 @@ def test_sliver_extra_node_coordinates():
 
 def test_sliver_failing_edges_hug_the_flat_triangle():
     m = mesh.gen_sliver_square(10)
-    bad = [e for e in mesh.delaunay_edges(m) if not (e.is_boundary or e.is_delaunay)]
+    edges, angles, delaunay = mesh.delaunay_edges(m)
+    bad = ~delaunay
+    assert not np.isnan(angles[bad]).any()
     # the QR edge and the diagonal passing just above Q both fail; nothing
     # away from the subdivided cell does
-    assert 1 <= len(bad) <= 3
-    for e in bad:
-        ends = m.nodes[[e.node_a, e.node_b]]
+    assert 1 <= np.count_nonzero(bad) <= 3
+    for pair in edges[bad]:
+        ends = m.nodes[pair]
         assert np.all(ends[:, 0] >= 0.5 - 1e-12)
         assert np.all(ends[:, 0] <= 0.6 + 1e-12)
         assert np.all(ends[:, 1] <= 0.1 + 1e-12)
     qr = [
-        e
-        for e in bad
-        if np.allclose(sorted(m.nodes[[e.node_a, e.node_b], 0]), [0.525, 0.575])
-        and np.allclose(m.nodes[[e.node_a, e.node_b], 1], 1e-4)
+        k
+        for k in np.flatnonzero(bad)
+        if np.allclose(sorted(m.nodes[edges[k], 0]), [0.525, 0.575])
+        and np.allclose(m.nodes[edges[k], 1], 1e-4)
     ]
     assert len(qr) == 1
     # seen from the sliver apex the edge subtends almost a straight angle
-    assert max(qr[0].opposite_angles) > 3.1
+    assert angles[qr[0]].max() > 3.1
 
 
 def test_sliver_rejects_fat_eps_and_odd_m():
@@ -187,9 +192,12 @@ def test_single_triangle_all_boundary_and_delaunay():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
     m = mesh.TriMesh(nodes=nodes, triangles=tris, boundary=np.ones(3, dtype=bool))
-    edges = mesh.delaunay_edges(m)
-    assert len(edges) == 3
-    assert all(e.is_boundary and e.is_delaunay for e in edges)
+    edges, angles, delaunay = mesh.delaunay_edges(m)
+    np.testing.assert_array_equal(edges, [[0, 1], [0, 2], [1, 2]])
+    # each edge is on the boundary: one angle, nan beside it
+    assert np.isnan(angles[:, 1]).all()
+    np.testing.assert_allclose(angles[:, 0], [math.pi / 4, math.pi / 4, math.pi / 2])
+    assert delaunay.all()
     assert m.interior_count == 0
     assert mesh.is_delaunay(m)
 
@@ -252,6 +260,41 @@ def test_edge_table_matches_row_unique(name, m):
     for got, want in ((edges, want_edges), (of_half, want_of_half)):
         assert got.dtype == want.dtype and got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+
+
+DELAUNAY_MESHES = [
+    pytest.param(lambda f=family, m=m: mesh.FAMILIES[f](m), id="%s%d" % (family, m))
+    for family in ("uniform", "crossed", "equilateral") for m in (2, 5, 20)
+] + [
+    pytest.param(lambda: mesh.gen_sliver_square(10), id="sliver10"),
+    pytest.param(lambda: mesh.gen_sliver_square(4, eps=0.2), id="sliver4-eps0.2"),
+] + [
+    pytest.param(lambda n=name: mesh.bundled_mesh(n), id=name)
+    for name in mesh.bundled_mesh_names()
+]
+
+
+@pytest.mark.parametrize("make", DELAUNAY_MESHES)
+def test_delaunay_edges_match_a_per_edge_loop(make):
+    # the reference: each triangle's angles collected edge by edge
+    m = make()
+    opposite = {}
+    for tri in m.triangles.tolist():
+        pts = m.nodes[tri].tolist()
+        for k in range(3):
+            (x0, y0), (x1, y1), (x2, y2) = pts[k], pts[(k + 1) % 3], pts[(k + 2) % 3]
+            va, vb = (x1 - x0, y1 - y0), (x2 - x0, y2 - y0)
+            ang = math.atan2(abs(va[0] * vb[1] - va[1] * vb[0]), va[0] * vb[0] + va[1] * vb[1])
+            a, b = sorted((tri[(k + 1) % 3], tri[(k + 2) % 3]))
+            opposite.setdefault((a, b), []).append(ang)
+    pairs = sorted(opposite)
+    want_angles = np.array([opposite[p] + [math.nan] * (2 - len(opposite[p])) for p in pairs])
+    want_delaunay = [sum(opposite[p]) <= math.pi + 1e-12 for p in pairs]
+    edges, angles, delaunay = mesh.delaunay_edges(m)
+    np.testing.assert_array_equal(edges, pairs)
+    np.testing.assert_allclose(angles, want_angles, rtol=1e-15, atol=0, equal_nan=True)
+    np.testing.assert_array_equal(delaunay, want_delaunay)
+    assert mesh.is_delaunay(m) == all(want_delaunay)
 
 
 # node and triangle order: assembly sums in that order, so it fixes the
