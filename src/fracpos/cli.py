@@ -587,15 +587,24 @@ def _table_mesh(spec, level):
     return meshmod.FAMILIES[spec["family"]](level)
 
 
-def _table_cell(system, op, scan):
-    """The semidiscrete and fully discrete threshold, or FAIL(reason) for each."""
-    cell = []
-    for find in (semidiscrete.positivity_threshold, fullydiscrete.fd_positivity_threshold):
+def _table_cells(system, ops, scan):
+    """Each operator's semidiscrete and fully discrete threshold, or
+    FAIL(reason) for each; the semidiscrete ones are decided together."""
+    try:
+        sds = semidiscrete.positivity_thresholds(system, ops, scan=scan)
+    except FracposError as exc:
+        sds = [exc] * len(ops)
+    cells = []
+    for op, sd in zip(ops, sds):
         try:
-            cell.append(find(system, op, scan=scan).describe())
+            fd = fullydiscrete.fd_positivity_threshold(system, op, scan=scan)
         except FracposError as exc:
-            cell.append(("FAIL(%s)" % exc).replace(",", ";"))
-    return cell
+            fd = exc
+        cells.append([
+            ("FAIL(%s)" % r).replace(",", ";") if isinstance(r, FracposError) else r.describe()
+            for r in (sd, fd)
+        ])
+    return cells
 
 
 def cmd_reproduce(args):
@@ -634,8 +643,8 @@ def _reproduce_table(args):
         h = repr(meshmod.mesh_size(mesh))
         for method in spec["methods"]:
             system = fem.build_fem_system(mesh, method)
-            for op_name in spec["ops"]:
-                sd, fd = _table_cell(system, _OPS[op_name](), scan)
+            ops = [_OPS[op_name]() for op_name in spec["ops"]]
+            for op_name, (sd, fd) in zip(spec["ops"], _table_cells(system, ops, scan)):
                 rows.append((method, h0, h, op_name, sd, fd))
     parts = {
         "cmd": "table%d" % args.table,

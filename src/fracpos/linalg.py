@@ -24,10 +24,14 @@ times (|back| |forward|)_ij plus roundoff.  skeleton_min_entries uses the
 skeleton only to locate the minimum of a row fitted worse than
 SKELETON_TOL: it evaluates that minimum exactly on the few matrix rows
 that can hold it, so a loose fit (the kernel rows' 1e-12) still gives
-minima within rounding of min_entries.
+minima within rounding of min_entries.  A decide read
+(skeleton_min_entries(..., decide=True)) skips that exact stage and
+returns the skeleton's minima with their bound, for a caller that only
+compares them with a floor and re-reads exactly what lies near it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,13 +141,17 @@ class EigenSystem:
                 np.maximum(part[c], np.abs(block, out=block).sum(axis=2).max(axis=1), out=part[c])))
         return out
 
-    def skeleton_min_entries(self, rows, tol=SKELETON_TOL):
+    def skeleton_min_entries(self, rows, tol=SKELETON_TOL, decide=False):
         """(mins, bound): min_entries through a skeleton, within bound of it.
 
         Each batch of rows is fitted to tol (_skeleton); a batch whose
         skeleton saves no products, r (1 + k/N) >= k, goes to min_entries
         with bound 0.  Otherwise the bound is _skeleton_reduce's times
-        max (|back| |forward|), one GEMM of absolute values.  A row whose
+        max (|back| |forward|) (_abs_scale, one GEMM of absolute values per
+        system).  decide=True stops there: the minima are the skeleton's,
+        folded block by block with no per-matrix-row table, for a caller
+        that only compares them with a floor and re-reads exactly what lies
+        within the bound of it.  Otherwise a row whose
         fit residual is above SKELETON_TOL is then evaluated exactly on
         every matrix row whose skeleton minimum is within twice that bound
         of the row's skeleton minimum, the only rows that can hold its
@@ -158,15 +166,19 @@ class EigenSystem:
         eps = np.finfo(float).eps
         out = np.empty(rows.shape[0])
         bound = np.zeros(rows.shape[0])
-        scale = None
         for batch in self._batches(rows):
             coeffs, part = rows[batch], out[batch]
             skel = _skeleton(coeffs, tol)
             if not skel[0].shape[0] * (1 + coeffs.shape[0] / n) < coeffs.shape[0]:
                 part[:] = self.min_entries(coeffs)
                 continue
-            if scale is None:  # before row_mins: its temporaries set peak memory
-                scale = self._abs_scale()
+            scale = self._abs_scale  # before row_mins: its temporaries set peak memory
+            if decide:  # each row's smallest entry, folded block by block
+                part[:] = np.inf
+                err = self._skeleton_reduce(coeffs, skel, lambda block, c, i: np.minimum(
+                    part[c], block.min(axis=(1, 2)), out=part[c]))
+                bound[batch] = err * scale
+                continue
             # entry [c, i] is the smallest entry of row i of row c's matrix
             row_mins = np.empty((coeffs.shape[0], n))
             err = self._skeleton_reduce(coeffs, skel, lambda block, c, i: np.amin(
@@ -187,14 +199,13 @@ class EigenSystem:
                     del scaled
                 part[loose] = exact[loose]
                 err[loose] = 2 * (n + 1) * eps * np.abs(coeffs[loose]).max(axis=1)
-            bound[batch] = err
-        if scale is not None:
-            bound *= scale
+            bound[batch] = err * scale
         return out, bound
 
+    @cached_property
     def _abs_scale(self):
         """max (|back| |forward|), one block of back's rows at a time: the
-        one N x N temporary is |forward|."""
+        one N x N temporary is |forward|.  Computed once per system."""
         forward = np.abs(self.forward_transform)
         return max((np.abs(self.back_transform[rows]) @ forward).max()
                    for rows in _row_blocks(self.size))

@@ -5,8 +5,9 @@ boundary nodes.  All assembly code relies on this, so every construction
 path funnels through the same finalizer which reorders nodes, orients
 triangles counterclockwise, derives boundary flags from the edge topology
 when no markers are given, and returns only meshes that pass validate_mesh.
-The edge predicates are array operations over one edge table (edge_table);
-delaunay_edges gives each edge's opposite angles and verdict as arrays.
+The edge predicates are array operations over one edge table per mesh
+(TriMesh._edges, built on first read); delaunay_edges gives each edge's
+opposite angles and verdict as arrays.
 
 Mesh families built here:
 
@@ -22,6 +23,7 @@ Mesh families built here:
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +84,12 @@ class TriMesh:
     @property
     def interior_count(self):
         return int(np.count_nonzero(~self.boundary))
+
+    @cached_property
+    def _edges(self):
+        """_edge_counts of the triangles, built once: validate_mesh and
+        every edge predicate read this one table."""
+        return _edge_counts(self.triangles)
 
 
 def triangle_areas(nodes, triangles):
@@ -419,7 +427,7 @@ def delaunay_edges(mesh):
     edges of cocircular quads count as Delaunay); a boundary edge's single
     angle is below pi, so it always passes.
     """
-    edges, of_half, counts = _edge_counts(mesh.triangles)
+    edges, of_half, counts = mesh._edges
     # the angle at local vertex k faces half-edge (t, k)
     p = mesh.nodes[mesh.triangles]
     va = p[:, [1, 2, 0]] - p
@@ -444,7 +452,7 @@ def is_delaunay(mesh):
 
 def _adjacency(mesh):
     nbrs = [set() for _ in range(mesh.n_nodes)]
-    for a, b in edge_table(mesh.triangles)[0].tolist():
+    for a, b in mesh._edges[0].tolist():
         nbrs[a].add(b)
         nbrs[b].add(a)
     return nbrs
@@ -475,7 +483,7 @@ def is_normal(mesh):
 
 def mesh_size(mesh):
     """Longest edge length."""
-    edges, _ = edge_table(mesh.triangles)
+    edges = mesh._edges[0]
     d = mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]]
     return float(np.hypot(d[:, 0], d[:, 1]).max(initial=0.0))
 
@@ -512,7 +520,7 @@ def validate_mesh(mesh):
     interior = mesh.interior_count
     if mesh.boundary[:interior].any() or not mesh.boundary[interior:].all():
         raise InvalidParameter("nodes are not ordered interior-first")
-    edges, of_half, counts = _edge_counts(tris)
+    edges, of_half, counts = mesh._edges
     # counterclockwise neighbours run their shared edge in opposite
     # directions; two that run it the same way overlap
     ahead = tris[:, [1, 2, 0]] < tris[:, [2, 0, 1]]

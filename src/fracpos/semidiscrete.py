@@ -5,13 +5,20 @@ eigensystem of (S, M): E(t) = back @ diag(u_{lambda_i}(t)) @ forward.  The
 smallest entry of E(t) decides nonnegativity; its last sign change along a
 logarithmic time grid, refined by bisection, is the reported threshold.
 scan_threshold runs that scan for any per-mode coefficient rows c(x).
-Every curve and scan reads its minima through one reader, _read_mins:
-exact EigenSystem.min_entries on a small system (_exact_size), a
-skeleton of the rows (EigenSystem.skeleton_min_entries) above.  A scan
-asked for its curve reads the whole grid once and decides from it.  A
-scan that only decides reads blocks from the top of the grid: one decade
-at a time on a small system, after its bottom block, and the whole grid
-at once on a large one.
+Every curve and scan reads its minima through one reader, _read_mins,
+in one of two kinds.  A read for a curve is exact
+(EigenSystem.min_entries) on a small system (_exact_size) and, above,
+a skeleton of the rows (EigenSystem.skeleton_min_entries) with its exact
+stage.  A decide read, whose minima are only compared with the floor, is
+exact below DECIDE_SKELETON_SIZE and a skeleton without the exact stage
+from there up; the scan re-reads exactly each point within the read's
+bound of the floor.  A scan asked for its curve reads the whole grid
+once and decides from it.  A scan that only decides reads blocks from
+the top of the grid: one decade at a time on a small system, after its
+bottom block, and the whole grid at once on a large one.
+scan_thresholds runs the scans of several operators on one system in
+step, and reads each block once for every scan still undecided: one
+skeleton per decade of a table system (positivity_thresholds).
 When the sign changes at most once along the grid, as for the fully
 discrete scheme's E_{1,tau}, and the low end reads below the floor, it
 bisects over grid indices instead.
@@ -28,21 +35,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel, linalg
-from .errors import InvalidParameter, NumericalError
+from .errors import FracposError, InvalidParameter, NumericalError
 
 __all__ = [
     "ScanSpec",
     "ThresholdReport",
     "min_entry_curve",
     "positivity_threshold",
+    "positivity_thresholds",
     "scan_threshold",
+    "scan_thresholds",
     "detect_threshold",
     "h_inverse_positivity",
 ]
 
-# skeleton fit of kernel rows in a whole-grid read: below the contour
+# skeleton fit of kernel rows in a skeleton read: below the contour
 # kernel's own error (about 3.4e-12), so the rows compress
 KERNEL_SKELETON_TOL = 1e-12
+
+# decide reads go through a skeleton from this size up, through
+# min_entries below it: the measured crossover.  On one decade of the five
+# table operators (125 kernel rows, 2 shared vCPUs) the two tie at N = 49
+# (2.0 ms); at N = 36 min_entries takes 1.1 against 1.5-1.8 ms, at N = 64
+# the skeleton 1.9-2.4 against 3.3 ms, at N = 135 3.6-4.5 against 15.3 ms
+DECIDE_SKELETON_SIZE = 49
 
 
 @dataclass(frozen=True)
@@ -77,12 +93,17 @@ def _exact_size(system):
     return system.size ** 2 <= linalg.BLOCK_ENTRIES
 
 
-def _read_mins(system, rows, fit_tol):
-    """(mins, bound): exact min_entries (bound 0) on a system of
-    _exact_size, else skeleton_min_entries with the rows fitted to fit_tol."""
-    if _exact_size(system):
+def _read_mins(system, rows, fit_tol, decide=False):
+    """(mins, bound): exact min_entries (bound 0), else skeleton_min_entries
+    with the rows fitted to fit_tol.
+
+    A read for a curve is exact on a system of _exact_size and runs the
+    skeleton's exact stage above it.  A decide read, whose minima are only
+    compared with the floor, is exact below DECIDE_SKELETON_SIZE and never
+    runs that stage: its caller re-reads what lies within the bound."""
+    if system.size < DECIDE_SKELETON_SIZE if decide else _exact_size(system):
         return system.eigen.min_entries(rows), np.zeros(len(rows))
-    return system.eigen.skeleton_min_entries(rows, fit_tol)
+    return system.eigen.skeleton_min_entries(rows, fit_tol, decide)
 
 
 def min_entry_curve(system, op, grid):
@@ -188,7 +209,8 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False, curv
     decade on a system of _exact_size and the whole grid above it.  By
     decades the bottom block (one point on a default grid) is read first,
     so a time the kernel cannot read fails the scan even when the top
-    decades decide; its minima count only if the blocks reach it.
+    decades decide; its minima count only if the blocks reach it.  The
+    blocks of a scan that is not monotone are decide reads.
 
     monotone=True is for curves whose sign changes at most once along the
     grid, from negative to nonnegative.  A scan that only decides then
@@ -199,6 +221,24 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False, curv
     end, so the ends decide nothing and the scan reads top-down as above,
     the whole grid in one block.
     """
+    (report,) = scan_thresholds(system, [op], [coeffs], scan, tol, monotone, curve)
+    if isinstance(report, FracposError):
+        raise report
+    return report
+
+
+def scan_thresholds(system, ops, coeffs, scan=None, tol=None, monotone=False, curve=False):
+    """scan_threshold for each pair of ops and coeffs on one system.
+
+    Each scan runs as it would alone, except that the scans go through
+    their top-down blocks in step and each block is read once for every
+    scan still undecided: one _read_mins call on their stacked rows, so a
+    decade of five table operators is one skeleton.  Returns one entry per
+    operator, its ThresholdReport or the FracposError its scan raised.  A
+    joint read that fails or gives a non-finite minimum is read again
+    exactly, scan by scan, so a failing operator changes no other entry
+    and fails as it would alone.
+    """
     scan = scan if scan is not None else ScanSpec()
     if scan.decades < 6.0 - 1e-9:
         raise InvalidParameter("scan must cover at least six decades")
@@ -207,58 +247,124 @@ def scan_threshold(system, op, coeffs, scan=None, tol=None, monotone=False, curv
     elif not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParameter("tol must be finite and nonnegative, got %r" % tol)
     grid = scan.grid()
-
-    def finite(values, xs, what):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise NumericalError(
-                "%s %s: %s %r at x = %r"
-                % (system.method, op.label, what, float(values[bad][0]), float(xs[bad][0]))
-            )
-        return values
-
     fit_tol = linalg.SKELETON_TOL if monotone else KERNEL_SKELETON_TOL
-    by_decade = _exact_size(system) and not (monotone or curve)
+    decide = not (monotone or curve)
+    by_decade = _exact_size(system) and decide
     block = scan.per_decade if by_decade else grid.size
 
-    def reduce(xs):
-        rows = coeffs(xs)
-        finite(np.abs(rows).max(axis=1), xs, "largest coefficient")
-        mins, bound = _read_mins(system, rows, fit_tol)
-        near = np.abs(mins + tol) <= bound
-        if near.any():
-            mins[near] = system.eigen.min_entries(rows[near])
-        return finite(mins, xs, "smallest entry")
+    def run(op, coeffs):
+        """One scan; it yields each top-down block's rows for the joint
+        read and takes back the rows and their (mins, bound), or None to
+        read them exactly."""
 
-    ends = reduce(grid[[0, -1]]) if monotone and not curve else None
-    if ends is not None and ends[0] < -tol:
-        idx, mins = _bisect_indices(grid, reduce, tol, ends)
-    else:
-        bottom = reduce(grid[:(grid.size - 1) % block + 1]) if by_decade else None
-        start, mins = grid.size, np.empty(0)
-        while start > 0 and not (mins < -tol).any():
-            stop, start = start, max(0, start - block)
-            read = bottom if start == 0 and by_decade else reduce(grid[start:stop])
-            mins = np.concatenate((read, mins))
-        idx = np.arange(start, grid.size)
-    status, value, bracket = detect_threshold(
-        grid[idx], mins, lambda x: reduce(np.array([x]))[0], tol
-    )
-    return ThresholdReport(
-        status=status,
-        value=value,
-        bracket=bracket,
-        tolerance=tol,
-        curve=np.column_stack((grid, mins)) if curve else None,
-        method=system.method,
-        operator=op.label,
-    )
+        def finite(values, xs, what):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                raise NumericalError(
+                    "%s %s: %s %r at x = %r"
+                    % (system.method, op.label, what, float(values[bad][0]), float(xs[bad][0]))
+                )
+            return values
+
+        def rows_at(xs):
+            rows = coeffs(xs)
+            finite(np.abs(rows).max(axis=1), xs, "largest coefficient")
+            return rows
+
+        def settle(xs, rows, read):
+            mins, bound = read
+            near = np.abs(mins + tol) <= bound
+            if near.any():
+                mins[near] = system.eigen.min_entries(rows[near])
+            return finite(mins, xs, "smallest entry")
+
+        def reduce(xs):
+            rows = rows_at(xs)
+            return settle(xs, rows, _read_mins(system, rows, fit_tol))
+
+        def read_block(xs):
+            # the joint read stacks the rows and hands back this scan's part
+            rows, read = yield rows_at(xs)
+            return settle(xs, rows, read or (system.eigen.min_entries(rows), 0.0))
+
+        ends = reduce(grid[[0, -1]]) if monotone and not curve else None
+        if ends is not None and ends[0] < -tol:
+            idx, mins = _bisect_indices(grid, reduce, tol, ends)
+        else:
+            bottom = reduce(grid[:(grid.size - 1) % block + 1]) if by_decade else None
+            start, mins = grid.size, np.empty(0)
+            while start > 0 and not (mins < -tol).any():
+                stop, start = start, max(0, start - block)
+                if start == 0 and by_decade:
+                    read = bottom
+                else:
+                    read = yield from read_block(grid[start:stop])
+                mins = np.concatenate((read, mins))
+            idx = np.arange(start, grid.size)
+        status, value, bracket = detect_threshold(
+            grid[idx], mins, lambda x: reduce(np.array([x]))[0], tol
+        )
+        return ThresholdReport(
+            status=status,
+            value=value,
+            bracket=bracket,
+            tolerance=tol,
+            curve=np.column_stack((grid, mins)) if curve else None,
+            method=system.method,
+            operator=op.label,
+        )
+
+    scans = [run(op, fn) for op, fn in zip(ops, coeffs)]
+    outcomes = [None] * len(scans)
+    asked = {}
+
+    def resume(k, read):
+        try:
+            asked[k] = scans[k].send(read)
+        except StopIteration as done:
+            outcomes[k] = done.value
+        except FracposError as exc:
+            outcomes[k] = exc
+
+    for k in range(len(scans)):
+        resume(k, None)
+    while asked:
+        pending = list(asked)
+        cuts = np.cumsum([len(asked[k]) for k in pending])[:-1]
+        # the stack is the rows' one copy: no scan holds its own
+        joint = np.vstack([asked.pop(k) for k in pending])
+        for k, read in zip(pending, _joint_read(system, joint, cuts, fit_tol, decide)):
+            resume(k, read)
+    return outcomes
+
+
+def _joint_read(system, joint, cuts, fit_tol, decide):
+    """One _read_mins of the stacked rows of several scans, cut apart at
+    cuts: for each scan its rows and their (mins, bound), or None in place
+    of every (mins, bound) when the read fails or gives a non-finite
+    minimum."""
+    rows = np.split(joint, cuts)
+    try:
+        mins, bound = _read_mins(system, joint, fit_tol, decide)
+    except (FracposError, np.linalg.LinAlgError):
+        return [(part, None) for part in rows]
+    if not np.isfinite(mins).all():
+        return [(part, None) for part in rows]
+    return list(zip(rows, zip(np.split(mins, cuts), np.split(bound, cuts))))
 
 
 def positivity_threshold(system, op, scan=None, tol=None, curve=False):
     """Time beyond which E(t) stays entrywise nonnegative (see scan_threshold)."""
     rows = functools.partial(kernel.u_lambda_many, op, system.eigen.eigenvalues)
     return scan_threshold(system, op, rows, scan, tol, curve=curve)
+
+
+def positivity_thresholds(system, ops, scan=None, tol=None):
+    """positivity_threshold of several operators on one system, decided
+    together (scan_thresholds): each a ThresholdReport or a FracposError."""
+    lams = system.eigen.eigenvalues
+    rows = [functools.partial(kernel.u_lambda_many, op, lams) for op in ops]
+    return scan_thresholds(system, ops, rows, scan, tol)
 
 
 def _strictly_positive(a):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fracpos import cli, fem, fullydiscrete, kernel, mesh, semidiscrete
-from fracpos.errors import NoConvergence
+from fracpos.errors import ContourFailure, FracposError, NoConvergence
 from fracpos.semidiscrete import ScanSpec
 
 
@@ -33,6 +33,18 @@ def test_mesh_info_uniform(capsys):
     assert "h0: 0.100" in out
     assert "delaunay: true" in out
     assert "normal: true" in out
+
+
+def test_mesh_info_builds_one_edge_table(monkeypatch, capsys):
+    # validate_mesh, delaunay_edges, the normality test and mesh_size all
+    # read the table held on the mesh; bundled files carry boundary flags,
+    # so no table is built to derive them
+    built = []
+    edge_table = mesh.edge_table
+    monkeypatch.setattr(mesh, "edge_table", lambda tris: built.append(1) or edge_table(tris))
+    assert run_cli("mesh", "info", "--bundled", "disk_coarse") == 0
+    assert "delaunay: true" in capsys.readouterr().out
+    assert len(built) == 1
 
 
 def test_mesh_info_crossed_counts_failing_edges(capsys):
@@ -1166,8 +1178,9 @@ def test_reproduce_table_writes_a_failed_cell(failing, tmp_path, capsys, monkeyp
     def fail(*args, **kwargs):
         raise NoConvergence("no convergence, twice")
 
+    # a table decides its semidiscrete cells together, one call per system
     module, name = [
-        (semidiscrete, "positivity_threshold"), (fullydiscrete, "fd_positivity_threshold")
+        (semidiscrete, "positivity_thresholds"), (fullydiscrete, "fd_positivity_threshold")
     ][failing]
     monkeypatch.setattr(module, name, fail)
     assert run_cli("reproduce", "--table", "2", "--outdir", str(tmp_path)) == 0
@@ -1196,6 +1209,55 @@ def test_reproduce_table_below_the_kernel_gate_fails_every_sd_cell(tmp_path, cap
     for cells in want:
         cells[4] = "FAIL(lambda = 0 defect nan at t = 1e-250)"
     assert [row.split(",") for row in rows] == want
+
+
+@pytest.mark.parametrize("kind", ["contour", "coefficient", "huge"])
+def test_reproduce_table_fails_one_operator_as_alone(kind, tmp_path, capsys, monkeypatch):
+    # table 1 (N = 81) reads each decade of its five operators as one
+    # skeleton; one operator's bad rows change only its own semidiscrete
+    # cell, to the text its scan gives alone
+    target = "multi-0.5-0.2"
+    label = cli._OPS[target]().label
+    u_lambda_many = kernel.u_lambda_many
+
+    def bad_rows(op, lams, t):
+        rows = u_lambda_many(op, lams, t)
+        if op.label != label:
+            return rows
+        top = np.atleast_1d(t) >= 10.0
+        if kind == "contour" and np.min(t) < 1e-7:
+            # the bottom block, read on its own before the decades
+            raise ContourFailure("defect injected at t = %r" % float(np.min(t)))
+        if kind == "coefficient":
+            rows[top] = np.nan
+        if kind == "huge":
+            # finite, but the joint skeleton's norms overflow: the decade
+            # is read again exactly, operator by operator
+            rows[top] = 1e308
+            rows[top, ::2] = -1e308
+        return rows
+
+    monkeypatch.setattr(kernel, "u_lambda_many", bad_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("reproduce", "--table", "1", "--outdir", str(tmp_path)) == 0
+        alone = {}
+        for method in ("sg", "fve"):
+            system = fem.build_fem_system(mesh.gen_uniform_square(10), method)
+            try:
+                alone[method] = semidiscrete.positivity_threshold(
+                    system, cli._OPS[target]()
+                ).describe()
+            except FracposError as exc:
+                alone[method] = ("FAIL(%s)" % exc).replace(",", ";")
+    capsys.readouterr()
+    rows = (tmp_path / "table1.csv").read_text().splitlines()[2:]
+    want = [row.split(",") for row in TABLE_ROWS[1]]
+    for cells in want:
+        if cells[3] == target:
+            cells[4] = alone[cells[0]]
+    assert [row.split(",") for row in rows] == want
+    if kind != "huge":
+        assert all(cell.startswith("FAIL(") for cell in alone.values())
 
 
 def test_reproduce_validation(capsys):

@@ -271,6 +271,13 @@ def test_loosely_fitted_rows_are_evaluated_exactly(get_system, op):
     rounding = 2 * (n + 1) * np.finfo(float).eps * np.abs(rows[loose]).max(axis=1) * scale
     np.testing.assert_array_equal(bound[loose], rounding)
     assert bound[loose].max() < 0.1 * tol
+    # a decide read stops before that stage: the skeleton's minima, each
+    # within its stated bound, and no loosely fitted row evaluated exactly
+    decided, stated = eig.skeleton_min_entries(rows, tol, decide=True)
+    assert np.all(np.abs(decided - exact) <= stated)
+    assert np.any(decided[loose] != mins[loose])
+    tight = np.setdiff1d(np.arange(n), loose)
+    np.testing.assert_array_equal(decided[tight], mins[tight])
 
 
 def _cholesky_route(s, m):

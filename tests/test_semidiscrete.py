@@ -192,13 +192,14 @@ KERNEL_CALLS = {"semi": "u_lambda_many", "fully": "cq_weights"}
 
 
 def _count_scan_work(monkeypatch, kernel_name):
-    """Count kernel calls and rows, reduced rows and refinement steps.
+    """Count kernel calls and rows, reduced rows, skeleton reads and
+    refinement steps.
 
     Rows count as reduced once, through min_entries or through
     skeleton_min_entries, which hands a batch its skeleton does not pay
     for on to min_entries.
     """
-    counts = {"calls": 0, "rows": 0, "reduced": 0, "bisect": 0}
+    counts = {"calls": 0, "rows": 0, "reduced": 0, "skeleton": 0, "bisect": 0}
     kernel_fn = getattr(kernel, kernel_name)
     min_entries = linalg.EigenSystem.min_entries
     skeleton_min_entries = linalg.EigenSystem.skeleton_min_entries
@@ -218,6 +219,7 @@ def _count_scan_work(monkeypatch, kernel_name):
 
     def counting_skeleton_min_entries(self, rows, *args):
         counts["reduced"] += len(rows)
+        counts["skeleton"] += 1
         inside_skeleton.append(True)
         try:
             return skeleton_min_entries(self, rows, *args)
@@ -402,6 +404,60 @@ def test_whole_grid_read_rereads_points_near_the_floor(get_system, monkeypatch):
     assert work["calls"] == 1 + work["bisect"]
     assert work["reduced"] > scan.points + work["bisect"]
     np.testing.assert_allclose(rep.curve, full, rtol=0.0, atol=1e-15)
+
+
+FIVE = [
+    SINGLE,
+    FracOperator.single_term(0.75),
+    MULTI,
+    FracOperator.multi_term((0.75, 0.2)),
+    DIST,
+]
+
+
+def test_joint_scan_reads_each_decade_once_for_its_pending_operators(
+    get_system, monkeypatch
+):
+    # N = 135, the largest default-table system: the five operators decide
+    # together, one skeleton read per decade for all that are undecided
+    sys = get_system("disk_coarse", "sg")
+    assert semidiscrete.DECIDE_SKELETON_SIZE <= sys.size and sys.size ** 2 <= linalg.BLOCK_ENTRIES
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
+    alone = []
+    for op in FIVE:
+        _reset(counts)
+        alone.append((semidiscrete.positivity_threshold(sys, op), dict(counts)))
+    _reset(counts)
+    joint = semidiscrete.positivity_thresholds(sys, FIVE)
+    # alone, each operator reads its decades through one skeleton each
+    decades = [work["skeleton"] for _, work in alone]
+    assert min(decades) >= 1 and sum(decades) > max(decades)
+    assert counts["skeleton"] == max(decades)
+    # the same rows and kernel calls, the same verdicts
+    for key in ("calls", "rows", "bisect"):
+        assert counts[key] == sum(work[key] for _, work in alone), key
+    for rep, (one, _) in zip(joint, alone):
+        assert (rep.status, rep.value, rep.bracket) == (one.status, one.value, one.bracket)
+        assert rep.found and rep.curve is None
+
+
+def test_joint_decade_read_rereads_points_near_the_floor(get_system, monkeypatch):
+    # N = 135: a curve reads exactly, a decide read through a skeleton
+    # with no exact stage, so the point that sits exactly on the floor is
+    # re-read exactly from the rows at hand
+    sys = get_system("disk_coarse", "sg")
+    scan = ScanSpec()
+    curve = semidiscrete.positivity_threshold(sys, SINGLE, curve=True).curve
+    tol = -curve[np.flatnonzero(curve[:, 1] < 0.0)[-1], 1]
+    counts = _count_scan_work(monkeypatch, KERNEL_CALLS["semi"])
+    reports = semidiscrete.positivity_thresholds(sys, FIVE, scan=scan, tol=tol)
+    work = dict(counts)
+    assert work["skeleton"] >= 1
+    assert work["reduced"] > work["rows"]
+    assert reports[0].found
+    for op, rep in zip(FIVE, reports):
+        verdict, _ = _full_grid_threshold(sys, op, "semi", scan, tol)
+        assert (rep.status, rep.value, rep.bracket) == verdict, op.label
 
 
 def test_curve_rejects_non_finite_rows_between_probes():
