@@ -155,7 +155,8 @@ def build_fem_system(mesh, method):
     """Factor a method's pencil, assembling each matrix only while needed.
 
     gen_sym_eigen gets the assemblers, not the matrices, so it frees each
-    one once used; the system holds only the eigensystem, 2 N^2 + N floats.
+    one once used; the system holds only the eigensystem, 2 N^2 + N floats
+    (and N more for lm: its diagonal mass).
     """
     eigen = linalg.gen_sym_eigen(
         lambda: assemble_stiffness(mesh), lambda: assemble_mass(mesh, method)

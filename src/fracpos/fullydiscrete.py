@@ -98,7 +98,10 @@ def max_norm_contractivity_check(system, op, taus, n_max=100):
     r_{n,tau}(lambda) of the scalar recursion for n = 1..n_max go to
     EigenSystem.max_norms, which reads E_{n,tau} through a skeleton of
     those rows: each entry is off by at most linalg.SKELETON_TOL *
-    (|back| |forward|)_ij plus roundoff, far below that slack.  E_{0,tau} = I, so norms[0] = 1
+    (|back| |forward|)_ij plus roundoff, far below that slack.  With the
+    lumped (diagonal) mass it forms only the upper block triangle of each
+    E_{n,tau} and reads entry (j, i) below it as E_ij d_i / d_j, within
+    the same bound at (j, i).  E_{0,tau} = I, so norms[0] = 1
     exactly, and n_max = 0 gives norms = [1.0].  A row that is not finite
     (tau so small that the weights overflow) raises NumericalError naming
     its step count.

@@ -20,7 +20,12 @@ matrices: min_entries (smallest entry, exact products in blocks) and,
 through one loop over a skeleton of the rows, max_norms (max-norm) and
 skeleton_min_entries (smallest entry and its error bound).  A skeleton
 entry moves by at most its fit tolerance (SKELETON_TOL unless given)
-times (|back| |forward|)_ij plus roundoff.  skeleton_min_entries uses the
+times (|back| |forward|)_ij plus roundoff.  For a lumped M = diag(d)
+(EigenSystem.lumped_mass) every matrix function E has E M^{-1}
+symmetric, E_ji = E_ij d_i / d_j, and max_norms forms only the upper
+block triangle of each E: a mirrored entry moves by at most SKELETON_TOL
+(|back| |forward|)_ji plus roundoff, the bound of a formed one, for
+half the products.  skeleton_min_entries uses the
 skeleton only to locate the minimum of a row fitted worse than
 SKELETON_TOL: it evaluates that minimum exactly on the few matrix rows
 that can hold it, so a loose fit (the kernel rows' 1e-12) still gives
@@ -90,12 +95,14 @@ class EigenSystem:
 
     eigenvalues are ascending and strictly positive.  For any coefficient
     vector c(lambda_i), back_transform @ diag(c) @ forward_transform is the
-    matrix function c(M^{-1}S).
+    matrix function c(M^{-1}S).  lumped_mass is the diagonal d of a
+    diagonal (lumped) M, None for a full M.
     """
 
     eigenvalues: np.ndarray
     back_transform: np.ndarray
     forward_transform: np.ndarray
+    lumped_mass: np.ndarray = None
 
     @property
     def size(self):
@@ -132,13 +139,33 @@ class EigenSystem:
 
         Read through a skeleton of the rows (_skeleton_reduce): an entry
         moves by at most SKELETON_TOL * (|back| |forward|)_ij plus roundoff.
+        With a lumped M = diag(d), E = back diag(c) forward has E M^{-1}
+        symmetric, E_ji = E_ij d_i / d_j, so only the upper block triangle
+        is formed: each block's absolute row sums go to its own rows, and
+        its columns past the diagonal block, weighted by d_i / d_j, to the
+        rows they mirror, all into one k x N table of row sums per batch.
+        A mirrored entry then moves by at most SKELETON_TOL * (|back|
+        |forward|)_ji plus roundoff, the same bound as a formed one.
         """
         rows = np.asarray(rows, dtype=float)
         out = np.zeros(rows.shape[0])
+        d = self.lumped_mass
         for batch in self._batches(rows):
-            part = out[batch]
-            self._skeleton_reduce(rows[batch], _skeleton(rows[batch]), lambda block, c, i: (
-                np.maximum(part[c], np.abs(block, out=block).sum(axis=2).max(axis=1), out=part[c])))
+            coeffs, part = rows[batch], out[batch]
+            if d is None:
+                self._skeleton_reduce(coeffs, _skeleton(coeffs), lambda block, c, i: np.maximum(
+                    part[c], np.abs(block, out=block).sum(axis=2).max(axis=1), out=part[c]))
+                continue
+            sums = np.zeros((coeffs.shape[0], self.size))
+
+            def fold(block, c, i):
+                np.abs(block, out=block)
+                sums[c, i] += block @ np.ones(block.shape[2])
+                tail = slice(i.start + block.shape[1], None)
+                sums[c, tail] += (d[i] @ block[:, :, block.shape[1]:]) / d[tail]
+
+            self._skeleton_reduce(coeffs, _skeleton(coeffs), fold, upper=True)
+            part[:] = sums.max(axis=1)
         return out
 
     def skeleton_min_entries(self, rows, tol=SKELETON_TOL, decide=False):
@@ -215,7 +242,7 @@ class EigenSystem:
         per_batch = max(1, min(rows.shape[0], self.size))
         return [slice(first, first + per_batch) for first in range(0, rows.shape[0], per_batch)]
 
-    def _skeleton_reduce(self, batch, skel, fold):
+    def _skeleton_reduce(self, batch, skel, fold, upper=False):
         """Fold every row's matrix back @ diag(c) @ forward, from its skeleton.
 
         skel = _skeleton(batch) writes the batch (at most N rows) as an
@@ -228,7 +255,9 @@ class EigenSystem:
         (r b) x N by N x N product; against it, k' = N // b rows of X (both
         at least one) combine into a k' x b x N block, which fold(block, c,
         i) folds in, for the slices c of batch rows and i of matrix rows it
-        holds.  No array exceeds N^2.
+        holds.  upper=True forms only the upper block triangle: the block
+        of rows i holds columns i.start.. (forward[:, i.start:]).  No array
+        exceeds N^2.
 
         Returns each row's error bound in units of max (|back| |forward|):
         its skeleton residual plus (N + 2r + 2) eps (|c|_inf + |X| |c_S|_inf),
@@ -243,11 +272,13 @@ class EigenSystem:
         per_combine = max(1, n // per_block)
         for start in range(0, n, per_block):
             back = self.back_transform[start:start + per_block]
+            forward = self.forward_transform[:, start:] if upper else self.forward_transform
+            shape = (back.shape[0], forward.shape[1])
             # entry [s, i, :] is row i of back diag(c_s) forward
             wide = ((skeleton[:, None, :] * back).reshape(-1, n)
-                    @ self.forward_transform).reshape(r, back.shape[0] * n)
+                    @ forward).reshape(r, shape[0] * shape[1])
             for c0 in range(0, batch.shape[0], per_combine):
-                block = (x[c0:c0 + per_combine] @ wide).reshape(-1, back.shape[0], n)
+                block = (x[c0:c0 + per_combine] @ wide).reshape(-1, *shape)
                 fold(block, slice(c0, c0 + per_combine), slice(start, start + per_block))
                 del block  # before the next one is formed: it sets peak memory
             del wide  # likewise
@@ -270,8 +301,10 @@ def _skeleton(rows, tol=SKELETON_TOL):
     posteriori, entrywise: |c_n - X_n rows[S]| <= tol plus (|S| + 1) eps
     (|c_n|_2 + |X_n| |rows[S]|), the rounding of the projections (which
     spreads over the whole row, hence its 2-norm) and of the check
-    itself.  A zero row gets a zero row of X; rows must be finite.  The
-    third value is each row's largest residual entry.
+    itself.  A zero row gets a zero row of X; rows must be finite, and a
+    fit that breaks down (rows whose squared norms overflow) or misses
+    raises NumericalError.  The third value is each row's largest
+    residual entry.
     """
     res = rows.copy()
     picked = []
@@ -289,9 +322,12 @@ def _skeleton(rows, tol=SKELETON_TOL):
     del res
     coef = rows @ basis.T
     skeleton = rows[picked]
-    x = np.linalg.solve(coef[picked].T, coef.T).T
-    for _ in range(2):  # coef[S] is ill-conditioned: refine X to rounding
-        x += np.linalg.solve(coef[picked].T, ((rows - x @ skeleton) @ basis.T).T).T
+    try:
+        x = np.linalg.solve(coef[picked].T, coef.T).T
+        for _ in range(2):  # coef[S] is ill-conditioned: refine X to rounding
+            x += np.linalg.solve(coef[picked].T, ((rows - x @ skeleton) @ basis.T).T).T
+    except np.linalg.LinAlgError as exc:  # rows whose squared norms overflow
+        raise NumericalError("skeleton of %d rows: %s" % (len(picked), exc)) from exc
     err = x @ skeleton
     err -= rows
     np.abs(err, out=err)
@@ -341,7 +377,9 @@ def gen_sym_eigen(s, m):
     OpenBLAS that gives a Cholesky route's eigenvalues and back_transform
     bit for bit, where dividing by sqrt(m) does not.  Its forward is
     (sqrt(m) W)^T, not (M back)^T, and differs from the Cholesky route's
-    by up to 6.9e-18.  M is then assembled only once.
+    by up to 6.9e-18.  M is then assembled only once, and its diagonal d
+    (N floats) is kept as lumped_mass, which lets max_norms read each
+    matrix from its upper block triangle; a full M leaves it None.
     """
     assemble_s, assemble_m = _assembler(s), _assembler(m)
     mass = _check_square(assemble_m())
@@ -389,7 +427,8 @@ def gen_sym_eigen(s, m):
         back = _tril_inverse(ell, out=ell).T @ vecs
         del ell, vecs
         forward = (np.asarray(assemble_m(), dtype=float) @ back).T
-    return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward)
+    return EigenSystem(eigenvalues=w, back_transform=back, forward_transform=forward,
+                       lumped_mass=diag if lumped else None)
 
 
 def _assembler(a):

@@ -319,11 +319,79 @@ def _ints(tokens, path, lineno):
 
 
 def load_triangle_format(node_path, ele_path):
-    """Read a .node/.ele pair; node indices may be 0- or 1-based."""
+    """Read a .node/.ele pair; node indices may be 0- or 1-based.
+
+    Each file's rows are parsed as arrays first (_nodes_from_arrays,
+    _triangles_from_arrays); a file they do not accept is read again line
+    by line, which raises the error of its first offending line.
+    """
     (count, _, nattr, nmark), rows = _read_table(
         node_path, "node", 4, (2, "2-d meshes"), "nodes"
     )
     want = 3 + nattr + (1 if nmark else 0)
+    parsed = _nodes_from_arrays(rows, want, nmark, count)
+    if parsed is None:
+        parsed = _nodes_by_line(node_path, rows, want, nmark, count)
+    nodes, boundary, base = parsed
+
+    (tcount, _, _), rows = _read_table(
+        ele_path, "ele", 3, (3, "3-node triangles"), "triangles"
+    )
+    tris = _triangles_from_arrays(rows, base, count)
+    if tris is None:
+        tris = _triangles_by_line(ele_path, rows, base, count, tcount)
+    return _finalize(nodes, tris, boundary)
+
+
+def _fields(rows):
+    """(fields, width): every row's fields in one flat list and the number
+    per row, or None when the rows differ in it."""
+    lines = [line for _, line in rows]
+    # no per-row lists are kept: a million live ones keep the collector busy
+    widths = set(map(len, map(str.split, lines)))
+    if len(widths) != 1:
+        return None
+    return " ".join(lines).split(), widths.pop()
+
+
+def _column(fields, width, k, convert):
+    """Field k of every row of width fields, read by convert (int or float,
+    as the line loop reads it) into int64 or float64; raises ValueError or
+    OverflowError where a field does not convert or fit."""
+    dtype = np.int64 if convert is int else float
+    return np.fromiter(map(convert, fields[k::width]), dtype=dtype)
+
+
+def _nodes_from_arrays(rows, want, nmark, count):
+    """(nodes, boundary, base) from the node rows, or None where the line
+    loop must read them."""
+    parsed = _fields(rows)
+    if parsed is None or parsed[1] != want:
+        return None
+    fields = parsed[0]
+    try:
+        raw_ids = _column(fields, want, 0, int)
+        coords = np.column_stack([_column(fields, want, k, float) for k in (1, 2)])
+        markers = _column(fields, want, want - 1, int) if nmark else None
+    except (ValueError, OverflowError):
+        return None
+    base = int(raw_ids.min())
+    if base not in (0, 1):
+        return None
+    ids = raw_ids - base
+    if not np.array_equal(np.sort(ids), np.arange(count)):
+        return None
+    nodes = np.empty((count, 2))
+    nodes[ids] = coords
+    boundary = None
+    if nmark:
+        boundary = np.zeros(count, dtype=bool)
+        boundary[ids] = markers != 0
+    return nodes, boundary, base
+
+
+def _nodes_by_line(node_path, rows, want, nmark, count):
+    """(nodes, boundary, base) from the node rows, one line at a time."""
     raw_ids = []
     coords = []
     markers = []
@@ -352,10 +420,29 @@ def load_triangle_format(node_path, ele_path):
         nodes[nid] = coords[pos]
         if nmark:
             boundary[nid] = markers[pos] != 0
+    return nodes, boundary, base
 
-    (tcount, _, _), rows = _read_table(
-        ele_path, "ele", 3, (3, "3-node triangles"), "triangles"
-    )
+
+def _triangles_from_arrays(rows, base, count):
+    """The triangles' 0-based node indices from the element rows, or None
+    where the line loop must read them."""
+    parsed = _fields(rows)
+    if parsed is None or parsed[1] < 4:
+        return None
+    fields, width = parsed
+    try:
+        # the line loop reads the element number as an integer too
+        cols = [_column(fields, width, k, int) for k in range(4)]
+    except (ValueError, OverflowError):
+        return None
+    tris = np.column_stack(cols[1:]) - base
+    if not np.all((tris >= 0) & (tris < count)):
+        return None
+    return tris
+
+
+def _triangles_by_line(ele_path, rows, base, count, tcount):
+    """The triangles' 0-based node indices, one element row at a time."""
     tris = np.empty((tcount, 3), dtype=np.int64)
     for row, (lineno, line) in enumerate(rows):
         toks = line.split()
@@ -367,7 +454,7 @@ def load_triangle_format(node_path, ele_path):
             if not 0 <= v < count:
                 raise ParseError("%s:%d: node index out of range" % (ele_path, lineno))
             tris[row, k] = v
-    return _finalize(nodes, tris, boundary)
+    return tris
 
 
 def save_triangle_format(mesh, node_path, ele_path):

@@ -346,7 +346,7 @@ def _joint_read(system, joint, cuts, fit_tol, decide):
     rows = np.split(joint, cuts)
     try:
         mins, bound = _read_mins(system, joint, fit_tol, decide)
-    except (FracposError, np.linalg.LinAlgError):
+    except FracposError:
         return [(part, None) for part in rows]
     if not np.isfinite(mins).all():
         return [(part, None) for part in rows]

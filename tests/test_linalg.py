@@ -1,12 +1,13 @@
 """Dense symmetric linear algebra: factorizations, eigensystems, reductions."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracpos import kernel, linalg, semidiscrete
-from fracpos.errors import NotPositiveDefinite
+from fracpos.errors import NotPositiveDefinite, NumericalError
 from fracpos.kernel import FracOperator
 
 
@@ -85,6 +86,70 @@ def _per_row_max_norms(eig, rows):
     return np.array([np.abs(eig.matrix_function(c)).sum(axis=1).max() for c in rows])
 
 
+def _general(eig):
+    # the same eigensystem read as if its mass were full: the general loop
+    return dataclasses.replace(eig, lumped_mass=None)
+
+
+def _check_max_norms(eig, rows):
+    """max_norms of rows against one dense product per row; on a lumped
+    system also the general loop, against both."""
+    norms = eig.max_norms(rows)
+    want = _per_row_max_norms(eig, rows)
+    np.testing.assert_allclose(norms, want, rtol=0.0, atol=1e-13)
+    if eig.lumped_mass is not None:
+        general = _general(eig).max_norms(rows)
+        np.testing.assert_allclose(general, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(norms, general, rtol=0.0, atol=1e-13)
+    return norms
+
+
+@pytest.mark.parametrize(
+    "family, kw", [("uniform", {"m": 10}), ("crossed", {"m": 5}), ("disk_coarse", {})],
+    ids=["uniform10", "crossed5", "disk_coarse"],
+)
+def test_lumped_matrix_functions_are_symmetric_over_the_mass(get_system, family, kw):
+    # the identity the lumped max_norms read rests on: forward = back^T M,
+    # so E M^{-1} is symmetric and E_ji = E_ij d_i / d_j for M = diag(d)
+    system = get_system(family, "lm", **kw)
+    eig = system.eigen
+    d = eig.lumped_mass
+    np.testing.assert_array_equal(d, np.diagonal(system.mass))
+    rng = np.random.default_rng(3)
+    kernel_row = kernel.u_lambda_many(FracOperator.single_term(0.5), eig.eigenvalues, 1e-3)
+    for c in (np.ones(eig.size), rng.uniform(-1.0, 1.0, eig.size), kernel_row.ravel()):
+        e = eig.matrix_function(c) / d[None, :]
+        np.testing.assert_allclose(e, e.T, rtol=0.0, atol=1e-14 * np.abs(e).max())
+    for method in ("sg", "fve"):
+        assert get_system(family, method, **kw).eigen.lumped_mass is None
+
+
+def test_lumped_max_norms_form_the_upper_block_triangle(get_system, monkeypatch):
+    # a lumped system's read forms the columns a.. of each block of rows
+    # a..a+b, about half of what the general loop forms, and matches it
+    eig = get_system("uniform", "lm", m=10).eigen
+    n = eig.size
+    # n = N steps: one batch
+    rows = kernel._r_rows(FracOperator.single_term(0.5), eig.eigenvalues, 1e-2, n)[1:]
+    formed = []
+    reduce = linalg.EigenSystem._skeleton_reduce
+
+    def counting(self, batch, skel, fold, upper=False):
+        def counted(block, c, i):
+            formed[-1] += block.size
+            fold(block, c, i)
+        formed.append(0)
+        return reduce(self, batch, skel, counted, upper)
+
+    monkeypatch.setattr(linalg.EigenSystem, "_skeleton_reduce", counting)
+    _check_max_norms(eig, rows)
+    assert len(formed) == 2
+    per_block = n // linalg._skeleton(rows)[0].shape[0]
+    upper = sum(min(per_block, n - a) * (n - a) for a in range(0, n, per_block))
+    assert formed == [rows.shape[0] * upper, rows.shape[0] * n * n]
+    assert upper < 0.6 * n * n
+
+
 @pytest.mark.parametrize(
     "family,method,m",
     [
@@ -92,9 +157,12 @@ def _per_row_max_norms(eig, rows):
         ("uniform", "lm", 10),
         ("uniform", "lm", 20),
         ("uniform", "sg", 10),
+        # unequal masses (1/150 to 1/75): weights d_i / d_j away from 1
+        ("crossed", "lm", 5),
         ("counterexample", None, None),
     ],
-    ids=["uniform-lm-4", "uniform-lm-10", "uniform-lm-20", "uniform-sg-10", "counterexample"],
+    ids=["uniform-lm-4", "uniform-lm-10", "uniform-lm-20", "uniform-sg-10", "crossed-lm-5",
+         "counterexample"],
 )
 @pytest.mark.parametrize(
     "op",
@@ -113,10 +181,7 @@ def test_max_norms_match_per_row_products(get_system, family, method, m, op):
     else:
         eig = get_system(family, method, m=m).eigen
     for tau in (1e-4, 1e-2, 1.0):
-        rows = kernel._r_rows(op, eig.eigenvalues, tau, 100)[1:]
-        np.testing.assert_allclose(
-            eig.max_norms(rows), _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
-        )
+        _check_max_norms(eig, kernel._r_rows(op, eig.eigenvalues, tau, 100)[1:])
 
 
 def test_max_norms_edge_batches(get_system):
@@ -131,17 +196,22 @@ def test_max_norms_edge_batches(get_system):
         # low-rank batch longer than N, which goes in pieces of N rows
         assert linalg._skeleton(full)[0].shape[0] == n
         for rows in (full[:1], full, low):
-            np.testing.assert_allclose(
-                eig.max_norms(rows), _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
-            )
-        # zero rows read 0, alone and inside a batch
-        assert np.array_equal(eig.max_norms(np.zeros((1, n))), [0.0])
+            _check_max_norms(eig, rows)
+        # zero rows read 0, alone and inside a batch, on both branches
+        for reader in (eig, _general(eig)):
+            assert np.array_equal(reader.max_norms(np.zeros((1, n))), [0.0])
+            assert np.array_equal(reader.max_norms(np.zeros((3, n))), [0.0] * 3)
         rows = np.vstack([full[:3], np.zeros(n), full[3:5]])
-        norms = eig.max_norms(rows)
-        assert norms[3] == 0.0
-        np.testing.assert_allclose(
-            norms, _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
-        )
+        norms = _check_max_norms(eig, rows)
+        assert norms[3] == 0.0 and _general(eig).max_norms(rows)[3] == 0.0
+    # finite rows whose squared norms overflow break the skeleton's fit: a
+    # NumericalError on both max_norms branches and in skeleton_min_entries
+    huge = np.full((3, n), 1e308)
+    huge[:, ::2] = -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        for read in (eig.max_norms, _general(eig).max_norms, eig.skeleton_min_entries):
+            with pytest.raises(NumericalError, match="skeleton"):
+                read(huge)
 
 
 def test_max_norms_block_extremes(get_system):
@@ -156,9 +226,7 @@ def test_max_norms_block_extremes(get_system):
     assert four.shape[0] % per_combine != 0
     for rows, r in ((one, 1), (four, 4)):
         assert linalg._skeleton(rows)[0].shape[0] == r
-        np.testing.assert_allclose(
-            eig.max_norms(rows), _per_row_max_norms(eig, rows), rtol=0.0, atol=1e-13
-        )
+        _check_max_norms(eig, rows)
 
 
 def _first_step_rows(eig, op, grid):

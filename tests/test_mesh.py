@@ -406,6 +406,92 @@ def test_load_rejects_degenerate_triangle(tmp_path):
         mesh.load_triangle_format(tmp_path / "d.node", tmp_path / "d.ele")
 
 
+def _rows(path, kind, fields, supported):
+    return mesh._read_table(path, kind, fields, supported, "rows")
+
+
+def _write(tmp_path, name, text):
+    (tmp_path / name).write_text(text)
+    return tmp_path / name
+
+
+@pytest.mark.parametrize("name", mesh.bundled_mesh_names() + ["sliver0", "cw-attributes"])
+def test_array_parse_matches_the_line_loop(tmp_path, name):
+    if name in mesh.bundled_mesh_names():
+        node, ele = mesh._MESH_DIR / (name + ".node"), mesh._MESH_DIR / (name + ".ele")
+    elif name == "sliver0":  # 0-based, no markers, nodes listed in reverse
+        m = mesh.gen_sliver_square(4)
+        node, ele = tmp_path / "s.node", tmp_path / "s.ele"
+        node.write_text("%d 2 0 0\n" % m.n_nodes + "".join(
+            "%d %.17g %.17g\n" % (i, *m.nodes[i]) for i in range(m.n_nodes)[::-1]))
+        ele.write_text("%d 3 0\n" % m.n_triangles + "".join(
+            "%d %d %d %d\n" % (i, *t) for i, t in enumerate(m.triangles)))
+    else:
+        node, ele = tmp_path / "cw.node", tmp_path / "cw.ele"
+        node.write_text("5 2 1 0\n" + "".join(
+            line + " 0.25\n" for line in SQUARE_NODES.splitlines()))
+        ele.write_text("4 3 1\n" + "".join(
+            "%s %s %s %s 7\n" % (t, a, c, b)
+            for t, a, b, c in (line.split() for line in SQUARE_CCW.splitlines())))
+    (count, _, nattr, nmark), rows = _rows(node, "node", 4, (2, ""))
+    want = 3 + nattr + (1 if nmark else 0)
+    fast = mesh._nodes_from_arrays(rows, want, nmark, count)
+    slow = mesh._nodes_by_line(node, rows, want, nmark, count)
+    assert fast is not None
+    np.testing.assert_array_equal(fast[0], slow[0])
+    np.testing.assert_array_equal(fast[1], slow[1])
+    assert fast[2] == slow[2]
+    (tcount, _, _), rows = _rows(ele, "ele", 3, (3, ""))
+    tris = mesh._triangles_from_arrays(rows, fast[2], count)
+    assert tris is not None and tris.dtype == np.int64
+    np.testing.assert_array_equal(tris, mesh._triangles_by_line(ele, rows, fast[2], count, tcount))
+
+
+# SQUARE_NODES with markers: the center is the one interior node
+SQUARE_MARKED = "5 2 0 1\n" + "".join(
+    line + (" 0\n" if line.startswith("4") else " 1\n") for line in SQUARE_NODES.splitlines()
+)
+
+
+@pytest.mark.parametrize("node, ele, message", [
+    (SQUARE_MARKED.replace("2 1 1 1", "2 1 1"), None, ":4: expected 4 fields, got 3"),
+    (SQUARE_MARKED.replace("2 1 1 1", "2 1 x 1"), None, ":4: bad coordinate"),
+    (SQUARE_MARKED.replace("2 1 1 1", "2.0 1 1 1"), None, ":4: expected integers"),
+    (SQUARE_MARKED.replace("3 0 1 1", "3 0 1 m"), None, ":5: expected integers"),
+    (SQUARE_MARKED.replace("3 0 1 1", "2 0 1 1"), None, "node indices must cover 0..4"),
+    (SQUARE_MARKED.replace("0 0 0 1", "5 0 0 1").replace("1 1 0 1", "6 1 0 1"), None,
+     "node indices must start at 0 or 1"),
+    (None, SQUARE_CCW.replace("2 2 3 4", "2 2 3"), ":4: expected 4 fields"),
+    (None, "0 1 4\n1 2 4\n2 3 4\n3 0 4\n", ":2: expected 4 fields"),
+    (None, SQUARE_CCW.replace("2 2 3 4", "2 2 3 9"), ":4: node index out of range"),
+    (None, SQUARE_CCW.replace("1 1 2 4", "1 1 2 -1"), ":3: node index out of range"),
+    (None, SQUARE_CCW.replace("3 3 0 4", "x 3 0 4"), ":5: expected integers"),
+    (None, SQUARE_CCW.replace("3 3 0 4", "3 3 0 99999999999999999999"), ":5: node index"),
+], ids=["node-fields", "coordinate", "node-id", "marker", "cover", "base",
+        "ele-fields", "ele-all-three-fields", "index", "negative", "element-id", "huge-index"])
+def test_array_parse_leaves_offending_lines_to_the_line_loop(tmp_path, node, ele, message):
+    # every file the arrays do not accept is read again line by line, which
+    # names the first offending line as before
+    with pytest.raises(ParseError, match=message):
+        _load(tmp_path, "bad", node or SQUARE_MARKED, "4 3 0\n" + (ele or SQUARE_CCW))
+
+
+def test_line_loop_reads_what_the_arrays_cannot(tmp_path):
+    # rows of different widths and a marker past int64 are valid: the
+    # arrays leave them to the line loop, which reads the same mesh
+    want = _load(tmp_path, "plain", SQUARE_MARKED, "4 3 0\n" + SQUARE_CCW)
+    node = SQUARE_MARKED.replace("1 1 0 1", "1 1 0 99999999999999999999")
+    ele = "4 3 0\n" + SQUARE_CCW.replace("1 1 2 4", "1 1 2 4 7")
+    (count, _, _, nmark), rows = _rows(_write(tmp_path, "big.node", node), "node", 4, (2, ""))
+    assert mesh._nodes_from_arrays(rows, 4, nmark, count) is None
+    _, rows = _rows(_write(tmp_path, "wide.ele", ele), "ele", 3, (3, ""))
+    assert mesh._triangles_from_arrays(rows, 0, count) is None
+    m = _load(tmp_path, "mixed", node, ele)
+    for got, expected in ((m.nodes, want.nodes), (m.triangles, want.triangles),
+                          (m.boundary, want.boundary)):
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_load_missing_file_is_parse_error(tmp_path):
     with pytest.raises(ParseError):
         mesh.load_triangle_format(tmp_path / "no.node", tmp_path / "no.ele")
